@@ -35,6 +35,7 @@ from .lattices import (
 )
 from .series import (
     EllipticSeries,
+    InvariantError,
     JacobiSeries,
     check_disc_class_invariance,
     check_parity,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import JacobiSeries, as_rational, d_z, heat_power
+from .series import InvariantError, JacobiSeries, as_rational, d_z, heat_power
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
@@ -241,7 +241,7 @@ def bracket_rank_over_x(
     keys = sorted(set().union(*(b.support() for b in brackets)))
     rank = _exact_rank([[b[key] for key in keys] for b in brackets])
     if rank > vf + 1:
-        raise AssertionError(f"rank {rank} exceeds the degree bound {vf + 1}")
+        raise InvariantError(f"rank {rank} exceeds the degree bound {vf + 1}")
     return rank
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import brackets, jets, lattices, verify
-from .series import JacobiSeries
+from .series import InvariantError, JacobiSeries
 from .seriesio import ParseError, parse_fraction_arg, read_series, write_series
 from .siegel import SiegelSeries, SymmetryError, bracket_siegel_direct, bracket_siegel_via_jacobi
 
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SymmetryError, jets.CrosscheckError, AssertionError) as exc:
+    except (SymmetryError, jets.CrosscheckError, InvariantError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
     except (ParseError, ValueError, OSError) as exc:

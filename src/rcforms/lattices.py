@@ -1,35 +1,47 @@
 """Test-form generation: lattice theta expansions and Eisenstein q-series.
 
-Lattice vectors are handled internally in doubled coordinates (twice the
-real coordinates), which makes every vector an integer tuple: the E8
-coordinate model consists of vectors that are all-integer or all-half-odd
-with even coordinate sum, so doubled vectors have coordinates of one common
-parity and coordinate sum divisible by 4.  A vector of doubled norm y.y has
-half-norm y.y / 8.
+Lattice vectors are handled in doubled coordinates (twice the real
+coordinates), which makes every vector an integer tuple.  E8 is the
+coordinate model D8 u (D8 + 1/2 * (1, ..., 1)) (Conway-Sloane, SPLAG ch. 4):
+doubled vectors y whose coordinates share one parity and whose coordinate
+sum is divisible by 4.  A vector of doubled norm y.y has half-norm y.y / 8,
+and its inner product with a doubled vector w is y.w / 4.
 
-Inner products between enumerated vectors are computed with int64 numpy
-arrays; the coordinate bounds established during enumeration keep every
-product far below the int64 range (asserted), so exactness is preserved and
-the counts re-enter Fraction arithmetic unchanged.
+No theta expansion is built by listing vectors:
+
+- The E8 Jacobi theta at w is half the sum, over the coordinate parity and
+  a sign twist, of a product of eight one-variable integer series, one per
+  coordinate, keyed by (y_i**2, y_i * w_i).  The twist weighs y_i by
+  (-1)**(y_i // 2); over a vector of one parity the product of these signs
+  is +1 exactly when the coordinate sum is divisible by 4, so averaging the
+  untwisted and twisted products keeps the E8 vectors only.
+- The degree-2 theta adds, over the W(D8)-orbits of vectors y of
+  half-norm m, the orbit size times the Jacobi theta at one orbit
+  representative.  W(D8) (coordinate permutations and even sign changes)
+  maps E8 onto itself and preserves inner products.
+- The thetas of E8+E8 are the products of the E8 ones.
+
+Vector enumeration (``doubled_vectors``, ``enumerate_vectors``) stays as
+the independent oracle: the 240 / 2160 norm-count gates and the tests count
+vectors directly and compare against these constructions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, factorial, isqrt, prod
 from typing import Sequence
 
-import numpy as np
-
-from .series import EllipticSeries, JacobiSeries
+from .series import EllipticSeries, InvariantError, JacobiSeries
 from .siegel import SiegelSeries
 
 DoubledVector = tuple[int, ...]
+Counts = dict[tuple[int, int], int]
+TripleCounts = dict[tuple[int, int, int], int]
 
 E8_INDEX1_VECTOR: tuple[int, ...] = (1, -1, 0, 0, 0, 0, 0, 0)
-
-_PAIR_BLOCK = 2_000_000  # target entries per matmul block
 
 
 def _double(vector: Sequence[int | Fraction]) -> DoubledVector | None:
@@ -42,6 +54,47 @@ def _double(vector: Sequence[int | Fraction]) -> DoubledVector | None:
     return tuple(doubled)
 
 
+def _mul_counts(a: Counts, b: Counts, trunc: int) -> Counts:
+    """Product of integer maps keyed by (n, r): keys add, n is cut at trunc."""
+    out: Counts = {}
+    b_items = sorted(b.items())
+    for (n1, r1), c1 in a.items():
+        room = trunc - n1
+        for (n2, r2), c2 in b_items:
+            if n2 > room:
+                break
+            key = (n1 + n2, r1 + r2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _coordinate_series(w: int, parity: int, twist: int, budget: int) -> Counts:
+    """sum over y = parity (mod 2), y*y <= budget, of (+-1) keyed by (y*y, y*w).
+
+    With ``twist`` the term of y carries the sign (-1)**(y // 2).
+    """
+    out: Counts = {}
+    limit = isqrt(budget)
+    for y in range(-limit, limit + 1):
+        if y & 1 == parity:
+            key = (y * y, y * w)
+            out[key] = out.get(key, 0) + (-1 if twist and (y >> 1) & 1 else 1)
+    return {key: c for key, c in out.items() if c}
+
+
+def _descending_squares(target: int, parity: int, length: int, cap: int):
+    """Non-increasing tuples of ``length`` non-negative integers of one parity,
+    each at most ``cap``, whose squares sum to ``target``."""
+    if length == 0:
+        if target == 0:
+            yield ()
+        return
+    top = min(cap, isqrt(target))
+    for a in range(top - (top - parity) % 2, -1, -2):
+        for rest in _descending_squares(target - a * a, parity, length - 1, a):
+            yield (a,) + rest
+
+
 class Lattice:
     """Coordinate model of an even unimodular lattice (standard inner product)."""
 
@@ -52,6 +105,14 @@ class Lattice:
         raise NotImplementedError
 
     def doubled_vectors(self, max_half_norm: int) -> list[DoubledVector]:
+        raise NotImplementedError
+
+    def theta_counts(self, w: DoubledVector, trunc: int) -> Counts:
+        """c(n, r) = #{x : x.x/2 = n <= trunc, x.v = r} for the doubled lattice vector w = 2v."""
+        raise NotImplementedError
+
+    def siegel_counts(self, trunc: int) -> TripleCounts:
+        """a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}, n, m <= trunc."""
         raise NotImplementedError
 
     def contains(self, vector: Sequence[int | Fraction]) -> bool:
@@ -110,6 +171,59 @@ class _E8(Lattice):
         out.sort()
         return out
 
+    def theta_counts(self, w: DoubledVector, trunc: int) -> Counts:
+        budget = 8 * trunc
+        total: Counts = {}
+        for parity in (0, 1):
+            for twist in (0, 1):
+                factors: dict[int, Counts] = {}
+                product: Counts = {(0, 0): 1}
+                # zero coordinates first keeps the partial products small
+                for wi in sorted(w, key=abs):
+                    if wi not in factors:
+                        factors[wi] = _coordinate_series(wi, parity, twist, budget)
+                    product = _mul_counts(product, factors[wi], budget)
+                for key, count in product.items():
+                    total[key] = total.get(key, 0) + count
+        counts: Counts = {}
+        for (norm8, dot4), count in total.items():
+            if not count:
+                continue
+            if norm8 % 8 or dot4 % 4 or count % 2:
+                raise InvariantError(
+                    f"E8 theta at {w}: count {count} at doubled norm {norm8}, dot {dot4}"
+                )
+            counts[(norm8 // 8, dot4 // 4)] = count // 2
+        return counts
+
+    def d8_orbits(self, half_norm: int) -> list[tuple[DoubledVector, int]]:
+        """The W(D8)-orbits of E8 vectors of half-norm ``half_norm``.
+
+        Returns (doubled representative, orbit size) pairs.  An orbit is
+        fixed by its sorted absolute coordinates and, when no coordinate is
+        zero, by the parity of its negative coordinates; otherwise an even
+        sign change can absorb any sign.
+        """
+        out = []
+        for parity in (0, 1):
+            for absolutes in _descending_squares(8 * half_norm, parity, 8, isqrt(8 * half_norm)):
+                arrangements = factorial(8) // prod(factorial(k) for k in Counter(absolutes).values())
+                nonzero = sum(1 for a in absolutes if a)
+                if nonzero < 8:
+                    reps, signs = [absolutes], 2**nonzero
+                else:
+                    reps, signs = [absolutes, absolutes[:-1] + (-absolutes[-1],)], 2**7
+                out += [(rep, arrangements * signs) for rep in reps if self.contains_doubled(rep)]
+        return out
+
+    def siegel_counts(self, trunc: int) -> TripleCounts:
+        counts: TripleCounts = {}
+        for m in range(trunc + 1):
+            for rep, size in self.d8_orbits(m):
+                for (n, r), count in self.theta_counts(rep, trunc).items():
+                    counts[(n, r, m)] = counts.get((n, r, m), 0) + size * count
+        return counts
+
 
 class _ProductLattice(Lattice):
     def __init__(self, name: str, left: Lattice, right: Lattice):
@@ -139,6 +253,24 @@ class _ProductLattice(Lattice):
         out.sort()
         return out
 
+    def theta_counts(self, w: DoubledVector, trunc: int) -> Counts:
+        split = self._left.rank
+        left = self._left.theta_counts(w[:split], trunc)
+        right = self._right.theta_counts(w[split:], trunc)
+        return _mul_counts(left, right, trunc)
+
+    def siegel_counts(self, trunc: int) -> TripleCounts:
+        left = self._left.siegel_counts(trunc)
+        right = self._right.siegel_counts(trunc)
+        counts: TripleCounts = {}
+        for (n1, r1, m1), c1 in left.items():
+            for (n2, r2, m2), c2 in right.items():
+                n, m = n1 + n2, m1 + m2
+                if n <= trunc and m <= trunc:
+                    key = (n, r1 + r2, m)
+                    counts[key] = counts.get(key, 0) + c1 * c2
+        return counts
+
 
 E8 = _E8()
 E8_E8 = _ProductLattice("e8e8", E8, E8)
@@ -152,13 +284,6 @@ def enumerate_vectors(lattice: Lattice, max_half_norm: int) -> list[tuple[Fracti
     return [tuple(half * y for y in doubled) for doubled in lattice.doubled_vectors(max_half_norm)]
 
 
-def _doubled_array(vectors: list[DoubledVector]) -> np.ndarray:
-    arr = np.array(vectors, dtype=np.int64)
-    if arr.size:
-        assert int(np.abs(arr).max()) < 2**20  # int64 dot products stay exact
-    return arr
-
-
 def jacobi_theta(
     lattice: Lattice, vector: Sequence[int | Fraction], trunc: int
 ) -> JacobiSeries:
@@ -166,54 +291,22 @@ def jacobi_theta(
 
     Weight rank/2, index v.v/2.  The fixed vector must lie in the lattice.
     """
+    if trunc < 0:
+        raise ValueError(f"truncation must be non-negative, got {trunc}")
     doubled_v = _double(vector)
     if doubled_v is None or not lattice.contains_doubled(doubled_v):
         raise ValueError(f"vector {tuple(vector)} is not in lattice {lattice.name}")
     index8 = sum(a * a for a in doubled_v)
-    assert index8 % 8 == 0
-    vectors = lattice.doubled_vectors(trunc)
-    arr = _doubled_array(vectors)
-    norms8 = (arr * arr).sum(axis=1)
-    dots4 = arr @ np.array(doubled_v, dtype=np.int64)
-    coeffs: dict[tuple[int, int], int] = {}
-    for n8, r4 in zip(norms8.tolist(), dots4.tolist()):
-        key = (n8 // 8, r4 // 4)
-        coeffs[key] = coeffs.get(key, 0) + 1
-    return JacobiSeries(lattice.rank // 2, index8 // 8, trunc, coeffs)
+    if index8 % 8:
+        raise InvariantError(f"lattice vector {tuple(vector)} has odd norm")
+    return JacobiSeries(lattice.rank // 2, index8 // 8, trunc, lattice.theta_counts(doubled_v, trunc))
 
 
 def siegel_theta(lattice: Lattice, trunc: int) -> SiegelSeries:
-    """Degree-2 theta a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}.
-
-    Pairs are counted one norm class against another; the (n, m) block is
-    mirrored to (m, n), which realises the transpose symmetry exactly.
-    """
-    by_norm: dict[int, list[DoubledVector]] = {}
-    for y in lattice.doubled_vectors(trunc):
-        by_norm.setdefault(sum(a * a for a in y) // 8, []).append(y)
-    arrays = {h: _doubled_array(vs) for h, vs in by_norm.items()}
-    coeffs: dict[tuple[int, int, int], int] = {}
-    for n in range(trunc + 1):
-        if n not in arrays:
-            continue
-        A = arrays[n]
-        for m in range(n, trunc + 1):
-            if m not in arrays:
-                continue
-            B = arrays[m]
-            histogram: dict[int, int] = {}
-            step = max(1, _PAIR_BLOCK // max(1, len(B)))
-            for start in range(0, len(A), step):
-                block = A[start : start + step] @ B.T
-                values, counts = np.unique(block, return_counts=True)
-                for value, count in zip(values.tolist(), counts.tolist()):
-                    histogram[value] = histogram.get(value, 0) + count
-            for value, count in histogram.items():
-                assert value % 4 == 0
-                r = value // 4
-                coeffs[(n, r, m)] = count
-                coeffs[(m, r, n)] = count
-    return SiegelSeries(lattice.rank // 2, trunc, coeffs)
+    """Degree-2 theta a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}."""
+    if trunc < 0:
+        raise ValueError(f"truncation must be non-negative, got {trunc}")
+    return SiegelSeries(lattice.rank // 2, trunc, lattice.siegel_counts(trunc))
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,13 @@ Key = tuple[int, int]
 DiscClassWitness = tuple[Key, Fraction, Key, Fraction]
 
 
+class InvariantError(ArithmeticError):
+    """An internal invariant of an exact computation does not hold.
+
+    Raised instead of ``assert``, so the check also runs under ``python -O``.
+    """
+
+
 def as_rational(x: int | Fraction) -> Fraction:
     """Coerce an exact scalar; anything float-like is rejected."""
     if isinstance(x, Fraction):
@@ -356,7 +363,8 @@ def _class_members(disc: int, rho: int, m: int, trunc: int) -> list[Key]:
     while r <= rmax:
         e = disc + r * r
         if e >= 0:
-            assert e % (4 * m) == 0
+            if e % (4 * m):
+                raise InvariantError(f"class ({disc}, {rho} mod {period}) has non-integral n at r={r}")
             n = e // (4 * m)
             if 0 <= n <= trunc:
                 members.append((n, r))

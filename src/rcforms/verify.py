@@ -19,6 +19,7 @@ from math import comb
 from . import brackets, jets, lattices, seriesio
 from .series import (
     EllipticSeries,
+    InvariantError,
     JacobiSeries,
     check_disc_class_invariance,
     check_parity,
@@ -252,7 +253,7 @@ def check_bracket_rank(forms: FormSet) -> list[CheckResult]:
         bound = v // 2 + 1
         try:
             rank = brackets.bracket_rank_over_x(f, g, v)
-        except AssertionError as exc:
+        except InvariantError as exc:
             out.append(CheckResult(f"x-span rank at order {v}", False, str(exc)))
             continue
         detail = f"measured rank {rank}, bound {bound}"

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from rcforms import brackets
 from rcforms.cli import main
-from rcforms.lattices import E8, E8_INDEX1_VECTOR, jacobi_theta, siegel_theta
+from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, siegel_theta
 from rcforms.series import JacobiSeries
 from rcforms.seriesio import (
     ParseError,
@@ -207,6 +208,15 @@ class TestCli:
         assert code == 0
         assert read_series(out).index == 1
 
+    def test_e8e8_thetas_complete(self, tmp_path):
+        jacobi, siegel = tmp_path / "j.coef", tmp_path / "s.coef"
+        assert self.run("theta-jacobi", "--lattice", "e8e8", "--trunc", "6", "--out", str(jacobi)) == 0
+        assert self.run("theta-siegel", "--lattice", "e8e8", "--trunc", "3", "--out", str(siegel)) == 0
+        theta, F = read_series(jacobi), read_series(siegel)
+        assert (theta.weight, theta.index, theta.trunc) == (8, 1, 6)
+        assert (F.weight, F.trunc) == (8, 3)
+        assert F.slice_component(0) == eisenstein_q(8, 3).as_jacobi()
+
     def test_bracket_order_zero_is_product(self, tmp_path, theta4):
         theta_path = tmp_path / "theta.coef"
         write_series(theta_path, theta4)
@@ -233,6 +243,13 @@ class TestCli:
         write_series(b, e4_theta4)
         assert self.run("rank-x", "--left", str(a), "--right", str(b), "--v", "2") == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    def test_rank_above_degree_bound_exits_1(self, tmp_path, theta4, monkeypatch, capsys):
+        a = tmp_path / "a.coef"
+        write_series(a, theta4)
+        monkeypatch.setattr(brackets, "_exact_rank", lambda rows: len(rows))
+        assert self.run("rank-x", "--left", str(a), "--right", str(a), "--v", "2") == 1
+        assert "exceeds the degree bound" in capsys.readouterr().err
 
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.coef"

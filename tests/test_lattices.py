@@ -2,10 +2,13 @@
 
 The enumeration gates use an independent brute-force oracle: a plain box
 scan over candidate coordinates filtered by the membership predicate,
-sharing no code with the pruned recursive enumerator.
+sharing no code with the pruned recursive enumerator.  The theta
+expansions, built from coordinate series and W(D8) orbits, are checked
+against counts over the enumerated vectors and against Eisenstein series.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from rcforms.lattices import (
     E8_E8,
     E8_INDEX1_VECTOR,
     bernoulli,
+    divisor_power_sum,
     eisenstein_q,
     enumerate_vectors,
     jacobi_theta,
@@ -159,6 +163,91 @@ class TestSiegelTheta:
 
     def test_consistency_report(self, siegel2):
         assert check_siegel_consistency(siegel2).passed
+
+
+def row_sums(theta):
+    sums = {}
+    for (n, _), value in theta.items():
+        sums[n] = sums.get(n, 0) + value
+    return [sums.get(n, 0) for n in range(theta.trunc + 1)]
+
+
+def orbit_key(y):
+    """W(D8)-orbit of a doubled vector: sorted |y_i|, plus the sign parity
+    when no coordinate is zero."""
+    absolutes = tuple(sorted((abs(a) for a in y), reverse=True))
+    if 0 in absolutes:
+        return absolutes, None
+    return absolutes, sum(1 for a in y if a < 0) % 2
+
+
+@pytest.fixture(scope="module")
+def vectors4():
+    return E8.doubled_vectors(4)
+
+
+class TestCoordinateRoute:
+    """The enumeration-free thetas against independent counts."""
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_e8_row_sums_are_e4(self, index):
+        theta = jacobi_theta(E8, standard_index_vector(E8, index), 12)
+        assert row_sums(theta) == [eisenstein_q(4, 12)[n] for n in range(13)]
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            (1, -1, 0, 0, 0, 0, 0, 0) + (0,) * 8,
+            (1, -1, 0, 0, 0, 0, 0, 0) + (0, 0, 1, 1, 0, 0, 0, 0),
+            (0,) * 8 + tuple([Q(1, 2)] * 8),
+        ],
+    )
+    def test_e8e8_row_sums_are_e8(self, vector):
+        theta = jacobi_theta(E8_E8, vector, 6)
+        assert row_sums(theta) == [eisenstein_q(8, 6)[n] for n in range(7)]
+        assert (theta.weight, theta.index) == (8, sum(Q(c) ** 2 for c in vector) / 2)
+
+    @pytest.mark.parametrize("lattice, trunc, weight", [(E8, 4, 4), (E8_E8, 3, 8)])
+    def test_siegel_block_sums_are_eisenstein_products(self, lattice, trunc, weight):
+        F = siegel_theta(lattice, trunc)
+        e = eisenstein_q(weight, trunc)
+        sums = {}
+        for (n, _, m), value in F.items():
+            sums[(n, m)] = sums.get((n, m), 0) + value
+        assert F.weight == weight
+        assert sums == {(n, m): e[n] * e[m] for n in range(trunc + 1) for m in range(trunc + 1)}
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            E8_INDEX1_VECTOR,
+            tuple([Q(1, 2)] * 8),
+            tuple([Q(-1, 2)] * 2 + [Q(1, 2)] * 6),
+            tuple([Q(3, 2)] + [Q(1, 2)] * 6 + [Q(-1, 2)]),
+            (2, 0, 0, 0, 0, 0, 0, 0),
+            (1, 1, 1, 1, 0, 0, 0, 0),
+        ],
+    )
+    def test_matches_count_over_enumerated_vectors(self, vector, vectors4):
+        w = tuple(int(2 * Q(c)) for c in vector)
+        dots4 = [sum(a * b for a, b in zip(y, w)) for y in vectors4]
+        assert all(d % 4 == 0 for d in dots4)
+        counts = Counter((sum(a * a for a in y) // 8, d // 4) for y, d in zip(vectors4, dots4))
+        for trunc in (0, 2, 4):
+            theta = jacobi_theta(E8, vector, trunc)
+            assert dict(theta.items()) == {key: c for key, c in counts.items() if key[0] <= trunc}
+
+    def test_orbit_sizes_sum_to_vector_counts(self):
+        assert E8.d8_orbits(0) == [((0,) * 8, 1)]
+        for m in range(1, 7):
+            orbits = E8.d8_orbits(m)
+            assert sum(size for _, size in orbits) == 240 * divisor_power_sum(m, 3)
+            assert all(E8.contains_doubled(rep) and sum(a * a for a in rep) == 8 * m for rep, _ in orbits)
+
+    def test_orbits_match_enumerated_orbit_classes(self, vectors4):
+        by_orbit = Counter(orbit_key(y) for y in vectors4 if sum(a * a for a in y) >= 24)
+        expected = {orbit_key(rep): size for m in (3, 4) for rep, size in E8.d8_orbits(m)}
+        assert dict(by_orbit) == expected
 
 
 class TestEisenstein:
