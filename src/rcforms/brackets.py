@@ -153,16 +153,10 @@ def bracket_jacobi(
     """
     params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
     out = JacobiSeries.zero(f.weight + g.weight + v, f.index + g.index, min(f.trunc, g.trunc))
-    cache: dict[tuple[int, int, int, int, int], JacobiSeries] = {}
     for term in bracket_terms(params):
         scale = term.c_value * term.d_value
-        if not scale:
-            continue
-        key = (term.r, term.s, term.p, term.i, term.j)
-        series = cache.get(key)
-        if series is None:
-            series = cache[key] = _term_series(f, g, term)
-        out = out + scale * series
+        if scale:
+            out = out + scale * _term_series(f, g, term)
     return out
 
 

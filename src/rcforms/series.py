@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 Key = tuple[int, int]
 
@@ -42,7 +42,131 @@ def as_rational(x: int | Fraction) -> Fraction:
     raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
 
 
-class JacobiSeries:
+_ZERO = Fraction(0)
+
+
+class _SparseSeries:
+    """Exact coefficient store shared by every series kind.
+
+    A series is a finite map key -> Fraction holding only nonzero values, a
+    truncation, and the bookkeeping tags named by ``_TAGS`` (constructor
+    order, before ``trunc``).  Each kind supplies its key rule: ``_fits``
+    tells whether a key lies inside a truncation and ``_RANGE_ERROR``
+    (formatted with the key and the truncation) reports one that does not.
+    Instances are immutable after construction and safe to share; all
+    operations return new series.
+    """
+
+    __slots__ = ("weight", "trunc", "_coeffs")
+    _TAGS: tuple[str, ...] = ("weight",)
+    _RANGE_ERROR: str
+    _ADD_ERROR = "cannot add weights {0} and {1}"
+
+    def __init__(
+        self,
+        weight: int,
+        trunc: int,
+        coeffs: Mapping[Any, int | Fraction] | Iterable[tuple[Any, int | Fraction]] = (),
+    ):
+        self._store((weight,), trunc, coeffs)
+
+    def _store(self, tags: tuple, trunc: int, coeffs) -> None:
+        """Set tags and truncation, then validate and keep the nonzero coefficients."""
+        if trunc < 0:
+            raise ValueError(f"truncation must be non-negative, got {trunc}")
+        for name, value in zip(self._TAGS, tags):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "trunc", trunc)
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        fits = self._fits
+        store = {}
+        for key, value in items:
+            if not fits(key, trunc):
+                raise ValueError(self._RANGE_ERROR.format(key, trunc))
+            value = as_rational(value)
+            if value:
+                store[key] = value
+        object.__setattr__(self, "_coeffs", store)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _tags(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._TAGS)
+
+    def _like(self, trunc: int, coeffs):
+        """A series of the same kind and tags."""
+        return type(self)(*self._tags(), trunc, coeffs)
+
+    # -- queries -------------------------------------------------------------
+
+    def __getitem__(self, key) -> Fraction:
+        return self._coeffs.get(key, _ZERO)
+
+    def items(self) -> list:
+        """Nonzero coefficients in ascending key order."""
+        return sorted(self._coeffs.items())
+
+    def support(self) -> list:
+        return sorted(self._coeffs)
+
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self._tags() == other._tags()
+            and self.trunc == other.trunc
+            and self._coeffs == other._coeffs
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={getattr(self, name)}" for name in self._TAGS]
+        fields += [f"trunc={self.trunc}", f"terms={len(self._coeffs)}"]
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    # -- restrict, merge and scale -------------------------------------------
+
+    def _restricted(self, trunc: int) -> dict:
+        """A fresh dict of the coefficients whose keys fit ``trunc``."""
+        if trunc >= self.trunc:
+            return dict(self._coeffs)
+        fits = self._fits
+        return {k: v for k, v in self._coeffs.items() if fits(k, trunc)}
+
+    def _truncated(self, trunc: int):
+        if trunc > self.trunc:
+            raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
+        return self._like(trunc, self._restricted(trunc))
+
+    def _sum(self, other):
+        """self + other on the smaller truncation; tags must match."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._tags() != other._tags():
+            raise ValueError(self._ADD_ERROR.format(*self._tags(), *other._tags()))
+        trunc = min(self.trunc, other.trunc)
+        out = self._restricted(trunc)
+        for k, v in other._restricted(trunc).items():
+            out[k] = out.get(k, _ZERO) + v
+        return self._like(trunc, out)
+
+    def _scaled(self, c: int | Fraction):
+        c = as_rational(c)
+        return self._like(self.trunc, {k: c * v for k, v in self._coeffs.items()})
+
+    def __sub__(self, other):
+        return self.__add__(-other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+
+class JacobiSeries(_SparseSeries):
     """Truncated expansion sum_{0<=n<=trunc, r} c(n, r) q^n zeta^r.
 
     ``weight`` and ``index`` are bookkeeping tags carried through every
@@ -50,7 +174,10 @@ class JacobiSeries:
     share; all operations return new series.
     """
 
-    __slots__ = ("weight", "index", "trunc", "_coeffs")
+    __slots__ = ("index",)
+    _TAGS = ("weight", "index")
+    _RANGE_ERROR = "coefficient key n={0[0]} outside range [0, {1}]"
+    _ADD_ERROR = "cannot add series of weight/index ({0},{1}) and ({2},{3})"
 
     def __init__(
         self,
@@ -61,23 +188,12 @@ class JacobiSeries:
     ):
         if index < 0:
             raise ValueError(f"index must be non-negative, got {index}")
-        if trunc < 0:
-            raise ValueError(f"truncation must be non-negative, got {trunc}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "trunc", trunc)
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        store: dict[Key, Fraction] = {}
-        for (n, r), value in items:
-            if not 0 <= n <= trunc:
-                raise ValueError(f"coefficient key n={n} outside range [0, {trunc}]")
-            value = as_rational(value)
-            if value:
-                store[(n, r)] = value
-        object.__setattr__(self, "_coeffs", store)
+        self._store((weight, index), trunc, coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JacobiSeries is immutable")
+    @staticmethod
+    def _fits(key: Key, trunc: int) -> bool:
+        n, _ = key
+        return 0 <= n <= trunc
 
     # -- construction helpers ------------------------------------------------
 
@@ -91,19 +207,6 @@ class JacobiSeries:
         return cls(0, 0, trunc, {(0, 0): 1})
 
     # -- queries -------------------------------------------------------------
-
-    def __getitem__(self, key: Key) -> Fraction:
-        return self._coeffs.get(key, Fraction(0))
-
-    def items(self) -> list[tuple[Key, Fraction]]:
-        """Nonzero coefficients in lexicographic (n, r) order."""
-        return sorted(self._coeffs.items())
-
-    def support(self) -> list[Key]:
-        return sorted(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def zeta_window(self, n: int | None = None) -> tuple[int, int] | None:
         """Range (rmin, rmax) of stored r values, for one n or overall."""
@@ -120,51 +223,13 @@ class JacobiSeries:
         """True iff every nonzero c(n, r) satisfies r**2 < 4*n*index."""
         return all(r * r < 4 * n * self.index for (n, r) in self._coeffs)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, JacobiSeries):
-            return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.index == other.index
-            and self.trunc == other.trunc
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"JacobiSeries(weight={self.weight}, index={self.index}, "
-            f"trunc={self.trunc}, terms={len(self._coeffs)})"
-        )
-
     # -- ring operations -----------------------------------------------------
 
     def __neg__(self) -> JacobiSeries:
-        return JacobiSeries(
-            self.weight, self.index, self.trunc, {k: -v for k, v in self._coeffs.items()}
-        )
+        return self._scaled(-1)
 
     def __add__(self, other: JacobiSeries) -> JacobiSeries:
-        if not isinstance(other, JacobiSeries):
-            return NotImplemented
-        if self.weight != other.weight or self.index != other.index:
-            raise ValueError(
-                f"cannot add series of weight/index ({self.weight},{self.index}) "
-                f"and ({other.weight},{other.index})"
-            )
-        trunc = min(self.trunc, other.trunc)
-        out: dict[Key, Fraction] = {}
-        for k, v in self._coeffs.items():
-            if k[0] <= trunc:
-                out[k] = v
-        for k, v in other._coeffs.items():
-            if k[0] <= trunc:
-                out[k] = out.get(k, Fraction(0)) + v
-        return JacobiSeries(self.weight, self.index, trunc, out)
-
-    def __sub__(self, other: JacobiSeries) -> JacobiSeries:
-        return self.__add__(-other)
+        return self._sum(other)
 
     def __mul__(self, other):
         if isinstance(other, JacobiSeries):
@@ -183,63 +248,23 @@ class JacobiSeries:
                 self.weight + other.weight, self.index + other.index, trunc, out
             )
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return JacobiSeries(
-                self.weight, self.index, self.trunc, {k: c * v for k, v in self._coeffs.items()}
-            )
+            return self._scaled(other)
         return NotImplemented
-
-    def __rmul__(self, other) -> JacobiSeries:
-        return self.__mul__(other)
 
     def truncated(self, trunc: int) -> JacobiSeries:
         """Restriction to q^n terms with n <= trunc (trunc may only shrink)."""
-        if trunc > self.trunc:
-            raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
-        return JacobiSeries(
-            self.weight,
-            self.index,
-            trunc,
-            {k: v for k, v in self._coeffs.items() if k[0] <= trunc},
-        )
+        return self._truncated(trunc)
 
 
-class EllipticSeries:
+class EllipticSeries(_SparseSeries):
     """Univariate q-expansion sum_{0<=n<=trunc} c(n) q^n, exact coefficients."""
 
-    __slots__ = ("weight", "trunc", "_coeffs")
+    __slots__ = ()
+    _RANGE_ERROR = "coefficient key n={0} outside range [0, {1}]"
 
-    def __init__(
-        self,
-        weight: int,
-        trunc: int,
-        coeffs: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] = (),
-    ):
-        if trunc < 0:
-            raise ValueError(f"truncation must be non-negative, got {trunc}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "trunc", trunc)
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        store: dict[int, Fraction] = {}
-        for n, value in items:
-            if not 0 <= n <= trunc:
-                raise ValueError(f"coefficient key n={n} outside range [0, {trunc}]")
-            value = as_rational(value)
-            if value:
-                store[n] = value
-        object.__setattr__(self, "_coeffs", store)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EllipticSeries is immutable")
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs.get(n, Fraction(0))
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
+    @staticmethod
+    def _fits(n: int, trunc: int) -> bool:
+        return 0 <= n <= trunc
 
     def as_jacobi(self) -> JacobiSeries:
         """Embedding as an index-0 series with all mass at r = 0."""
@@ -247,37 +272,11 @@ class EllipticSeries:
             self.weight, 0, self.trunc, {(n, 0): v for n, v in self._coeffs.items()}
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EllipticSeries):
-            return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.trunc == other.trunc
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"EllipticSeries(weight={self.weight}, trunc={self.trunc}, terms={len(self._coeffs)})"
-
     def __neg__(self) -> EllipticSeries:
-        return EllipticSeries(self.weight, self.trunc, {n: -v for n, v in self._coeffs.items()})
+        return self._scaled(-1)
 
     def __add__(self, other: EllipticSeries) -> EllipticSeries:
-        if not isinstance(other, EllipticSeries):
-            return NotImplemented
-        if self.weight != other.weight:
-            raise ValueError(f"cannot add weights {self.weight} and {other.weight}")
-        trunc = min(self.trunc, other.trunc)
-        out = {n: v for n, v in self._coeffs.items() if n <= trunc}
-        for n, v in other._coeffs.items():
-            if n <= trunc:
-                out[n] = out.get(n, Fraction(0)) + v
-        return EllipticSeries(self.weight, trunc, out)
-
-    def __sub__(self, other: EllipticSeries) -> EllipticSeries:
-        return self.__add__(-other)
+        return self._sum(other)
 
     def __mul__(self, other):
         if isinstance(other, EllipticSeries):
@@ -292,8 +291,7 @@ class EllipticSeries:
         if isinstance(other, JacobiSeries):
             return self.as_jacobi() * other
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return EllipticSeries(self.weight, self.trunc, {n: c * v for n, v in self._coeffs.items()})
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):

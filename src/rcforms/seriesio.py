@@ -1,7 +1,10 @@
 """Text format for coefficient files.
 
-A coefficient file is UTF-8 with LF line endings and whitespace-separated
-tokens; ``#`` starts a comment.  The canonical layout is
+A coefficient file is UTF-8 with LF line endings (every line, the last one
+included, ends in LF; CR is rejected anywhere) and tokens separated by
+single ASCII spaces, with no space at either end of a line.  ``#`` starts a
+comment, which may follow a line's tokens after any number of spaces or
+fill the line; empty lines are skipped.  The canonical layout is
 
     rcforms 1
     kind jacobi            (or: kind siegel)
@@ -14,8 +17,10 @@ tokens; ``#`` starts a comment.  The canonical layout is
 
 Coefficient records are sorted ascending lexicographically by key, omitted
 coefficients are zero, and every value is a reduced fraction printed as
-num/den with den >= 1.  Import enforces all of that, so accepted canonical
-files re-export byte-identically.
+num/den with den >= 1.  Integers (header values, keys, numerators) match
+``0|-?[1-9][0-9]*`` and denominators ``[1-9][0-9]*``, ASCII digits only.
+Import enforces all of that, so every accepted file without comments or
+empty lines re-exports byte-identically.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ FORMAT_TAG = "rcforms"
 FORMAT_VERSION = 1
 
 _FRACTION_ARG = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+_DENOMINATOR = re.compile(r"[1-9][0-9]*")
 
 
 class ParseError(ValueError):
@@ -49,14 +56,11 @@ def format_rational(x: Fraction) -> str:
 def parse_rational_token(token: str, line: int) -> Fraction:
     """Strict num/den record value: reduced, positive denominator, nonzero."""
     parts = token.split("/")
-    if len(parts) != 2:
+    if len(parts) != 2 or not _INTEGER.fullmatch(parts[0]):
         raise ParseError(line, f"coefficient value must be num/den, got {token!r}")
-    try:
-        num, den = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(line, f"coefficient value must be num/den, got {token!r}") from None
-    if den < 1:
-        raise ParseError(line, f"denominator must be >= 1, got {den}")
+    if not _DENOMINATOR.fullmatch(parts[1]):
+        raise ParseError(line, f"denominator must be a positive integer, got {parts[1]!r}")
+    num, den = int(parts[0]), int(parts[1])
     if gcd(num, den) != 1:
         raise ParseError(line, f"fraction {token} is not reduced")
     if num == 0:
@@ -101,11 +105,23 @@ def export_series(obj: JacobiSeries | SiegelSeries) -> str:
 
 class _Reader:
     def __init__(self, text: str):
+        if "\r" in text:
+            line = text.count("\n", 0, text.index("\r")) + 1
+            raise ParseError(line, "line endings must be LF, found CR")
+        lines = text.split("\n")
+        if lines[-1]:
+            raise ParseError(len(lines), "last line does not end in LF")
         self.rows = []
-        for number, raw in enumerate(text.split("\n"), start=1):
-            content = raw.split("#", 1)[0].strip()
-            if content:
-                self.rows.append((number, content.split()))
+        for number, raw in enumerate(lines[:-1], start=1):
+            content, comment, _ = raw.partition("#")
+            if comment:
+                content = content.rstrip(" ")
+            if not content:
+                continue
+            tokens = content.split(" ")
+            if "" in tokens:
+                raise ParseError(number, "tokens must be separated by single spaces, none at either end")
+            self.rows.append((number, tokens))
         self.cursor = 0
 
     def peek(self):
@@ -122,10 +138,9 @@ class _Reader:
 
 
 def _int_token(token: str, line: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line, f"{what} must be an integer, got {token!r}") from None
+    if not _INTEGER.fullmatch(token):
+        raise ParseError(line, f"{what} must be an integer (0 or -?[1-9][0-9]*), got {token!r}")
+    return int(token)
 
 
 def import_series(text: str) -> JacobiSeries | SiegelSeries:
@@ -191,4 +206,5 @@ def write_series(path: str | Path, obj: JacobiSeries | SiegelSeries) -> None:
 
 
 def read_series(path: str | Path) -> JacobiSeries | SiegelSeries:
-    return import_series(Path(path).read_text(encoding="utf-8"))
+    # read_text would translate CRLF to LF; the format accepts LF only
+    return import_series(Path(path).read_bytes().decode("utf-8"))

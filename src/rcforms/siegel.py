@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
 from .series import (
     JacobiSeries,
-    as_rational,
+    _SparseSeries,
     check_disc_class_invariance,
     check_parity,
 )
@@ -41,14 +41,15 @@ class SymmetryError(ValueError):
         self.key = key
 
 
-class SiegelSeries:
+class SiegelSeries(_SparseSeries):
     """Truncated expansion a(n, r, m) q^n zeta^r qq^m, symmetric in (n, m).
 
     Construction validates the transpose symmetry, so every series built by
     the package operations satisfies it by induction.  Immutable.
     """
 
-    __slots__ = ("weight", "trunc", "_coeffs")
+    __slots__ = ()
+    _RANGE_ERROR = "key (n={0[0]}, m={0[2]}) outside block [0, {1}]^2"
 
     def __init__(
         self,
@@ -56,57 +57,21 @@ class SiegelSeries:
         trunc: int,
         coeffs: Mapping[TripleKey, int | Fraction] | Iterable[tuple[TripleKey, int | Fraction]] = (),
     ):
-        if trunc < 0:
-            raise ValueError(f"truncation must be non-negative, got {trunc}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "trunc", trunc)
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        store: dict[TripleKey, Fraction] = {}
-        for (n, r, m), value in items:
-            if not (0 <= n <= trunc and 0 <= m <= trunc):
-                raise ValueError(f"key (n={n}, m={m}) outside block [0, {trunc}]^2")
-            value = as_rational(value)
-            if value:
-                store[(n, r, m)] = value
+        super().__init__(weight, trunc, coeffs)
+        store = self._coeffs
         for (n, r, m), value in store.items():
             mirrored = store.get((m, r, n), Fraction(0))
             if mirrored != value:
                 raise SymmetryError((n, r, m), value, mirrored)
-        object.__setattr__(self, "_coeffs", store)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SiegelSeries is immutable")
+    @staticmethod
+    def _fits(key: TripleKey, trunc: int) -> bool:
+        n, _, m = key
+        return 0 <= n <= trunc and 0 <= m <= trunc
 
     @classmethod
     def zero(cls, weight: int, trunc: int) -> SiegelSeries:
         return cls(weight, trunc)
-
-    def __getitem__(self, key: TripleKey) -> Fraction:
-        return self._coeffs.get(key, Fraction(0))
-
-    def items(self) -> list[tuple[TripleKey, Fraction]]:
-        """Nonzero coefficients in lexicographic (n, r, m) order."""
-        return sorted(self._coeffs.items())
-
-    def support(self) -> list[TripleKey]:
-        return sorted(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SiegelSeries):
-            return NotImplemented
-        return (
-            self.weight == other.weight
-            and self.trunc == other.trunc
-            and self._coeffs == other._coeffs
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"SiegelSeries(weight={self.weight}, trunc={self.trunc}, terms={len(self._coeffs)})"
 
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
@@ -123,25 +88,10 @@ class SiegelSeries:
         return [self.slice_component(m) for m in range(self.trunc + 1)]
 
     def __neg__(self) -> SiegelSeries:
-        return SiegelSeries(self.weight, self.trunc, {k: -v for k, v in self._coeffs.items()})
+        return self._scaled(-1)
 
     def __add__(self, other: SiegelSeries) -> SiegelSeries:
-        if not isinstance(other, SiegelSeries):
-            return NotImplemented
-        if self.weight != other.weight:
-            raise ValueError(f"cannot add weights {self.weight} and {other.weight}")
-        trunc = min(self.trunc, other.trunc)
-        out: dict[TripleKey, Fraction] = {}
-        for (n, r, m), v in self._coeffs.items():
-            if n <= trunc and m <= trunc:
-                out[(n, r, m)] = v
-        for (n, r, m), v in other._coeffs.items():
-            if n <= trunc and m <= trunc:
-                out[(n, r, m)] = out.get((n, r, m), Fraction(0)) + v
-        return SiegelSeries(self.weight, trunc, out)
-
-    def __sub__(self, other: SiegelSeries) -> SiegelSeries:
-        return self.__add__(-other)
+        return self._sum(other)
 
     def __mul__(self, other):
         if isinstance(other, SiegelSeries):
@@ -156,21 +106,11 @@ class SiegelSeries:
                     out[key] = out.get(key, Fraction(0)) + a * b
             return SiegelSeries(self.weight + other.weight, trunc, out)
         if isinstance(other, (int, Fraction)):
-            c = as_rational(other)
-            return SiegelSeries(self.weight, self.trunc, {k: c * v for k, v in self._coeffs.items()})
+            return self._scaled(other)
         return NotImplemented
 
-    def __rmul__(self, other) -> SiegelSeries:
-        return self.__mul__(other)
-
     def truncated(self, trunc: int) -> SiegelSeries:
-        if trunc > self.trunc:
-            raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
-        return SiegelSeries(
-            self.weight,
-            trunc,
-            {k: v for k, v in self._coeffs.items() if k[0] <= trunc and k[2] <= trunc},
-        )
+        return self._truncated(trunc)
 
 
 def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:

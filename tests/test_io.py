@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from rcforms import brackets
 from rcforms.cli import main
@@ -149,6 +150,87 @@ class TestRejections:
         text = "rcforms 1\nkind siegel\nweight 4\ntrunc 2\ncoeff 1 0 2 1/1\nEND\n"
         with pytest.raises(ValueError, match="symmetry"):
             import_series(text)
+
+    @pytest.mark.parametrize(
+        "value", ["1_0/1", "010/1", "+4/1", "-0/1", "3/01", "3/+2", "٣/1", "1/٣", " 1/1"]
+    )
+    def test_non_canonical_value(self, value):
+        self.reject(self.HEAD + f"coeff 1 0 {value}\nEND\n", "num/den|denominator|spaces", line=6)
+
+    @pytest.mark.parametrize(
+        "line,canonical,spelled",
+        [
+            (5, "trunc 2", "trunc 02"),
+            (3, "weight 4", "weight +4"),
+            (4, "index 1", "index 1_0"),
+            (3, "weight 4", "weight ٤"),
+        ],
+    )
+    def test_non_canonical_header_value(self, line, canonical, spelled):
+        self.reject(self.HEAD.replace(canonical, spelled) + "END\n", "integer", line=line)
+
+    @pytest.mark.parametrize("key", ["-0", "01", "+1", "1_0"])
+    def test_non_canonical_key(self, key):
+        self.reject(self.HEAD + f"coeff 1 {key} 1/1\nEND\n", "integer", line=6)
+
+    def test_crlf_line_endings(self):
+        text = self.HEAD + "coeff 1 0 1/1\nEND\n"
+        self.reject(text.replace("\n", "\r\n"), "LF", line=1)
+        self.reject(text.replace("1/1\n", "1/1\r\n"), "LF", line=6)
+
+    def test_crlf_file(self, tmp_path):
+        target = tmp_path / "crlf.coef"
+        target.write_bytes((self.HEAD + "END\n").replace("\n", "\r\n").encode())
+        with pytest.raises(ParseError, match="LF"):
+            read_series(target)
+
+    def test_missing_final_line_feed(self):
+        self.reject(self.HEAD + "END", "LF", line=6)
+
+    @pytest.mark.parametrize(
+        "record",
+        ["coeff 1  0 1/1", " coeff 1 0 1/1", "coeff 1 0 1/1 ", "coeff\t1 0 1/1", "coeff 1 0\u00a01/1", " "],
+    )
+    def test_non_canonical_spacing(self, record):
+        self.reject(self.HEAD + record + "\nEND\n", "spaces|expected|num/den|integer", line=6)
+
+
+KEYS = st.integers(0, 2)
+VALUES = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+# characters whose insertion or substitution spells a token, a line ending or
+# a separator outside the canonical grammar (or, at times, another valid file)
+EDITS = [" ", "\t", "\r", "\n", "+", "-", "0", "1", "_", "/", "٣", "\u00a0"]
+
+
+@st.composite
+def near_canonical_texts(draw):
+    """A canonical export, then up to three single-character edits."""
+    if draw(st.booleans()):
+        coeffs = draw(st.dictionaries(st.tuples(KEYS, st.integers(-3, 3)), VALUES, max_size=4))
+        obj = JacobiSeries(draw(st.integers(-2, 8)), draw(st.integers(0, 2)), 2, coeffs)
+    else:
+        upper = draw(st.dictionaries(st.tuples(KEYS, st.integers(-3, 3), KEYS), VALUES, max_size=4))
+        coeffs = {key: v for (n, r, m), v in upper.items() if n <= m for key in ((n, r, m), (m, r, n))}
+        obj = SiegelSeries(draw(st.integers(-2, 8)), 2, coeffs)
+    text = export_series(obj)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        char = "" if edit == "delete" else draw(st.sampled_from(EDITS))
+        text = text[:at] + char + text[at + (edit != "insert") :]
+    return text
+
+
+class TestCanonicalGrammar:
+    @given(near_canonical_texts())
+    def test_accepted_text_reexports_byte_identically(self, text):
+        # comments and empty lines are the only layout the export does not reproduce
+        assume("#" not in text and "\n\n" not in text and not text.startswith("\n"))
+        try:
+            obj = import_series(text)
+        except ValueError:  # ParseError, or a transpose-symmetry violation
+            return
+        assert export_series(obj) == text
 
 
 class TestFractionArgument:

@@ -1,15 +1,17 @@
 """Package-level properties: dependencies, and invariant checks that survive -O."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import rcforms
-from rcforms import InvariantError, brackets, verify
+from rcforms import E8, EllipticSeries, InvariantError, brackets, jacobi_theta, siegel_theta, verify
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run_python(*args):
@@ -68,3 +70,43 @@ def test_verify_reports_rank_invariant_as_failed_check(monkeypatch):
     assert results and not any(r.passed for r in results)
     assert all("exceeds the degree bound" in r.detail for r in results)
 
+
+def load_benchmark_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def snapshot(classes):
+    """A copy of every rcforms module namespace, of each class body, and of verify.SUITES."""
+    spaces = {name: vars(module) for name, module in sys.modules.items() if name.split(".")[0] == "rcforms"}
+    spaces.update({f"{cls.__module__}.{cls.__qualname__}": vars(cls) for cls in classes})
+    spaces["rcforms.verify.SUITES"] = verify.SUITES
+    return {name: dict(space) for name, space in spaces.items()}
+
+
+def test_benchmark_tracer_installs_and_restores_every_attribute():
+    """The benchmark's traced runs wrap vars(cls)[name] of the series classes and
+    the public rcforms functions: install() must find them all, restore() undo it."""
+    tracing = load_benchmark_tracing()
+    classes = {cls for cls, _, _, _ in tracing._methods()}
+    before = snapshot(classes)
+    theta = jacobi_theta(E8, (1, 1, 0, 0, 0, 0, 0, 0), 2)
+    siegel = siegel_theta(E8, 1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        _ = EllipticSeries(4, 2, {0: 1}) * theta, theta - theta, siegel * siegel, siegel - siegel
+    finally:
+        tracer.restore()
+    buckets = set(tracing.summarize(tracer.spans))
+    for kind in ("series", "siegel"):
+        assert {f"{kind}.mul", f"{kind}.add", f"{kind}.scale"} <= buckets
+    after = snapshot(classes)
+    assert after.keys() == before.keys()
+    for name, space in before.items():
+        now = after[name]
+        changed = sorted(attr for attr in space.keys() | now.keys() if now.get(attr) is not space.get(attr))
+        assert not changed, f"{name}: not restored: {changed}"

@@ -11,6 +11,7 @@ from rcforms.series import (
     heat,
     theta_q,
 )
+from rcforms.siegel import SiegelSeries
 
 Q = Fraction
 
@@ -37,9 +38,36 @@ class TestConstruction:
             series(4, 1, 2, {(1, 0): 0.5})
 
     def test_immutable(self):
-        f = series(4, 1, 2, {(1, 0): 1})
-        with pytest.raises(AttributeError):
-            f.weight = 6
+        for f in (
+            series(4, 1, 2, {(1, 0): 1}),
+            EllipticSeries(4, 2, {1: 1}),
+            SiegelSeries(4, 2, {(1, 0, 1): 1}),
+        ):
+            for name in ("weight", "index", "trunc", "_coeffs"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(f, name, 6)
+
+    def test_zero_valued_key_outside_range_rejected(self):
+        with pytest.raises(ValueError, match="outside range"):
+            series(4, 1, 2, {(3, 0): 0})
+        with pytest.raises(ValueError, match="outside range"):
+            EllipticSeries(4, 2, {-1: 0})
+        with pytest.raises(ValueError, match="outside block"):
+            SiegelSeries(4, 2, {(0, 0, 3): 0})
+
+    def test_unhashable(self):
+        for f in (series(4, 1, 2, {}), EllipticSeries(4, 2), SiegelSeries(4, 2)):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(f)
+
+    def test_repr(self):
+        assert repr(series(4, 1, 2, {(1, 0): 1, (2, 1): 3})) == (
+            "JacobiSeries(weight=4, index=1, trunc=2, terms=2)"
+        )
+        assert repr(EllipticSeries(6, 3, {0: 1})) == "EllipticSeries(weight=6, trunc=3, terms=1)"
+        assert repr(SiegelSeries(4, 1, {(0, 0, 1): 2, (1, 0, 0): 2})) == (
+            "SiegelSeries(weight=4, trunc=1, terms=2)"
+        )
 
     def test_one(self):
         one = JacobiSeries.one(3)
@@ -219,3 +247,18 @@ class TestEllipticSeries:
     def test_add_rejects_weight_mismatch(self):
         with pytest.raises(ValueError, match="weight"):
             EllipticSeries(4, 2, {}) + EllipticSeries(6, 2, {})
+
+    def test_never_equal_to_its_jacobi_embedding(self):
+        for e in (EllipticSeries(4, 3, {0: 1, 2: 7}), EllipticSeries(0, 0)):
+            f = e.as_jacobi()
+            assert e != f and f != e
+            assert not (e == f) and not (f == e)
+
+    def test_cross_kind_operations_rejected(self):
+        e = EllipticSeries(0, 1, {0: 1})
+        with pytest.raises(TypeError):
+            e + e.as_jacobi()
+        with pytest.raises(TypeError):
+            e.as_jacobi() - e
+        with pytest.raises(TypeError):
+            SiegelSeries(0, 1, {(0, 0, 0): 1}) * e.as_jacobi()
