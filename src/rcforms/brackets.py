@@ -22,6 +22,21 @@ open cone r**2 < 4*n*(m1 + m2).
 With m1 = m2 = 0 every bracket of order v >= 1 vanishes identically (each
 summand is annihilated by the index factors or by the index-0 heat
 operator); this degeneration is intentional behaviour, not an error.
+
+On Fourier coefficients the bracket is one bilinear symbol.  With
+D1 = 4*n1*m1 - r1**2, D2 = 4*n2*m2 - r2**2 and D = 4*n*(m1 + m2) - r**2,
+the (n, r) coefficient is the sum over pairs (n1 + n2, r1 + r2) = (n, r)
+of a(n1, r1) * b(n2, r2) * K, where
+
+    K(D1, D2, D, r1, r2) = sum over summands of C * D(x) * D^p * D1^r * r1^i * D2^s * r2^j.
+
+``bracket_jacobi`` and ``bracket_jacobi_poly`` evaluate it in one pass
+over the coefficient pairs: the coefficients of f and g are put over
+common denominators, each pair adds integer products into one sum per
+output key and summand, and the rational weights and D^p are applied once
+per output key.  The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g))
+survives in the independent routes that check this one: the jet oracle of
+:mod:`rcforms.jets` and the direct degree-2 bracket of :mod:`rcforms.siegel`.
 """
 
 from __future__ import annotations
@@ -29,8 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import add, mul
 
-from .series import InvariantError, JacobiSeries, as_rational, d_z, heat_power
+from .series import InvariantError, JacobiSeries, Key, _integer_form, as_rational
+from .series import d_z, heat_power  # noqa: F401  (re-exported)
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
@@ -136,10 +153,71 @@ def bracket_terms(params: BracketParams) -> list[BracketTerm]:
     return terms
 
 
-def _term_series(f: JacobiSeries, g: JacobiSeries, term: BracketTerm) -> JacobiSeries:
-    left = heat_power(d_z(f) if term.i else f, term.r)
-    right = heat_power(d_z(g) if term.j else g, term.s)
-    return heat_power(left * right, term.p)
+def _bracket_pass(
+    f: JacobiSeries, g: JacobiSeries, terms: list[BracketTerm], weights: list[list[Fraction]]
+) -> list[dict[Key, Fraction]]:
+    """Coefficient maps of sum_t weights[d][t] * heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)), one per d.
+
+    One pass over the coefficient pairs of f and g keeps, per output key and
+    term, the integer sum of a*D1^r*r1^i times b*D2^s*r2^j (a and b the
+    integer numerators of f and g over their common denominators).  The
+    rational weights and D^p are applied once per output key.
+    """
+    active = [t for t in range(len(terms)) if any(w[t] for w in weights)]
+    terms = [terms[t] for t in active]
+    weights = [[w[t] for t in active] for w in weights]
+    trunc = min(f.trunc, g.trunc)
+    if not terms:
+        return [{} for _ in weights]
+
+    def table(series, shape):
+        """n -> [(r, [c * D^e * r^k for each term's (e, k)])] for the integer numerators c.
+
+        Rows are lists, not tuples: freed tuples of one length stay on a
+        free list (up to 2000 of them), which grows the resident size.
+        """
+        den, coeffs = _integer_form(series._coeffs)
+        m, top = series.index, max(e for e, _ in shape)
+        rows: dict[int, list[tuple[int, list[int]]]] = {}
+        for (n, r), c in coeffs.items():
+            if n > trunc:
+                continue
+            disc = 4 * n * m - r * r
+            powers = [c]
+            for _ in range(top):
+                powers.append(powers[-1] * disc)
+            row = [powers[e] * r if k else powers[e] for e, k in shape]
+            rows.setdefault(n, []).append((r, row))
+        return den, rows
+
+    den_f, left = table(f, [(t.r, t.i) for t in terms])
+    den_g, right = table(g, [(t.s, t.j) for t in terms])
+    scaled = []
+    for w in weights:
+        den_w, w_int = _integer_form(dict(enumerate(w)))
+        scaled.append((den_w * den_f * den_g, list(w_int.values())))
+    exponents = [t.p for t in terms]
+    index = f.index + g.index
+    parts: list[dict[Key, Fraction]] = [{} for _ in weights]
+    for n in range(trunc + 1):
+        sums: dict[int, list[int]] = {}
+        for n1, row1 in left.items():
+            row2 = right.get(n - n1)
+            if row2 is None:
+                continue
+            for r1, a in row1:
+                for r2, b in row2:
+                    r = r1 + r2
+                    acc = sums.get(r)
+                    sums[r] = list(map(mul, a, b)) if acc is None else list(map(add, acc, map(mul, a, b)))
+        for r, acc in sums.items():
+            disc = 4 * n * index - r * r
+            acc = [total * disc**e for total, e in zip(acc, exponents)]
+            for part, (den, w) in zip(parts, scaled):
+                total = sum(map(mul, w, acc))
+                if total:
+                    part[(n, r)] = Fraction(total, den)
+    return parts
 
 
 def bracket_jacobi(
@@ -152,12 +230,9 @@ def bracket_jacobi(
     product and v = 1 does not depend on x.
     """
     params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
-    out = JacobiSeries.zero(f.weight + g.weight + v, f.index + g.index, min(f.trunc, g.trunc))
-    for term in bracket_terms(params):
-        scale = term.c_value * term.d_value
-        if scale:
-            out = out + scale * _term_series(f, g, term)
-    return out
+    terms = bracket_terms(params)
+    [coeffs] = _bracket_pass(f, g, terms, [[t.c_value * t.d_value for t in terms]])
+    return JacobiSeries(f.weight + g.weight + v, f.index + g.index, min(f.trunc, g.trunc), coeffs)
 
 
 def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[JacobiSeries]:
@@ -168,26 +243,22 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     (1 + m1 x)^s (1 - m2 x)^r with r + s <= floor(v/2).
     """
     params = BracketParams(f.weight, g.weight, f.index, g.index, v)
-    vf = params.half_order
-    weight = f.weight + g.weight + v
-    index = f.index + g.index
-    trunc = min(f.trunc, g.trunc)
-    parts = [JacobiSeries.zero(weight, index, trunc) for _ in range(vf + 1)]
+    terms = bracket_terms(params)
     m1, m2 = params.m1, params.m2
-    for term in bracket_terms(params):
-        base = term.c_value * Fraction(m1**term.j * (-m2) ** term.i)
-        if not base:
-            continue
-        series = _term_series(f, g, term)
-        for d in range(term.r + term.s + 1):
+    weights = [[] for _ in range(params.half_order + 1)]
+    for term in terms:
+        base = term.c_value * m1**term.j * (-m2) ** term.i
+        for d, row in enumerate(weights):
             # x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r
             w = sum(
                 comb(term.s, a) * m1**a * comb(term.r, d - a) * (-m2) ** (d - a)
                 for a in range(max(0, d - term.r), min(term.s, d) + 1)
             )
-            if w:
-                parts[d] = parts[d] + (base * w) * series
-    return parts
+            row.append(base * w)
+    weight = f.weight + g.weight + v
+    index = f.index + g.index
+    trunc = min(f.trunc, g.trunc)
+    return [JacobiSeries(weight, index, trunc, coeffs) for coeffs in _bracket_pass(f, g, terms, weights)]
 
 
 def _exact_rank(rows: list[list[Fraction]]) -> int:

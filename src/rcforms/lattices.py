@@ -334,6 +334,20 @@ def eisenstein_q(weight: int, trunc: int) -> EllipticSeries:
     return EllipticSeries(weight, trunc, coeffs)
 
 
+def _orbit_minimum(rep: DoubledVector) -> DoubledVector:
+    """The lexicographically smallest member of the W(D8)-orbit of ``rep``.
+
+    All absolute values sorted descending and negated; when no coordinate is
+    zero the sign parity is fixed, so an odd number of negative signs in
+    ``rep`` leaves the last (smallest) coordinate positive.
+    """
+    absolutes = sorted((abs(a) for a in rep), reverse=True)
+    out = [-a for a in absolutes]
+    if all(absolutes) and sum(1 for a in rep if a < 0) % 2:
+        out[-1] = absolutes[-1]
+    return tuple(out)
+
+
 def standard_index_vector(lattice: Lattice, index: int) -> tuple[Fraction, ...]:
     """Deterministic lattice vector of half-norm ``index`` for theta fixtures.
 
@@ -342,8 +356,11 @@ def standard_index_vector(lattice: Lattice, index: int) -> tuple[Fraction, ...]:
     """
     if index < 1:
         raise ValueError("index must be >= 1")
-    if lattice is E8 and index == 1:
-        return tuple(Fraction(c) for c in E8_INDEX1_VECTOR)
+    if lattice is E8:
+        if index == 1:
+            return tuple(Fraction(c) for c in E8_INDEX1_VECTOR)
+        doubled = min(_orbit_minimum(rep) for rep, _ in E8.d8_orbits(index))
+        return tuple(Fraction(a, 2) for a in doubled)
     for doubled in lattice.doubled_vectors(index):
         if sum(a * a for a in doubled) == 8 * index:
             return tuple(Fraction(a, 2) for a in doubled)

@@ -18,7 +18,7 @@ modularity claim.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Any, Iterable, Mapping
 
 Key = tuple[int, int]
@@ -43,6 +43,25 @@ def as_rational(x: int | Fraction) -> Fraction:
 
 
 _ZERO = Fraction(0)
+
+
+def _integer_form(coeffs: Mapping[Any, Fraction]) -> tuple[int, dict]:
+    """(d, {key: d * value}) with d the least common denominator of the values.
+
+    Product and bracket loops run on these integer numerators and divide by
+    the denominators once per output key.
+    """
+    den = lcm(*{v.denominator for v in coeffs.values()})
+    return den, {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}
+
+
+def _rows(coeffs: Mapping[Key, int], trunc: int) -> dict[int, list[tuple[int, int]]]:
+    """Integer map keyed by (n, r) regrouped as n -> [(r, value)], for n <= trunc."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (n, r), value in coeffs.items():
+        if n <= trunc:
+            rows.setdefault(n, []).append((r, value))
+    return rows
 
 
 class _SparseSeries:
@@ -90,6 +109,10 @@ class _SparseSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # rebuild through the constructor: the default slot restore would hit __setattr__
+        return type(self), (*self._tags(), self.trunc, self._coeffs)
 
     def _tags(self) -> tuple:
         return tuple(getattr(self, name) for name in self._TAGS)
@@ -234,16 +257,27 @@ class JacobiSeries(_SparseSeries):
     def __mul__(self, other):
         if isinstance(other, JacobiSeries):
             trunc = min(self.trunc, other.trunc)
-            out: dict[Key, Fraction] = {}
-            for (n1, r1), a in self._coeffs.items():
-                if n1 > trunc:
-                    continue
-                for (n2, r2), b in other._coeffs.items():
+            den_a, a_int = _integer_form(self._coeffs)
+            den_b, b_int = _integer_form(other._coeffs)
+            left, right = _rows(a_int, trunc), _rows(b_int, trunc)
+            acc: dict[int, dict[int, int]] = {}
+            for n1, row1 in left.items():
+                for n2, row2 in right.items():
                     n = n1 + n2
                     if n > trunc:
                         continue
-                    key = (n, r1 + r2)
-                    out[key] = out.get(key, Fraction(0)) + a * b
+                    row = acc.setdefault(n, {})
+                    for r1, a in row1:
+                        for r2, b in row2:
+                            r = r1 + r2
+                            row[r] = row.get(r, 0) + a * b
+            den = den_a * den_b
+            out = {
+                (n, r): Fraction(total, den)
+                for n, row in acc.items()
+                for r, total in row.items()
+                if total
+            }
             return JacobiSeries(
                 self.weight + other.weight, self.index + other.index, trunc, out
             )
@@ -281,12 +315,16 @@ class EllipticSeries(_SparseSeries):
     def __mul__(self, other):
         if isinstance(other, EllipticSeries):
             trunc = min(self.trunc, other.trunc)
-            out: dict[int, Fraction] = {}
-            for n1, a in self._coeffs.items():
-                for n2, b in other._coeffs.items():
+            den_a, a_int = _integer_form(self._coeffs)
+            den_b, b_int = _integer_form(other._coeffs)
+            acc: dict[int, int] = {}
+            for n1, a in a_int.items():
+                for n2, b in b_int.items():
                     n = n1 + n2
                     if n <= trunc:
-                        out[n] = out.get(n, Fraction(0)) + a * b
+                        acc[n] = acc.get(n, 0) + a * b
+            den = den_a * den_b
+            out = {n: Fraction(total, den) for n, total in acc.items() if total}
             return EllipticSeries(self.weight + other.weight, trunc, out)
         if isinstance(other, JacobiSeries):
             return self.as_jacobi() * other

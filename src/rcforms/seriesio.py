@@ -36,7 +36,7 @@ from .siegel import SiegelSeries
 FORMAT_TAG = "rcforms"
 FORMAT_VERSION = 1
 
-_FRACTION_ARG = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_ARG = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 _DENOMINATOR = re.compile(r"[1-9][0-9]*")
 
@@ -71,7 +71,7 @@ def parse_rational_token(token: str, line: int) -> Fraction:
 def parse_fraction_arg(text: str) -> Fraction:
     """Exact fraction from a command-line string; decimal input is rejected."""
     text = text.strip().replace("−", "-")
-    if not _FRACTION_ARG.match(text):
+    if not _FRACTION_ARG.fullmatch(text):
         raise ValueError(f"not an exact fraction: {text!r} (use forms like 3, -2, -1/2)")
     try:
         return Fraction(text)

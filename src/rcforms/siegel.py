@@ -21,7 +21,9 @@ from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
 from .series import (
+    _ZERO,
     JacobiSeries,
+    _integer_form,
     _SparseSeries,
     check_disc_class_invariance,
     check_parity,
@@ -39,6 +41,15 @@ class SymmetryError(ValueError):
             f"symmetry violation: a({n},{r},{m}) = {value} but a({m},{r},{n}) = {mirrored}"
         )
         self.key = key
+
+
+def _blocks(coeffs: Mapping[TripleKey, int], trunc: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Integer map keyed by (n, r, m) regrouped as (n, m) -> [(r, value)], for n, m <= trunc."""
+    blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (n, r, m), value in coeffs.items():
+        if n <= trunc and m <= trunc:
+            blocks.setdefault((n, m), []).append((r, value))
+    return blocks
 
 
 class SiegelSeries(_SparseSeries):
@@ -60,7 +71,7 @@ class SiegelSeries(_SparseSeries):
         super().__init__(weight, trunc, coeffs)
         store = self._coeffs
         for (n, r, m), value in store.items():
-            mirrored = store.get((m, r, n), Fraction(0))
+            mirrored = store.get((m, r, n), _ZERO)
             if mirrored != value:
                 raise SymmetryError((n, r, m), value, mirrored)
 
@@ -96,14 +107,27 @@ class SiegelSeries(_SparseSeries):
     def __mul__(self, other):
         if isinstance(other, SiegelSeries):
             trunc = min(self.trunc, other.trunc)
-            out: dict[TripleKey, Fraction] = {}
-            for (n1, r1, m1), a in self._coeffs.items():
-                for (n2, r2, m2), b in other._coeffs.items():
+            den_a, a_int = _integer_form(self._coeffs)
+            den_b, b_int = _integer_form(other._coeffs)
+            left, right = _blocks(a_int, trunc), _blocks(b_int, trunc)
+            acc: dict[tuple[int, int], dict[int, int]] = {}
+            for (n1, m1), row1 in left.items():
+                for (n2, m2), row2 in right.items():
                     n, m = n1 + n2, m1 + m2
                     if n > trunc or m > trunc:
                         continue
-                    key = (n, r1 + r2, m)
-                    out[key] = out.get(key, Fraction(0)) + a * b
+                    block = acc.setdefault((n, m), {})
+                    for r1, a in row1:
+                        for r2, b in row2:
+                            r = r1 + r2
+                            block[r] = block.get(r, 0) + a * b
+            den = den_a * den_b
+            out = {
+                (n, r, m): Fraction(total, den)
+                for (n, m), block in acc.items()
+                for r, total in block.items()
+                if total
+            }
             return SiegelSeries(self.weight + other.weight, trunc, out)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcforms.brackets import (
     BracketParams,
@@ -14,7 +15,7 @@ from rcforms.brackets import (
     coeff_D,
     falling_factorial,
 )
-from rcforms.series import EllipticSeries, JacobiSeries
+from rcforms.series import EllipticSeries, JacobiSeries, d_z, heat_power
 
 Q = Fraction
 
@@ -231,3 +232,77 @@ class TestRecursions:
             return value + 1 if (r, s, p) == target else value
 
         assert not check_recursions(4, 6, 2, c_fn=perturbed)
+
+
+def reference_bracket(f, g, x, v):
+    """The bracket assembled term by term in operator form: for each summand a
+    series product of heat powers, then heat^p and a weighted series sum."""
+    params = BracketParams(f.weight, g.weight, f.index, g.index, v, Q(x))
+    out = JacobiSeries.zero(f.weight + g.weight + v, f.index + g.index, min(f.trunc, g.trunc))
+    for term in bracket_terms(params):
+        left = heat_power(d_z(f) if term.i else f, term.r)
+        right = heat_power(d_z(g) if term.j else g, term.s)
+        out = out + (term.c_value * term.d_value) * heat_power(left * right, term.p)
+    return out
+
+
+def reference_poly(f, g, v):
+    """x-polynomial coefficients, expanding each summand's (1 + m1 x)^s (1 - m2 x)^r."""
+    params = BracketParams(f.weight, g.weight, f.index, g.index, v)
+    m1, m2 = f.index, g.index
+    zero = JacobiSeries.zero(f.weight + g.weight + v, m1 + m2, min(f.trunc, g.trunc))
+    parts = [zero] * (v // 2 + 1)
+    for term in bracket_terms(params):
+        left = heat_power(d_z(f) if term.i else f, term.r)
+        right = heat_power(d_z(g) if term.j else g, term.s)
+        series = heat_power(left * right, term.p)
+        for a in range(term.s + 1):
+            for b in range(term.r + 1):
+                weight = comb(term.s, a) * m1**a * comb(term.r, b) * (-m2) ** b
+                scale = term.c_value * m1**term.j * (-m2) ** term.i * weight
+                parts[a + b] = parts[a + b] + scale * series
+    return parts
+
+
+coefficient_values = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=Q(-40), max_value=Q(40), max_denominator=9),
+)
+
+
+@st.composite
+def bracket_inputs(draw):
+    """Two small random series (indices 0-3, truncations 1-4 drawn separately),
+    an order 0-7, and x drawn at random or where 1 + m1 x or 1 - m2 x vanishes."""
+    pair = []
+    for _ in range(2):
+        weight, index, trunc = draw(st.integers(0, 12)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+        keys = st.tuples(st.integers(0, trunc), st.integers(-5, 5))
+        pair.append(JacobiSeries(weight, index, trunc, draw(st.dictionaries(keys, coefficient_values, max_size=8))))
+    f, g = pair
+    v = draw(st.integers(0, 7))
+    special = [Q(-1, f.index)] if f.index else []
+    special += [Q(1, g.index)] if g.index else []
+    x = draw(st.one_of(st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=5), *map(st.just, special)))
+    return f, g, v, x
+
+
+class TestBracketAgainstOperatorForm:
+    @settings(max_examples=150, deadline=None)
+    @given(bracket_inputs())
+    def test_bracket_matches_reference(self, case):
+        f, g, v, x = case
+        assert bracket_jacobi(f, g, x, v) == reference_bracket(f, g, x, v)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bracket_inputs())
+    def test_poly_matches_reference(self, case):
+        f, g, v, _ = case
+        assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
+
+    @pytest.mark.parametrize("v", range(8))
+    def test_theta_pairs_match_reference(self, theta4, theta4_index2, e4_theta4, v):
+        for f, g in ((theta4, theta4_index2), (e4_theta4, theta4), (theta4_index2, e4_theta4)):
+            for x in (Q(0), Q(-1), Q(1, 2), Q(-1, 3)):
+                assert bracket_jacobi(f, g, x, v) == reference_bracket(f, g, x, v)
+            assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)

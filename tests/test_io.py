@@ -240,7 +240,7 @@ class TestFractionArgument:
         assert parse_fraction_arg("3") == 3
         assert parse_fraction_arg("+4/6") == Q(2, 3)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/0", "", "1/2/3"])
+    @pytest.mark.parametrize("bad", ["0.5", "1e3", "a/b", "1/0", "", "1/2/3", "٣/٤", "٣", "1/٤", "１"])
     def test_rejected_forms(self, bad):
         with pytest.raises(ValueError):
             parse_fraction_arg(bad)
@@ -346,6 +346,15 @@ class TestCli:
         write_series(a, theta4)
         code = self.run("bracket-jacobi", "--left", str(a), "--right", str(a), "--x", "0.5", "--v", "1", "--out", str(tmp_path / "o.coef"))
         assert code == 2
+
+    def test_non_ascii_digit_x_exits_2(self, tmp_path, theta4, capsys):
+        a = tmp_path / "a.coef"
+        write_series(a, theta4)
+        out = tmp_path / "o.coef"
+        code = self.run("bracket-jacobi", "--left", str(a), "--right", str(a), "--x=٣", "--v", "2", "--out", str(out))
+        assert code == 2
+        assert "not an exact fraction" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         code = self.run("bracket-jacobi", "--left", str(tmp_path / "nope.coef"), "--right", str(tmp_path / "nope.coef"), "--v", "0", "--out", str(tmp_path / "o.coef"))

@@ -300,6 +300,12 @@ class TestStandardVector:
             assert sum(c * c for c in vector) == 2 * index
             assert vector == standard_index_vector(E8, index)
 
+    @pytest.mark.parametrize("index", [2, 3, 4, 5])
+    def test_e8_orbit_minimum_matches_enumeration(self, index):
+        """The W(D8)-orbit route gives the lexicographically smallest enumerated vector."""
+        smallest = next(y for y in E8.doubled_vectors(index) if sum(a * a for a in y) == 8 * index)
+        assert standard_index_vector(E8, index) == tuple(Q(a, 2) for a in smallest)
+
     def test_invalid_index_rejected(self):
         with pytest.raises(ValueError):
             standard_index_vector(E8, 0)

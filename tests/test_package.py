@@ -5,10 +5,13 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import rcforms
-from rcforms import E8, EllipticSeries, InvariantError, brackets, jacobi_theta, siegel_theta, verify
+import pytest
+
+from rcforms import E8, EllipticSeries, InvariantError, brackets, jacobi_theta, jets, siegel, siegel_theta, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -110,3 +113,29 @@ def test_benchmark_tracer_installs_and_restores_every_attribute():
         now = after[name]
         changed = sorted(attr for attr in space.keys() | now.keys() if now.get(attr) is not space.get(attr))
         assert not changed, f"{name}: not restored: {changed}"
+
+
+def independent_routes():
+    """Outputs of the routes that check the bracket kernel: the direct Siegel
+    bracket and the jet side of crosscheck_bracket, both parities."""
+    F = siegel_theta(E8, 2)
+    f = jacobi_theta(E8, (1, 1, 0, 0, 0, 0, 0, 0), 3)
+    g = EllipticSeries(4, 3, {0: 1, 1: 240, 2: 2160, 3: 6720}) * f
+    out = [siegel.bracket_siegel_direct(F, F, l) for l in range(3)]
+    a = jets.jet_scale_w(jets.jet_of_form(f, 2), 1 - g.index * Fraction(1, 3))
+    b = jets.jet_scale_w(jets.jet_of_form(g, 2), 1 + f.index * Fraction(1, 3))
+    out += [jets.zeta_nu(jets.jet_mul(a, b), 2), jets.zeta_nu(jets.jet_odd_combine(a, b, f.index, g.index), 2)]
+    return out
+
+
+def test_independent_routes_do_not_use_the_bracket_kernel(monkeypatch):
+    """The second routes stay independent of the fast bracket path they check."""
+    expected = independent_routes()
+
+    def forbidden(*args):
+        raise RuntimeError("bracket kernel called")
+
+    monkeypatch.setattr(brackets, "_bracket_pass", forbidden)
+    with pytest.raises(RuntimeError, match="bracket kernel"):
+        brackets.bracket_jacobi(expected[-1], expected[-1], 0, 2)
+    assert independent_routes() == expected

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -68,6 +70,20 @@ class TestConstruction:
         assert repr(SiegelSeries(4, 1, {(0, 0, 1): 2, (1, 0, 0): 2})) == (
             "SiegelSeries(weight=4, trunc=1, terms=2)"
         )
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_copy_and_pickle_round_trip(self, clone):
+        for f in (
+            series(4, 1, 2, {(1, 0): Q(-3, 2), (2, 1): 5}),
+            EllipticSeries(6, 3, {0: 1, 2: Q(1, 7)}),
+            SiegelSeries(4, 1, {(0, 0, 1): 2, (1, 0, 0): 2, (1, 1, 1): Q(1, 3)}),
+            series(0, 0, 0, {}),
+        ):
+            g = clone(f)
+            assert type(g) is type(f) and g == f and repr(g) == repr(f)
+            assert g._coeffs is not f._coeffs
+            with pytest.raises(AttributeError, match="immutable"):
+                g.trunc = 5
 
     def test_one(self):
         one = JacobiSeries.one(3)

@@ -15,6 +15,7 @@ from rcforms.series import (
     theta_q,
     theta_q_elliptic,
 )
+from rcforms.siegel import SiegelSeries
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=6
@@ -142,3 +143,68 @@ def test_bracket_bilinearity(triple, v, x, scalars):
     left = bracket_jacobi(a * f + b * g, h, x, v)
     right = a * bracket_jacobi(f, h, x, v) + b * bracket_jacobi(g, h, x, v)
     assert left == right
+
+
+def naive_product(f, g, combine, fits):
+    """Fraction double loop: every coefficient pair, keys combined, kept if they fit."""
+    trunc = min(f.trunc, g.trunc)
+    out = {}
+    for k1, a in f.items():
+        for k2, b in g.items():
+            key = combine(k1, k2)
+            if fits(key, trunc):
+                out[key] = out.get(key, Fraction(0)) + a * b
+    return trunc, out
+
+
+mixed_values = st.one_of(st.integers(-10**6, 10**6), rationals)
+
+
+@st.composite
+def product_operands(draw, keys, build):
+    """Two series of one kind with separately drawn truncations; either may be empty."""
+    out = []
+    for _ in range(2):
+        trunc = draw(st.integers(0, 4))
+        out.append(build(draw(st.integers(0, 6)), trunc, draw(st.dictionaries(keys(trunc), mixed_values, max_size=8))))
+    return out
+
+
+def jacobi_keys(trunc):
+    return st.tuples(st.integers(0, trunc), st.integers(-4, 4))
+
+
+def siegel_keys(trunc):
+    return st.tuples(st.integers(0, trunc), st.integers(-4, 4), st.integers(0, trunc))
+
+
+def symmetric_siegel(weight, trunc, coeffs):
+    symmetric = {}
+    for (n, r, m), value in coeffs.items():
+        symmetric[(n, r, m)] = symmetric[(m, r, n)] = value
+    return SiegelSeries(weight, trunc, symmetric)
+
+
+@settings(max_examples=150)
+@given(product_operands(jacobi_keys, lambda w, t, c: JacobiSeries(w, w % 4, t, c)))
+def test_jacobi_product_matches_naive_loop(operands):
+    f, g = operands
+    trunc, out = naive_product(f, g, lambda a, b: (a[0] + b[0], a[1] + b[1]), lambda k, t: k[0] <= t)
+    assert f * g == JacobiSeries(f.weight + g.weight, f.index + g.index, trunc, out)
+
+
+@settings(max_examples=150)
+@given(product_operands(lambda t: st.integers(0, t), EllipticSeries))
+def test_elliptic_product_matches_naive_loop(operands):
+    f, g = operands
+    trunc, out = naive_product(f, g, lambda a, b: a + b, lambda k, t: k <= t)
+    assert f * g == EllipticSeries(f.weight + g.weight, trunc, out)
+
+
+@settings(max_examples=150)
+@given(product_operands(siegel_keys, symmetric_siegel))
+def test_siegel_product_matches_naive_loop(operands):
+    f, g = operands
+    combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    trunc, out = naive_product(f, g, combine, lambda k, t: k[0] <= t and k[2] <= t)
+    assert f * g == SiegelSeries(f.weight + g.weight, trunc, out)
