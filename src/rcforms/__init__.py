@@ -34,12 +34,14 @@ from .lattices import (
     standard_index_vector,
 )
 from .series import (
+    CheckResult,
     EllipticSeries,
     InvariantError,
     JacobiSeries,
     check_disc_class_invariance,
     check_parity,
     d_z,
+    form_witness,
     heat,
     heat_power,
     theta_q,

@@ -321,8 +321,9 @@ def check_recursions(k1, k2, l: int, c_fn=None) -> bool:
         (s+1)(beta +s+1) C(r, s+1, p) + (p+1)(gamma+l+r+s) C(r, s, p+1) = 0.
 
     These relations pin the C family down up to one overall scalar, so they
-    detect any perturbation of a single value.  ``c_fn(r, s, p)`` may
-    override the coefficient source (used by tests to inject perturbations).
+    detect any perturbation of a single value.  Each C(r, s, p) with
+    r + s + p = l is evaluated once.  ``c_fn(r, s, p)`` may override the
+    coefficient source (used by tests to inject perturbations).
     """
     if l < 1:
         raise ValueError(f"recursion check needs l >= 1, got {l}")
@@ -330,12 +331,13 @@ def check_recursions(k1, k2, l: int, c_fn=None) -> bool:
     if c_fn is None:
         c_fn = lambda r, s, p: coeff_C(r, s, p, params)
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    c = {(r, s, l - r - s): c_fn(r, s, l - r - s) for r in range(l + 1) for s in range(l + 1 - r)}
     for r in range(l):
         for s in range(l - r):
             p = l - 1 - r - s
-            mult = (p + 1) * (gamma + l + r + s) * c_fn(r, s, p + 1)
-            if (r + 1) * (alpha + r + 1) * c_fn(r + 1, s, p) + mult:
+            mult = (p + 1) * (gamma + l + r + s) * c[r, s, p + 1]
+            if (r + 1) * (alpha + r + 1) * c[r + 1, s, p] + mult:
                 return False
-            if (s + 1) * (beta + s + 1) * c_fn(r, s + 1, p) + mult:
+            if (s + 1) * (beta + s + 1) * c[r, s + 1, p] + mult:
                 return False
     return True

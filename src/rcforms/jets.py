@@ -144,6 +144,8 @@ def crosscheck_bracket(
     (1 + m1*x) with g's jet; this is the pairing under which the jet
     projection reproduces the bracket at the same parameter x.
     """
+    if v < 0:
+        raise ValueError(f"bracket order must be non-negative, got {v}")
     x = as_rational(x)
     nu = v // 2
     a = jet_scale_w(jet_of_form(f, nu), 1 - g.index * x)

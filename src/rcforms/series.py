@@ -17,6 +17,7 @@ modularity claim.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Any, Iterable, Mapping
@@ -314,18 +315,10 @@ class EllipticSeries(_SparseSeries):
 
     def __mul__(self, other):
         if isinstance(other, EllipticSeries):
-            trunc = min(self.trunc, other.trunc)
-            den_a, a_int = _integer_form(self._coeffs)
-            den_b, b_int = _integer_form(other._coeffs)
-            acc: dict[int, int] = {}
-            for n1, a in a_int.items():
-                for n2, b in b_int.items():
-                    n = n1 + n2
-                    if n <= trunc:
-                        acc[n] = acc.get(n, 0) + a * b
-            den = den_a * den_b
-            out = {n: Fraction(total, den) for n, total in acc.items() if total}
-            return EllipticSeries(self.weight + other.weight, trunc, out)
+            product = self.as_jacobi() * other.as_jacobi()
+            return EllipticSeries(
+                product.weight, product.trunc, {n: v for (n, _), v in product._coeffs.items()}
+            )
         if isinstance(other, JacobiSeries):
             return self.as_jacobi() * other
         if isinstance(other, (int, Fraction)):
@@ -378,6 +371,20 @@ def heat_power(f: JacobiSeries, p: int) -> JacobiSeries:
 
 
 # -- coefficient-level form checks -------------------------------------------
+
+
+@dataclass
+class CheckResult:
+    """Outcome of one named check; ``detail`` holds a witness or a measurement."""
+
+    name: str
+    passed: bool
+    detail: str = ""
+
+    def describe(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        suffix = f"  ({self.detail})" if self.detail else ""
+        return f"{status} {self.name}{suffix}"
 
 
 def check_parity(f: JacobiSeries) -> bool:
@@ -434,3 +441,30 @@ def check_disc_class_invariance(f: JacobiSeries) -> tuple[bool, DiscClassWitness
             if f[other] != value:
                 return False, (first, value, other, f[other])
     return True, None
+
+
+def form_witness(f: JacobiSeries, cusp: bool = False) -> str:
+    """Run every coefficient-level Jacobi form check on f.
+
+    Returns "" when f passes, or else a witness naming the first failing
+    condition and its key, checked in this order: holomorphic support, then
+    (when ``cusp``) cusp support, disc-class invariance (index >= 1; at
+    index 0 holomorphic support already forces r = 0), and parity.
+    """
+    m = f.index
+    if not f.has_holomorphic_support():
+        key = next(k for k in f.support() if k[1] ** 2 > 4 * k[0] * m)
+        return f"holomorphic support: c{key} = {f[key]}"
+    if cusp and not f.has_cusp_support():
+        key = next(k for k in f.support() if k[1] ** 2 >= 4 * k[0] * m)
+        return f"cusp support: c{key} = {f[key]}"
+    if m >= 1:
+        ok, pair = check_disc_class_invariance(f)
+        if not ok:
+            first, a, other, b = pair
+            return f"disc-class: c{first} = {a} vs c{other} = {b}"
+    if not check_parity(f):
+        sign = -1 if f.weight % 2 else 1
+        n, r = next((n, r) for n, r in f.support() if f[(n, -r)] != sign * f[(n, r)])
+        return f"parity: c{(n, r)} = {f[(n, r)]} vs c{(n, -r)} = {f[(n, -r)]}"
+    return ""

@@ -20,14 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
-from .series import (
-    _ZERO,
-    JacobiSeries,
-    _integer_form,
-    _SparseSeries,
-    check_disc_class_invariance,
-    check_parity,
-)
+from .series import _ZERO, CheckResult, JacobiSeries, _integer_form, _SparseSeries, form_witness
 
 TripleKey = tuple[int, int, int]
 
@@ -223,61 +216,34 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
 
 
 @dataclass(frozen=True)
-class CheckItem:
-    name: str
-    slice_index: int | None
-    passed: bool
-    witness: str = ""
-
-    def describe(self) -> str:
-        where = "global" if self.slice_index is None else f"slice {self.slice_index}"
-        status = "pass" if self.passed else f"FAIL ({self.witness})"
-        return f"{self.name} [{where}]: {status}"
-
-
-@dataclass(frozen=True)
 class ConsistencyReport:
-    checks: tuple[CheckItem, ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
         return all(item.passed for item in self.checks)
 
-    def failures(self) -> list[CheckItem]:
+    def failures(self) -> list[CheckResult]:
         return [item for item in self.checks if not item.passed]
 
 
 def check_siegel_consistency(F: SiegelSeries) -> ConsistencyReport:
     """Run the coefficient-level form checks on a degree-2 expansion.
 
-    Checks the global transpose symmetry plus, on every slice with index
-    m >= 1: disc-class invariance, holomorphic support and parity.
+    One result for the global transpose symmetry, then one per slice with
+    index m >= 1: :func:`rcforms.series.form_witness` (holomorphic support,
+    disc-class invariance, parity).
     """
-    checks: list[CheckItem] = []
-    symmetry_witness = ""
-    symmetric = True
-    for (n, r, m), value in F.items():
-        if F[(m, r, n)] != value:
-            symmetric = False
-            symmetry_witness = f"a({n},{r},{m})={value} vs a({m},{r},{n})={F[(m, r, n)]}"
-            break
-    checks.append(CheckItem("symmetry", None, symmetric, symmetry_witness))
+    symmetry_witness = next(
+        (
+            f"a({n},{r},{m})={value} vs a({m},{r},{n})={F[(m, r, n)]}"
+            for (n, r, m), value in F.items()
+            if F[(m, r, n)] != value
+        ),
+        "",
+    )
+    checks = [CheckResult("symmetry", not symmetry_witness, symmetry_witness)]
     for m in range(1, F.trunc + 1):
-        part = F.slice_component(m)
-        ok, witness = check_disc_class_invariance(part)
-        checks.append(
-            CheckItem(
-                "disc-class",
-                m,
-                ok,
-                "" if ok else f"c{witness[0]}={witness[1]} vs c{witness[2]}={witness[3]}",
-            )
-        )
-        holo = part.has_holomorphic_support()
-        bad = [key for key in part.support() if key[1] ** 2 > 4 * key[0] * m]
-        checks.append(
-            CheckItem("holomorphic-support", m, holo, "" if holo else f"key {bad[0]}")
-        )
-        parity = check_parity(part)
-        checks.append(CheckItem("parity", m, parity, "" if parity else "sign mismatch"))
+        witness = form_witness(F.slice_component(m))
+        checks.append(CheckResult(f"slice {m} form checks", not witness, witness))
     return ConsistencyReport(tuple(checks))

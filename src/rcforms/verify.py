@@ -1,8 +1,12 @@
 """One-command verification suites over self-generated test forms.
 
-Each suite returns a list of :class:`CheckResult`; a check fails with a
-minimal witness string (key + expected + actual) rather than an exception,
-so a run always reports every check.  All comparisons are exact.
+Every check is called as ``check(forms)`` with one shared :class:`FormSet`
+and returns a list of :class:`rcforms.series.CheckResult`; a check fails
+with a minimal witness string (key + expected + actual) rather than an
+exception, so a run always reports every check.  All comparisons are
+exact.  The coefficient-level Jacobi form checks of bracket outputs, the
+theta and the degree-2 slices all go through
+:func:`rcforms.series.form_witness`.
 
 The measured quantities that have no asserted target (the proportionality
 scalars of the jet oracle, the realised x-span ranks) are recorded in the
@@ -11,18 +15,17 @@ result details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
 
 from . import brackets, jets, lattices, seriesio
 from .series import (
+    CheckResult,
     EllipticSeries,
     InvariantError,
     JacobiSeries,
-    check_disc_class_invariance,
-    check_parity,
+    form_witness,
     heat_power,
     theta_q_elliptic,
 )
@@ -36,18 +39,6 @@ from .siegel import (
 BRACKET_X_VALUES = (Fraction(0), Fraction(1), Fraction(-1, 2))
 CROSSCHECK_X_VALUES = (Fraction(0), Fraction(1))
 MAX_BRACKET_ORDER = 5
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def describe(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        suffix = f"  ({self.detail})" if self.detail else ""
-        return f"{status} {self.name}{suffix}"
 
 
 class FormSet:
@@ -132,31 +123,25 @@ def check_bracket_degenerations(forms: FormSet) -> list[CheckResult]:
 # -- criterion 2: bracket output form checks ----------------------------------
 
 
+def _bracket_output_witness(forms: FormSet, v: int) -> str:
+    """The first failing order-v bracket output as "where: witness", or ""."""
+    for pair_name, f, g in forms.bracket_pairs():
+        for x in BRACKET_X_VALUES:
+            result = brackets.bracket_jacobi(f, g, x, v)
+            if result.weight != f.weight + g.weight + v or result.index != f.index + g.index:
+                witness = "weight/index bookkeeping"
+            else:
+                witness = form_witness(result, cusp=v > 1)
+            if witness:
+                return f"{pair_name} v={v} x={x}: {witness}"
+    return ""
+
+
 def check_bracket_outputs(forms: FormSet) -> list[CheckResult]:
     out = []
     for v in range(MAX_BRACKET_ORDER + 1):
-        passed, witness = True, ""
-        for pair_name, f, g in forms.bracket_pairs():
-            for x in BRACKET_X_VALUES:
-                result = brackets.bracket_jacobi(f, g, x, v)
-                where = f"{pair_name} v={v} x={x}"
-                if result.weight != f.weight + g.weight + v or result.index != f.index + g.index:
-                    passed, witness = False, f"{where}: weight/index bookkeeping"
-                elif not result.has_holomorphic_support():
-                    passed, witness = False, f"{where}: holomorphic support"
-                elif v > 1 and not result.has_cusp_support():
-                    passed, witness = False, f"{where}: cusp support"
-                elif not check_parity(result):
-                    passed, witness = False, f"{where}: parity"
-                else:
-                    ok, pair = check_disc_class_invariance(result)
-                    if not ok:
-                        passed, witness = False, f"{where}: disc-class {pair}"
-                if not passed:
-                    break
-            if not passed:
-                break
-        out.append(CheckResult(f"order-{v} bracket outputs are Jacobi-type", passed, witness))
+        witness = _bracket_output_witness(forms, v)
+        out.append(CheckResult(f"order-{v} bracket outputs are Jacobi-type", not witness, witness))
     return out
 
 
@@ -218,7 +203,8 @@ def check_heat_leibniz(forms: FormSet) -> list[CheckResult]:
 # -- criterion 5: coefficient recursions --------------------------------------
 
 
-def check_coefficient_recursions() -> list[CheckResult]:
+def check_coefficient_recursions(forms: FormSet) -> list[CheckResult]:
+    """Independent of the test forms: the relations are identities in the weights."""
     weights = [Fraction(4), Fraction(6), Fraction(10), Fraction(35), Fraction(9, 2), Fraction(7, 3)]
     passed, witness = True, ""
     for l in range(1, 7):
@@ -310,10 +296,8 @@ def check_lattice_gates(forms: FormSet) -> list[CheckResult]:
         )
     )
 
-    theta = forms.theta
-    ok, pair = check_disc_class_invariance(theta)
-    theta_ok = ok and theta.has_holomorphic_support() and check_parity(theta)
-    out.append(CheckResult("jacobi theta passes form checks", theta_ok, "" if ok else str(pair)))
+    witness = form_witness(forms.theta)
+    out.append(CheckResult("jacobi theta passes form checks", not witness, witness))
 
     report = check_siegel_consistency(forms.siegel_theta)
     witness = "" if report.passed else report.failures()[0].describe()
@@ -367,8 +351,5 @@ def run_suite(name: str, forms: FormSet | None = None) -> list[CheckResult]:
         if suite_name not in SUITES:
             raise ValueError(f"unknown suite {suite_name!r}; choose from {list(SUITES)} or 'all'")
         for check in SUITES[suite_name]:
-            if check is check_coefficient_recursions:
-                results.extend(check())
-            else:
-                results.extend(check(forms))
+            results.extend(check(forms))
     return results

@@ -35,8 +35,8 @@ def test_criterion_4_heat_leibniz(forms):
     report(4, "heat Leibniz identity (r <= 3)", verify.check_heat_leibniz(forms))
 
 
-def test_criterion_5_coefficient_recursions():
-    report(5, "coefficient recursion relations", verify.check_coefficient_recursions())
+def test_criterion_5_coefficient_recursions(forms):
+    report(5, "coefficient recursion relations", verify.check_coefficient_recursions(forms))
 
 
 def test_criterion_6_rank_over_x(forms):

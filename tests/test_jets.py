@@ -118,6 +118,13 @@ class TestCrosscheck:
     def test_odd_order_scalar(self, theta4, theta4_index2):
         assert crosscheck_bracket(theta4, theta4_index2, Q(1), 3) == Q(-4, 49)
 
+    @pytest.mark.parametrize("v", [-1, -2])
+    def test_negative_order_rejected(self, theta4, v):
+        with pytest.raises(ValueError, match="non-negative"):
+            bracket_jacobi(theta4, theta4, Q(0), v)
+        with pytest.raises(ValueError, match="non-negative"):
+            crosscheck_bracket(theta4, theta4, Q(0), v)
+
     def test_both_zero_is_indeterminate(self, theta4):
         assert crosscheck_bracket(theta4, theta4, Q(0), 1) is None
 

@@ -1,6 +1,9 @@
-"""Package-level properties: dependencies, and invariant checks that survive -O."""
+"""Package-level properties: dependencies, invariant checks that survive -O,
+the shared form checks behind verify, and the verify report text."""
 
 import ast
+import hashlib
+import json
 import importlib.util
 import os
 import subprocess
@@ -11,7 +14,20 @@ from pathlib import Path
 import rcforms
 import pytest
 
-from rcforms import E8, EllipticSeries, InvariantError, brackets, jacobi_theta, jets, siegel, siegel_theta, verify
+from rcforms import (
+    E8,
+    EllipticSeries,
+    InvariantError,
+    JacobiSeries,
+    SiegelSeries,
+    brackets,
+    form_witness,
+    jacobi_theta,
+    jets,
+    siegel,
+    siegel_theta,
+    verify,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -72,6 +88,51 @@ def test_verify_reports_rank_invariant_as_failed_check(monkeypatch):
     results = verify.check_bracket_rank(verify.FormSet(trunc=2, siegel_trunc=1))
     assert results and not any(r.passed for r in results)
     assert all("exceeds the degree bound" in r.detail for r in results)
+
+
+def test_verify_report_text_matches_benchmark_reference():
+    """The report text at the benchmark's tiny sizes hashes to the digest the
+    benchmark checks it against (the reference file is only read here)."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    expected = reference["tiny"]["verify"]["verify all trunc=4 siegel_trunc=2"]
+    text = "\n".join(r.describe() for r in verify.run_suite("all", verify.FormSet(4, 2))) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
+def test_theta_gate_reports_a_parity_failure():
+    """A theta whose only fault is parity: at index 2, c(2, 1) shares its
+    (disc, r mod 4) class with no other key at n <= 2."""
+    forms = verify.FormSet(2, 1)
+    theta = forms.theta_index2
+    coeffs = dict(theta.items())
+    coeffs[(2, 1)] += 1
+    forms.theta = JacobiSeries(theta.weight, theta.index, theta.trunc, coeffs)
+    (line,) = [r for r in verify.check_lattice_gates(forms) if r.name == "jacobi theta passes form checks"]
+    assert not line.passed
+    assert line.detail.startswith("parity: c(2, -1) = ")
+
+
+def test_every_form_check_caller_gives_the_same_witness(monkeypatch):
+    """form_witness, the bracket-output check and the Siegel consistency
+    report name the same fault of the same series in the same words."""
+    F = siegel_theta(E8, 2) * siegel_theta(E8, 2)  # weight 8
+    coeffs = dict(F.items())
+    for key in ((1, 1, 2), (1, -1, 2), (2, 1, 1), (2, -1, 1)):
+        coeffs[key] += 1  # symmetric and even; breaks disc-class on slice 2 only
+    bad_F = SiegelSeries(8, 2, coeffs)
+    bad = bad_F.slice_component(2)
+    witness = form_witness(bad)
+    assert witness.startswith("disc-class: ")
+
+    report = siegel.check_siegel_consistency(bad_F)
+    (failure,) = report.failures()
+    assert (failure.name, failure.detail) == ("slice 2 form checks", witness)
+
+    # (theta, theta) at order 0 has weight 8 and index 2, like the slice
+    monkeypatch.setattr(brackets, "bracket_jacobi", lambda f, g, x, v: bad)
+    order0 = verify.check_bracket_outputs(verify.FormSet(2, 1))[0]
+    assert not order0.passed
+    assert order0.detail == f"(theta,theta) v=0 x=0: {witness}"
 
 
 def load_benchmark_tracing():

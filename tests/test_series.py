@@ -10,6 +10,7 @@ from rcforms.series import (
     check_disc_class_invariance,
     check_parity,
     d_z,
+    form_witness,
     heat,
     theta_q,
 )
@@ -234,6 +235,34 @@ class TestFormChecks:
         assert not theta4.has_cusp_support()  # boundary terms r^2 = 4n
         weak = series(4, 1, 2, {(1, 3): 1})
         assert not weak.has_holomorphic_support()
+
+    def test_form_witness_passes_thetas(self, theta4, theta4_index2):
+        assert form_witness(theta4) == form_witness(theta4_index2) == ""
+
+    def test_form_witness_cusp_flag(self, theta4):
+        assert form_witness(theta4, cusp=True) == "cusp support: c(0, 0) = 1"
+
+    def test_form_witness_names_support_first(self):
+        # outside the cone, and also neither parity- nor class-invariant
+        assert form_witness(series(4, 1, 2, {(1, 3): 1})) == "holomorphic support: c(1, 3) = 1"
+
+    def test_form_witness_disc_class(self, theta4):
+        coeffs = dict(theta4.items())
+        coeffs[(2, 2)] += 3
+        assert form_witness(series(4, 1, 4, coeffs)) == "disc-class: c(2, -2) = 126 vs c(2, 2) = 129"
+
+    def test_form_witness_parity_alone(self, theta4_index2):
+        # at index 2, c(4, 1) shares its (disc, r mod 4) class with no other
+        # key at n <= 4, so perturbing it breaks parity only
+        coeffs = dict(theta4_index2.items())
+        coeffs[(4, 1)] += 1
+        bad = series(4, 2, 4, coeffs)
+        assert check_disc_class_invariance(bad) == (True, None)
+        assert form_witness(bad) == "parity: c(4, -1) = 2688 vs c(4, 1) = 2689"
+
+    def test_form_witness_index_zero(self):
+        assert form_witness(series(4, 0, 2, {(0, 0): 1, (1, 0): 240})) == ""
+        assert form_witness(series(4, 0, 2, {(1, 1): 1})) == "holomorphic support: c(1, 1) = 1"
 
     def test_zeta_window(self, theta4):
         assert theta4.zeta_window(1) == (-2, 2)

@@ -130,14 +130,14 @@ class TestConsistencyReport:
         report = check_siegel_consistency(bad)
         assert not report.passed
         failure = report.failures()[0]
-        assert failure.witness
-        assert "disc-class" in failure.name
+        assert failure.detail
+        assert "disc-class" in failure.detail
 
     def test_report_lines_are_printable(self, siegel2):
         report = check_siegel_consistency(siegel2)
         lines = [item.describe() for item in report.checks]
         assert any("symmetry" in line for line in lines)
-        assert all("pass" in line for line in lines)
+        assert all("PASS" in line for line in lines)
 
 
 class TestArithmetic:
