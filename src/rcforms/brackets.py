@@ -49,7 +49,6 @@ from operator import add, mul
 from .series import InvariantError, JacobiSeries, Key, _integer_form, as_rational
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
 
-HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
 
 
@@ -283,26 +282,19 @@ def _exact_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
-def bracket_rank_over_x(
-    f: JacobiSeries,
-    g: JacobiSeries,
-    v: int,
-    samples: list[int | Fraction] | None = None,
-) -> int:
-    """Rank of the span of {bracket(f, g, x_i, v)} over the sample points.
+def bracket_rank_over_x(f: JacobiSeries, g: JacobiSeries, v: int) -> int:
+    """Rank of the span of {bracket(f, g, x, v)} for x = 0, 1, ..., floor(v/2) + 1.
 
-    Needs at least floor(v/2) + 2 pairwise distinct samples; defaults to
-    0, 1, ..., floor(v/2) + 1.  The result never exceeds floor(v/2) + 1.
+    The bracket is a polynomial of degree at most floor(v/2) in x, so any
+    floor(v/2) + 1 distinct points span the same space as its coefficients
+    (Vandermonde) and no choice of points changes the rank.  The one extra
+    point lets a degree violation show up as rank floor(v/2) + 2, which
+    raises :class:`InvariantError`.  Each point is one independent
+    :func:`bracket_jacobi` evaluation, not read off
+    :func:`bracket_jacobi_poly`.
     """
     vf = v // 2
-    if samples is None:
-        samples = [Fraction(i) for i in range(vf + 2)]
-    samples = [as_rational(x) for x in samples]
-    if len(set(samples)) != len(samples):
-        raise ValueError("sample points must be pairwise distinct")
-    if len(samples) < vf + 2:
-        raise ValueError(f"need at least {vf + 2} samples for order {v}, got {len(samples)}")
-    brackets = [bracket_jacobi(f, g, x, v) for x in samples]
+    brackets = [bracket_jacobi(f, g, x, v) for x in range(vf + 2)]
     keys = sorted(set().union(*(b.support() for b in brackets)))
     rank = _exact_rank([[b[key] for key in keys] for b in brackets])
     if rank > vf + 1:

@@ -74,10 +74,7 @@ def _cmd_bracket_siegel(args) -> int:
 def _cmd_rank_x(args) -> int:
     left = _read_jacobi(args.left)
     right = _read_jacobi(args.right)
-    samples = None
-    if args.samples is not None:
-        samples = [parse_fraction_arg(part) for part in args.samples.split(",")]
-    print(brackets.bracket_rank_over_x(left, right, args.v, samples))
+    print(brackets.bracket_rank_over_x(left, right, args.v))
     return 0
 
 
@@ -132,11 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--v", type=int, required=True)
-    p.add_argument("--samples", help="comma-separated exact sample points")
     p.set_defaults(func=_cmd_rank_x)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("core", "bracket", "genfun", "siegel", "all"), default="all")
+    p.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
     p.add_argument("--trunc", type=int, default=8)
     p.add_argument("--siegel-trunc", type=int, default=3)
     p.set_defaults(func=_cmd_verify)

@@ -102,19 +102,11 @@ def jet_mul(a: FormalJet, b: FormalJet) -> FormalJet:
 
 def jet_odd_combine(a: FormalJet, b: FormalJet, m1: int, m2: int) -> FormalJet:
     """Antisymmetrised product m2*(d_z a)*b - m1*a*(d_z b); weight adds plus 1."""
-    if a.trunc != b.trunc:
-        raise ValueError(f"jet truncations differ: {a.trunc} vs {b.trunc}")
-    nu_max = min(a.nu_max, b.nu_max)
-    chis = []
-    for nu in range(nu_max + 1):
-        acc = None
-        for j in range(nu + 1):
-            piece = m2 * (d_z(a.chis[j]) * b.chis[nu - j]) - m1 * (
-                a.chis[j] * d_z(b.chis[nu - j])
-            )
-            acc = piece if acc is None else acc + piece
-        chis.append(acc)
-    return FormalJet(a.base_weight + b.base_weight + 1, a.index + b.index, tuple(chis))
+    da = FormalJet(a.base_weight + 1, a.index, tuple(m2 * d_z(chi) for chi in a.chis))
+    db = FormalJet(b.base_weight + 1, b.index, tuple(m1 * d_z(chi) for chi in b.chis))
+    left, right = jet_mul(da, b), jet_mul(a, db)
+    chis = tuple(x - y for x, y in zip(left.chis, right.chis))
+    return FormalJet(left.base_weight, left.index, chis)
 
 
 def zeta_nu(jet: FormalJet, nu: int) -> JacobiSeries:
@@ -135,6 +127,7 @@ def crosscheck_bracket(
 ) -> Fraction | None:
     """Rebuild the order-v bracket through the jet pipeline and compare.
 
+    Both inputs are cut to the smaller truncation, as in bracket_jacobi.
     Returns the nonzero rational scalar lam with zeta = lam * bracket when
     both constructions are nonzero, None when both vanish identically
     (indeterminate), and raises :class:`CrosscheckError` when the two series
@@ -148,6 +141,8 @@ def crosscheck_bracket(
         raise ValueError(f"bracket order must be non-negative, got {v}")
     x = as_rational(x)
     nu = v // 2
+    trunc = min(f.trunc, g.trunc)
+    f, g = f.truncated(trunc), g.truncated(trunc)
     a = jet_scale_w(jet_of_form(f, nu), 1 - g.index * x)
     b = jet_scale_w(jet_of_form(g, nu), 1 + f.index * x)
     if v % 2 == 0:

@@ -13,7 +13,7 @@ from rcforms.jets import (
     jet_scale_w,
     zeta_nu,
 )
-from rcforms.lattices import eisenstein_q
+from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta
 from rcforms.series import JacobiSeries, check_disc_class_invariance, heat
 
 Q = Fraction
@@ -124,6 +124,13 @@ class TestCrosscheck:
             bracket_jacobi(theta4, theta4, Q(0), v)
         with pytest.raises(ValueError, match="non-negative"):
             crosscheck_bracket(theta4, theta4, Q(0), v)
+
+    def test_unequal_truncations_use_the_common_one(self):
+        theta8 = jacobi_theta(E8, E8_INDEX1_VECTOR, 8)
+        e4_theta6 = eisenstein_q(4, 6) * theta8.truncated(6)
+        expected = crosscheck_bracket(theta8.truncated(6), e4_theta6, Q(1), 2)
+        assert expected == Q(4, 105)
+        assert crosscheck_bracket(theta8, e4_theta6, Q(1), 2) == expected
 
     def test_both_zero_is_indeterminate(self, theta4):
         assert crosscheck_bracket(theta4, theta4, Q(0), 1) is None

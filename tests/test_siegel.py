@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rcforms import verify
 from rcforms.series import JacobiSeries, heat
 from rcforms.siegel import (
     SiegelSeries,
@@ -136,8 +137,37 @@ class TestConsistencyReport:
     def test_report_lines_are_printable(self, siegel2):
         report = check_siegel_consistency(siegel2)
         lines = [item.describe() for item in report.checks]
-        assert any("symmetry" in line for line in lines)
-        assert all("PASS" in line for line in lines)
+        assert lines and all("PASS" in line for line in lines)
+
+    def test_report_holds_one_result_per_slice(self, forms):
+        report = check_siegel_consistency(forms.siegel_theta)
+        names = [item.name for item in report.checks]
+        assert names == ["slice 1 form checks", "slice 2 form checks", "slice 3 form checks"]
+
+
+class TestDualPathCheck:
+    def test_l2_output_gets_slice_form_checks(self, monkeypatch):
+        # both routes agree on an output that breaks disc-class invariance on
+        # slice 1; only the per-slice cusp-form check can catch it
+        def perturbed(route):
+            def compute(F, G, l):
+                out = route(F, G, l)
+                if l != 2:
+                    return out
+                coeffs = dict(out.items())
+                coeffs[(1, 1, 1)] = coeffs.get((1, 1, 1), 0) + 1
+                return SiegelSeries(out.weight, out.trunc, coeffs)
+
+            return compute
+
+        monkeypatch.setattr(verify, "bracket_siegel_direct", perturbed(bracket_siegel_direct))
+        monkeypatch.setattr(verify, "bracket_siegel_via_jacobi", perturbed(bracket_siegel_via_jacobi))
+        results = verify.check_siegel_dual_path(verify.FormSet(trunc=4, siegel_trunc=2))
+        by_name = {result.name: result for result in results}
+        l2 = by_name["degree-2 bracket dual-path equality at l=2"]
+        assert not l2.passed
+        assert l2.detail.startswith("slice 1: disc-class: ")
+        assert all(r.passed for r in results if r is not l2)
 
 
 class TestArithmetic:
