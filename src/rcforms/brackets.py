@@ -30,13 +30,32 @@ of a(n1, r1) * b(n2, r2) * K, where
 
     K(D1, D2, D, r1, r2) = sum over summands of C * D(x) * D^p * D1^r * r1^i * D2^s * r2^j.
 
-``bracket_jacobi`` and ``bracket_jacobi_poly`` evaluate it in one pass
-over the coefficient pairs: the coefficients of f and g are put over
-common denominators, each pair adds integer products into one sum per
-output key and summand, and the rational weights and D^p are applied once
-per output key.  The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g))
-survives in the independent routes that check this one: the jet oracle of
-:mod:`rcforms.jets` and the direct degree-2 bracket of :mod:`rcforms.siegel`.
+Every summand has r + s + p = t = floor(v/2), so C(r, s, p) splits as
+A_r * B_s * G_p with A_r = (alpha + t)_{t-r} / r!, B_s = (beta + t)_{t-s} / s!
+and G_p = (-gamma - t)_{t-p} / p!, and the index coefficient splits as
+(-m2)^i (1 - m2 x)^r times m1^j (1 + m1 x)^s.  For odd v the summands
+(i, j) = (1, 0) and (0, 1) share r, s and p, so together they carry the
+pair factor m1*r2 - m2*r1.  With lam_r = A_r (1 - m2 x)^r D1^r and
+mu_s = B_s (1 + m1 x)^s D2^s,
+
+    K = (1 or m1*r2 - m2*r1) * sum_p G_p * D^p * [X^(t-p)] (sum_r lam_r X^r) (sum_s mu_s X^s).
+
+``bracket_jacobi`` evaluates both polynomials at X = 2**b (Kronecker
+substitution): over integer numerators, each coefficient a of f packs into
+one int sum_r a * lam_r * 2**(b*r), each coefficient of g likewise, and a
+coefficient pair costs one product of two packed ints.  Per output key the
+accumulated int is read back as the digits 0..t (one bias add and one
+``to_bytes``), which are the sums for p = t..0, and G_p * D^p is applied
+by Horner's rule.  ``bracket_jacobi_poly`` packs g at X^((t+1)*s) instead,
+so that every (r, s) keeps its own digit, and applies its x-degree weights
+per key.  The width b is a multiple of 8 with every digit provably below
+2**(b-1) in absolute value: a key collects at most min(#f, #g) pairs, and a
+pair adds at most t + 1 products of one left and one right entry to a digit,
+times |m1*r2 - m2*r1| for odd v (the derivation is in :func:`_bracket_pass`).
+The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
+the independent routes that check this one: the jet oracle of
+:mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`,
+and the series product behind the order-0 check.
 """
 
 from __future__ import annotations
@@ -44,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from operator import add, mul
+from operator import mul
 
 from .series import InvariantError, JacobiSeries, Key, _integer_form, as_rational
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
@@ -57,10 +76,11 @@ def falling_factorial(x: int | Fraction, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"falling factorial needs n >= 0, got {n}")
     x = as_rational(x)
-    out = Fraction(1)
+    p, q = x.numerator, x.denominator
+    out = 1
     for i in range(n):
-        out *= x - i
-    return out
+        out *= p - i * q
+    return Fraction(out, q**n)
 
 
 @dataclass(frozen=True)
@@ -152,71 +172,133 @@ def bracket_terms(params: BracketParams) -> list[BracketTerm]:
     return terms
 
 
-def _bracket_pass(
-    f: JacobiSeries, g: JacobiSeries, terms: list[BracketTerm], weights: list[list[Fraction]]
-) -> list[dict[Key, Fraction]]:
-    """Coefficient maps of sum_t weights[d][t] * heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)), one per d.
+def _weight_factors(params: BracketParams) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """(A, B, G) with C(r, s, p) = A[r] * B[s] * G[p] whenever r + s + p = floor(v/2).
 
-    One pass over the coefficient pairs of f and g keeps, per output key and
-    term, the integer sum of a*D1^r*r1^i times b*D2^s*r2^j (a and b the
-    integer numerators of f and g over their common denominators).  The
-    rational weights and D^p are applied once per output key.
+    With t = r + s + p fixed, each falling factorial of :func:`coeff_C`
+    depends on one index only: A[r] = (alpha + t)_{t-r} / r!,
+    B[s] = (beta + t)_{t-s} / s! and G[p] = (-gamma - t)_{t-p} / p!.
     """
-    active = [t for t in range(len(terms)) if any(w[t] for w in weights)]
-    terms = [terms[t] for t in active]
-    weights = [[w[t] for t in active] for w in weights]
+    t = params.half_order
+
+    def side(a: Fraction) -> list[Fraction]:
+        return [falling_factorial(a, t - e) / factorial(e) for e in range(t + 1)]
+
+    return side(params.alpha + t), side(params.beta + t), side(-(params.gamma + t))
+
+
+def _index_factors(params: BracketParams) -> tuple[list[Fraction], list[Fraction]]:
+    """(L, R) with L[r] = (1 - m2 x)^r and R[s] = (1 + m1 x)^s for r, s <= floor(v/2).
+
+    coeff_D(r, s, i, j) = (-m2)^i L[r] * m1^j R[s]; the derivative factors
+    (-m2)^i and m1^j enter the bracket pass as its ``cross`` pair.
+    """
+    m1, m2, x = params.m1, params.m2, params.x
+    span = range(params.half_order + 1)
+    return [(1 - m2 * x) ** r for r in span], [(1 + m1 * x) ** s for s in span]
+
+
+def _bracket_pass(
+    f: JacobiSeries,
+    g: JacobiSeries,
+    left: list[Fraction],
+    right: list[Fraction],
+    cross: tuple[int, int] | None,
+    spread: int,
+) -> tuple[int, dict[Key, list[int]]]:
+    """Packed sums over the coefficient pairs of f and g, one list per output key.
+
+    With t = len(left) - 1, the entry r + spread*s of the list at key (n, r)
+    is the sum over pairs (n1 + n2, r1 + r2) = (n, r) of
+
+        a * left[r] * D1^r * b * right[s] * D2^s        (times c1*r1 + c2*r2 if cross = (c1, c2)),
+
+    for r, s <= t; spread = 1 adds the entries with one r + s together (the
+    list holds r + s = 0..t), spread = t + 1 keeps each (r, s) apart.
+    Returns (den, sums) with the rational sums equal to sums / den.  Each
+    pair costs one product of two packed ints; see the module docstring.
+    """
     trunc = min(f.trunc, g.trunc)
-    if not terms:
-        return [{} for _ in weights]
+    t = len(left) - 1
 
-    def table(series, shape):
-        """n -> [(r, [c * D^e * r^k for each term's (e, k)])] for the integer numerators c.
-
-        Rows are lists, not tuples: freed tuples of one length stay on a
-        free list (up to 2000 of them), which grows the resident size.
-        """
+    def vectors(series, weights):
+        """(den, [(n, r, [w_e * c * disc^e for e = 0..t])]) over integer numerators c and w_e."""
         den, coeffs = _integer_form(series._coeffs)
-        m, top = series.index, max(e for e, _ in shape)
-        rows: dict[int, list[tuple[int, list[int]]]] = {}
+        den_w, w = _integer_form(dict(enumerate(weights)))
+        m, out = series.index, []
         for (n, r), c in coeffs.items():
-            if n > trunc:
-                continue
-            disc = 4 * n * m - r * r
-            powers = [c]
-            for _ in range(top):
-                powers.append(powers[-1] * disc)
-            row = [powers[e] * r if k else powers[e] for e, k in shape]
-            rows.setdefault(n, []).append((r, row))
-        return den, rows
+            if n <= trunc:
+                disc, vec = 4 * n * m - r * r, []
+                for w_e in w.values():
+                    vec.append(w_e * c)
+                    c *= disc
+                out.append((n, r, vec))
+        return den * den_w, out
 
-    den_f, left = table(f, [(t.r, t.i) for t in terms])
-    den_g, right = table(g, [(t.s, t.j) for t in terms])
-    scaled = []
-    for w in weights:
-        den_w, w_int = _integer_form(dict(enumerate(w)))
-        scaled.append((den_w * den_f * den_g, list(w_int.values())))
-    exponents = [t.p for t in terms]
-    index = f.index + g.index
-    parts: list[dict[Key, Fraction]] = [{} for _ in weights]
+    den_f, vec_f = vectors(f, left)
+    den_g, vec_g = vectors(g, right)
+    den = den_f * den_g
+    if not vec_f or not vec_g:
+        return den, {}
+    # Digit bound.  A fixed output key (n, r) meets each coefficient of f at
+    # most once (its partner in g is then fixed) and each of g at most once,
+    # so it collects at most min(#f, #g) pairs.  A pair adds to one digit at
+    # most t + 1 products of an f entry and a g entry (r + s = k has at most
+    # t + 1 solutions; with spread = t + 1 a digit holds a single (r, s)),
+    # each at most max|f entry| * max|g entry|, and with cross set each
+    # times |c1*r1 + c2*r2| <= |c1|*max|r1| + |c2|*max|r2|.  So every digit
+    # is at most `bound` in absolute value, and b = 8*width bits with
+    # bound < 2**(b - 1) hold it as a signed digit.  Digits above the ones
+    # read are multiples of 2**(b*digits) and drop out under the mask.
+    scale = 1
+    if cross is not None:
+        scale = abs(cross[0]) * max(abs(r) for _, r, _ in vec_f) + abs(cross[1]) * max(abs(r) for _, r, _ in vec_g)
+    bound = (
+        max(abs(e) for *_, vec in vec_f for e in vec)
+        * max(abs(e) for *_, vec in vec_g for e in vec)
+        * scale
+        * min(len(vec_f), len(vec_g))
+        * (t + 1)
+    )
+    width = (bound.bit_length() + 8) // 8
+    bits = 8 * width
+
+    def rows(vecs, step):
+        """n -> [(r, sum_e vec[e] * 2**(bits*step*e))]: the packed ints."""
+        out: dict[int, list] = {}
+        for n, r, vec in vecs:
+            out.setdefault(n, []).append((r, sum(e << (bits * step * k) for k, e in enumerate(vec))))
+        return out
+
+    left_rows, right_rows = rows(vec_f, 1), rows(vec_g, spread)
+    digits = spread * t + 1
+    half = 1 << (bits - 1)
+    bias = sum(half << (bits * k) for k in range(digits))
+    mask = (1 << (bits * digits)) - 1
+    out: dict[Key, list[int]] = {}
     for n in range(trunc + 1):
-        sums: dict[int, list[int]] = {}
-        for n1, row1 in left.items():
-            row2 = right.get(n - n1)
+        sums: dict[int, int] = {}
+        for n1, row1 in left_rows.items():
+            row2 = right_rows.get(n - n1)
             if row2 is None:
                 continue
-            for r1, a in row1:
-                for r2, b in row2:
-                    r = r1 + r2
-                    acc = sums.get(r)
-                    sums[r] = list(map(mul, a, b)) if acc is None else list(map(add, acc, map(mul, a, b)))
-        for r, acc in sums.items():
-            disc = 4 * n * index - r * r
-            acc = [total * disc**e for total, e in zip(acc, exponents)]
-            for part, (den, w) in zip(parts, scaled):
-                total = sum(map(mul, w, acc))
-                if total:
-                    part[(n, r)] = Fraction(total, den)
-    return parts
+            if cross is None:
+                for r1, a in row1:
+                    for r2, b in row2:
+                        sums[r1 + r2] = sums.get(r1 + r2, 0) + a * b
+            else:
+                c1, c2 = cross
+                for r1, a in row1:
+                    for r2, b in row2:
+                        sums[r1 + r2] = sums.get(r1 + r2, 0) + (c1 * r1 + c2 * r2) * a * b
+        for r, total in sums.items():
+            # the bias lifts every digit into [0, 2**bits), so the bytes of
+            # the sum are the digits plus half
+            data = ((total + bias) & mask).to_bytes(width * digits, "little")
+            out[(n, r)] = [
+                int.from_bytes(data[k * width : (k + 1) * width], "little") - half for k in range(digits)
+            ]
+    return den, out
 
 
 def bracket_jacobi(
@@ -229,9 +311,23 @@ def bracket_jacobi(
     product and v = 1 does not depend on x.
     """
     params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
-    terms = bracket_terms(params)
-    [coeffs] = _bracket_pass(f, g, terms, [[t.c_value * t.d_value for t in terms]])
-    return JacobiSeries(f.weight + g.weight + v, f.index + g.index, min(f.trunc, g.trunc), coeffs)
+    A, B, G = _weight_factors(params)
+    L, R = _index_factors(params)
+    cross = (-params.m2, params.m1) if params.parity else None
+    den, sums = _bracket_pass(f, g, list(map(mul, A, L)), list(map(mul, B, R)), cross, 1)
+    den_G, g_int = _integer_form(dict(enumerate(G)))
+    g_int = list(g_int.values())[::-1]  # G[t - k] meets the sum with r + s = k
+    den *= den_G
+    index = f.index + g.index
+    coeffs = {}
+    for (n, r), digits in sums.items():
+        disc = 4 * n * index - r * r
+        total = 0
+        for weight, digit in zip(g_int, digits):  # Horner's rule in D
+            total = total * disc + weight * digit
+        if total:
+            coeffs[(n, r)] = Fraction(total, den)
+    return JacobiSeries(f.weight + g.weight + v, index, min(f.trunc, g.trunc), coeffs)
 
 
 def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[JacobiSeries]:
@@ -242,26 +338,41 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     (1 + m1 x)^s (1 - m2 x)^r with r + s <= floor(v/2).
     """
     params = BracketParams(f.weight, g.weight, f.index, g.index, v)
-    terms = bracket_terms(params)
-    m1, m2 = params.m1, params.m2
-    weights = [[] for _ in range(params.half_order + 1)]
-    for term in terms:
-        base = term.c_value * m1**term.j * (-m2) ** term.i
-        for d, row in enumerate(weights):
-            # x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r
-            w = sum(
-                comb(term.s, a) * m1**a * comb(term.r, d - a) * (-m2) ** (d - a)
-                for a in range(max(0, d - term.r), min(term.s, d) + 1)
+    A, B, G = _weight_factors(params)
+    m1, m2, t = params.m1, params.m2, params.half_order
+    cross = (-m2, m1) if params.parity else None
+    den, sums = _bracket_pass(f, g, A, B, cross, t + 1)
+    pairs = [(r, s) for r in range(t + 1) for s in range(t + 1 - r)]
+    slots = [(t - r - s, r + (t + 1) * s) for r, s in pairs]  # (p, position of (r, s) in the sums)
+    scaled = []
+    for d in range(t + 1):
+        # G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r
+        row = {
+            (r, s): G[t - r - s] * sum(
+                comb(s, a) * m1**a * comb(r, d - a) * (-m2) ** (d - a)
+                for a in range(max(0, d - r), min(s, d) + 1)
             )
-            row.append(base * w)
-    weight = f.weight + g.weight + v
+            for r, s in pairs
+        }
+        den_w, w = _integer_form(row)
+        scaled.append((den * den_w, list(w.values())))
     index = f.index + g.index
+    parts: list[dict[Key, Fraction]] = [{} for _ in scaled]
+    for (n, r), digits in sums.items():
+        disc = 4 * n * index - r * r
+        powers = [disc**p for p in range(t + 1)]
+        values = [powers[p] * digits[k] for p, k in slots]
+        for part, (den_d, w) in zip(parts, scaled):
+            total = sum(map(mul, w, values))
+            if total:
+                part[(n, r)] = Fraction(total, den_d)
+    weight = f.weight + g.weight + v
     trunc = min(f.trunc, g.trunc)
-    return [JacobiSeries(weight, index, trunc, coeffs) for coeffs in _bracket_pass(f, g, terms, weights)]
+    return [JacobiSeries(weight, index, trunc, coeffs) for coeffs in parts]
 
 
 def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by fraction-free-enough Gaussian elimination."""
+    """Rank over the rationals by Gaussian elimination in exact ``Fraction`` arithmetic."""
     rows = [row[:] for row in rows if any(row)]
     ncols = len(rows[0]) if rows else 0
     rank = 0

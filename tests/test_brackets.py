@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from rcforms.brackets import (
     _exact_rank,
+    _index_factors,
+    _weight_factors,
     BracketParams,
     bracket_jacobi,
     bracket_jacobi_poly,
@@ -96,6 +98,46 @@ class TestCoefficientD:
     def test_two_derivatives_rejected(self):
         with pytest.raises(ValueError):
             coeff_D(0, 0, 1, 1, BracketParams(4, 4, 1, 1, 2))
+
+
+# (k1, k2) pairs from the weights 4, 6, 9/2, 7/3, then pairs where one
+# Pochhammer factor of C vanishes for some v <= 12: k1 = 1/2 zeroes an A
+# (alpha + t - i = 0), k2 = -1/2 zeroes a B, and k1 = k2 = -5/4 zeroes only
+# G factors (gamma = -4 or -3 is an integer, alpha and beta are not)
+FACTOR_WEIGHTS = [(4, 6), (6, 4), (Q(9, 2), Q(7, 3)), (Q(7, 3), 4), (6, Q(9, 2))]
+VANISHING_WEIGHTS = [(Q(1, 2), 6), (4, Q(-1, 2)), (Q(-5, 4), Q(-5, 4))]
+
+
+class TestFactorisedCoefficients:
+    """The bracket pass applies C and D as per-side factors; these tie the
+    factors back to coeff_C and coeff_D."""
+
+    @pytest.mark.parametrize("k1,k2", FACTOR_WEIGHTS + VANISHING_WEIGHTS)
+    def test_weight_factors_multiply_to_C(self, k1, k2):
+        vanished = 0
+        for v in range(13):
+            params = BracketParams(k1, k2, 1, 2, v)
+            A, B, G = _weight_factors(params)
+            t = v // 2
+            for r in range(t + 1):
+                for s in range(t + 1 - r):
+                    p = t - r - s
+                    assert A[r] * B[s] * G[p] == coeff_C(r, s, p, params), (v, r, s, p)
+                    vanished += coeff_C(r, s, p, params) == 0
+        assert bool(vanished) == ((k1, k2) in VANISHING_WEIGHTS)
+
+    @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 2), (3, 0), (0, 2), (2, 3)])
+    def test_index_factors_multiply_to_D(self, m1, m2):
+        xs = [Q(0), Q(1, 3), Q(-3, 2), Q(2)] + ([Q(-1, m1)] if m1 else []) + ([Q(1, m2)] if m2 else [])
+        for x in xs:
+            for v in range(9):
+                params = BracketParams(4, 6, m1, m2, v, x)
+                L, R = _index_factors(params)
+                t = v // 2
+                for r in range(t + 1):
+                    for s in range(t + 1 - r):
+                        for i, j in ((0, 0), (0, 1), (1, 0)):
+                            assert (-m2) ** i * L[r] * m1**j * R[s] == coeff_D(r, s, i, j, params)
 
 
 class TestBracketDegenerations:
@@ -279,20 +321,37 @@ coefficient_values = st.one_of(
 
 
 @st.composite
-def bracket_inputs(draw):
+def bracket_inputs(draw, values=coefficient_values, r_max=5, orders=st.integers(0, 7), min_size=0, max_size=8):
     """Two small random series (indices 0-3, truncations 1-4 drawn separately),
-    an order 0-7, and x drawn at random or where 1 + m1 x or 1 - m2 x vanishes."""
+    an order, and x drawn at random or where 1 + m1 x or 1 - m2 x vanishes."""
     pair = []
     for _ in range(2):
         weight, index, trunc = draw(st.integers(0, 12)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
-        keys = st.tuples(st.integers(0, trunc), st.integers(-5, 5))
-        pair.append(JacobiSeries(weight, index, trunc, draw(st.dictionaries(keys, coefficient_values, max_size=8))))
+        keys = st.tuples(st.integers(0, trunc), st.integers(-r_max, r_max))
+        coeffs = draw(st.dictionaries(keys, values, min_size=min_size, max_size=max_size))
+        pair.append(JacobiSeries(weight, index, trunc, coeffs))
     f, g = pair
-    v = draw(st.integers(0, 7))
+    v = draw(orders)
     special = [Q(-1, f.index)] if f.index else []
     special += [Q(1, g.index)] if g.index else []
     x = draw(st.one_of(st.fractions(min_value=Q(-3), max_value=Q(3), max_denominator=5), *map(st.just, special)))
     return f, g, v, x
+
+
+# numerators up to 2**120 over denominators up to 2**40 and integers at the
+# powers of two: the packed digits then span hundreds of bits, and single
+# coefficients at a power of two meet the digit bound exactly, so a digit
+# width one bit short of the bound corrupts an output instead of hiding in
+# the slack of small values
+wide_values = st.one_of(
+    st.builds(Q, st.integers(-(2**120), 2**120), st.integers(1, 2**40)),
+    st.builds(lambda k, sign, less: sign * (2**k - less), st.integers(1, 120), st.sampled_from([1, -1]), st.integers(0, 1)),
+)
+# keys far outside the holomorphic cone (|r| up to 12 at index <= 3), and
+# v = 0 and 1 drawn often: their digit bound has no slack factor t + 1
+wide_bracket_inputs = bracket_inputs(
+    wide_values, r_max=12, orders=st.one_of(st.sampled_from([0, 1]), st.integers(0, 10)), min_size=1, max_size=3
+)
 
 
 class TestBracketAgainstOperatorForm:
@@ -307,6 +366,26 @@ class TestBracketAgainstOperatorForm:
     def test_poly_matches_reference(self, case):
         f, g, v, _ = case
         assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
+
+    @settings(max_examples=250, deadline=None)
+    @given(wide_bracket_inputs)
+    def test_wide_coefficients_match_reference(self, case):
+        f, g, v, x = case
+        assert bracket_jacobi(f, g, x, v) == reference_bracket(f, g, x, v)
+        assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
+
+    @pytest.mark.parametrize("bits", range(1, 18))
+    def test_digit_bound_met_exactly(self, bits):
+        # one coefficient each: for v = 0 the only digit is a*b and the bound
+        # is |a*b|; for v = 1 it is a*b*(m1*r2 - m2*r1) = -2*a*b against the
+        # bound 2*|a*b|, so a = -2**bits reaches it.  bits runs over every
+        # residue mod 8 of the bound's bit length
+        for a in (2**bits, 2**bits - 1, -(2**bits), 1 - 2**bits):
+            f = JacobiSeries(4, 1, 2, {(1, 1): a})
+            g = JacobiSeries(6, 1, 2, {(1, -1): 1})
+            for v in (0, 1):
+                assert bracket_jacobi(f, g, 0, v) == reference_bracket(f, g, 0, v)
+                assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
 
     @pytest.mark.parametrize("v", range(8))
     def test_theta_pairs_match_reference(self, theta4, theta4_index2, e4_theta4, v):

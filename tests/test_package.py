@@ -178,7 +178,8 @@ def test_benchmark_tracer_installs_and_restores_every_attribute():
 
 def independent_routes():
     """Outputs of the routes that check the bracket kernel: the direct Siegel
-    bracket and the jet side of crosscheck_bracket, both parities."""
+    bracket, the jet side of crosscheck_bracket (both parities) and the
+    series product that the order-0 bracket must equal."""
     F = siegel_theta(E8, 2)
     f = jacobi_theta(E8, (1, 1, 0, 0, 0, 0, 0, 0), 3)
     g = EllipticSeries(4, 3, {0: 1, 1: 240, 2: 2160, 3: 6720}) * f
@@ -186,17 +187,32 @@ def independent_routes():
     a = jets.jet_scale_w(jets.jet_of_form(f, 2), 1 - g.index * Fraction(1, 3))
     b = jets.jet_scale_w(jets.jet_of_form(g, 2), 1 + f.index * Fraction(1, 3))
     out += [jets.zeta_nu(jets.jet_mul(a, b), 2), jets.zeta_nu(jets.jet_odd_combine(a, b, f.index, g.index), 2)]
+    out.append(f * g)
     return out
 
 
 def test_independent_routes_do_not_use_the_bracket_kernel(monkeypatch):
     """The second routes stay independent of the fast bracket path they check."""
     expected = independent_routes()
+    F = siegel_theta(E8, 2)
+    f = expected[-1]
 
     def forbidden(*args):
         raise RuntimeError("bracket kernel called")
 
     monkeypatch.setattr(brackets, "_bracket_pass", forbidden)
-    with pytest.raises(RuntimeError, match="bracket kernel"):
-        brackets.bracket_jacobi(expected[-1], expected[-1], 0, 2)
+    fast_routes = [
+        lambda: brackets.bracket_jacobi(f, f, 0, 2),
+        lambda: brackets.bracket_jacobi_poly(f, f, 3),
+        lambda: brackets.bracket_rank_over_x(f, f, 2),
+        lambda: siegel.bracket_siegel_via_jacobi(F, F, 1),
+    ]
+    for route in fast_routes:
+        with pytest.raises(RuntimeError, match="bracket kernel"):
+            route()
     assert independent_routes() == expected
+    # the jets rebuild C and D from falling_factorial themselves, not from
+    # the kernel's factorisation
+    for helper in ("_weight_factors", "_index_factors"):
+        assert not hasattr(jets, helper)
+        assert helper not in Path(jets.__file__).read_text()
