@@ -11,9 +11,9 @@ import argparse
 import sys
 
 from . import brackets, jets, lattices, verify
-from .series import InvariantError, JacobiSeries
-from .seriesio import ParseError, parse_fraction_arg, read_series, write_series
-from .siegel import SiegelSeries, SymmetryError, bracket_siegel_direct, bracket_siegel_via_jacobi
+from .series import InvariantError
+from .seriesio import KINDS, ParseError, parse_fraction_arg, read_series, write_series
+from .siegel import SymmetryError, bracket_siegel_direct, bracket_siegel_via_jacobi
 
 
 def _lattice(name: str) -> lattices.Lattice:
@@ -27,18 +27,13 @@ def _parse_vector(text: str) -> tuple:
     return tuple(parse_fraction_arg(part) for part in text.split(","))
 
 
-def _read_jacobi(path: str) -> JacobiSeries:
-    obj = read_series(path)
-    if not isinstance(obj, JacobiSeries):
-        raise ValueError(f"{path} does not contain a jacobi series")
-    return obj
-
-
-def _read_siegel(path: str) -> SiegelSeries:
-    obj = read_series(path)
-    if not isinstance(obj, SiegelSeries):
-        raise ValueError(f"{path} does not contain a siegel series")
-    return obj
+def _read_pair(args, kind: str) -> tuple:
+    """The --left and --right series, each required to be of ``kind``."""
+    pair = read_series(args.left), read_series(args.right)
+    for path, obj in zip((args.left, args.right), pair):
+        if not isinstance(obj, KINDS[kind][0]):
+            raise ValueError(f"{path} does not contain a {kind} series")
+    return pair
 
 
 def _cmd_theta_jacobi(args) -> int:
@@ -57,23 +52,20 @@ def _cmd_theta_siegel(args) -> int:
 
 
 def _cmd_bracket_jacobi(args) -> int:
-    left = _read_jacobi(args.left)
-    right = _read_jacobi(args.right)
+    left, right = _read_pair(args, "jacobi")
     write_series(args.out, brackets.bracket_jacobi(left, right, parse_fraction_arg(args.x), args.v))
     return 0
 
 
 def _cmd_bracket_siegel(args) -> int:
-    left = _read_siegel(args.left)
-    right = _read_siegel(args.right)
+    left, right = _read_pair(args, "siegel")
     compute = bracket_siegel_direct if args.mode == "direct" else bracket_siegel_via_jacobi
     write_series(args.out, compute(left, right, args.l))
     return 0
 
 
 def _cmd_rank_x(args) -> int:
-    left = _read_jacobi(args.left)
-    right = _read_jacobi(args.right)
+    left, right = _read_pair(args, "jacobi")
     print(brackets.bracket_rank_over_x(left, right, args.v))
     return 0
 

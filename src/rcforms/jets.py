@@ -68,6 +68,8 @@ def jet_of_form(f: JacobiSeries, nu_max: int) -> FormalJet:
     constants are irrelevant because the oracle only asserts
     proportionality.
     """
+    if nu_max < 0:
+        raise ValueError(f"jet order must be non-negative, got {nu_max}")
     chis = []
     current = f
     denominator = Fraction(1)
@@ -111,8 +113,8 @@ def jet_odd_combine(a: FormalJet, b: FormalJet, m1: int, m2: int) -> FormalJet:
 
 def zeta_nu(jet: FormalJet, nu: int) -> JacobiSeries:
     """Weight K + 2*nu projection sum_j (-(K-3/2+nu))_{nu-j} / j! * heat^j(chi_{nu-j})."""
-    if nu > jet.nu_max:
-        raise ValueError(f"jet only carries components up to {jet.nu_max}, asked for {nu}")
+    if not 0 <= nu <= jet.nu_max:
+        raise ValueError(f"jet carries components 0..{jet.nu_max}, asked for {nu}")
     base = as_rational(jet.base_weight) - THREE_HALVES + nu
     out = None
     for j in range(nu + 1):

@@ -19,7 +19,8 @@ No theta expansion is built by listing vectors:
   half-norm m, the orbit size times the Jacobi theta at one orbit
   representative.  W(D8) (coordinate permutations and even sign changes)
   maps E8 onto itself and preserves inner products.
-- The thetas of E8+E8 are the products of the E8 ones.
+- The thetas of E8+E8 are the products of the E8 ones, taken by the
+  integer product loops of :class:`JacobiSeries` and :class:`SiegelSeries`.
 
 Vector enumeration (``doubled_vectors``, ``enumerate_vectors``) stays as
 the independent oracle: the 240 / 2160 norm-count gates and the tests count
@@ -55,7 +56,8 @@ def _double(vector: Sequence[int | Fraction]) -> DoubledVector | None:
 
 
 def _mul_counts(a: Counts, b: Counts, trunc: int) -> Counts:
-    """Product of integer maps keyed by (n, r): keys add, n is cut at trunc."""
+    """Product of integer maps keyed by (n, r), n cut at trunc: a flat loop for
+    the E8 coordinate factors, whose rows are too short for a grouped loop."""
     out: Counts = {}
     b_items = sorted(b.items())
     for (n1, r1), c1 in a.items():
@@ -257,19 +259,12 @@ class _ProductLattice(Lattice):
         split = self._left.rank
         left = self._left.theta_counts(w[:split], trunc)
         right = self._right.theta_counts(w[split:], trunc)
-        return _mul_counts(left, right, trunc)
+        return dict(JacobiSeries._convolve(left, right, trunc))
 
     def siegel_counts(self, trunc: int) -> TripleCounts:
         left = self._left.siegel_counts(trunc)
         right = self._right.siegel_counts(trunc)
-        counts: TripleCounts = {}
-        for (n1, r1, m1), c1 in left.items():
-            for (n2, r2, m2), c2 in right.items():
-                n, m = n1 + n2, m1 + m2
-                if n <= trunc and m <= trunc:
-                    key = (n, r1 + r2, m)
-                    counts[key] = counts.get(key, 0) + c1 * c2
-        return counts
+        return dict(SiegelSeries._convolve(left, right, trunc))
 
 
 E8 = _E8()

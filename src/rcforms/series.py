@@ -56,15 +56,6 @@ def _integer_form(coeffs: Mapping[Any, Fraction]) -> tuple[int, dict]:
     return den, {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}
 
 
-def _rows(coeffs: Mapping[Key, int], trunc: int) -> dict[int, list[tuple[int, int]]]:
-    """Integer map keyed by (n, r) regrouped as n -> [(r, value)], for n <= trunc."""
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (n, r), value in coeffs.items():
-        if n <= trunc:
-            rows.setdefault(n, []).append((r, value))
-    return rows
-
-
 class _SparseSeries:
     """Exact coefficient store shared by every series kind.
 
@@ -72,9 +63,10 @@ class _SparseSeries:
     truncation, and the bookkeeping tags named by ``_TAGS`` (constructor
     order, before ``trunc``).  Each kind supplies its key rule: ``_fits``
     tells whether a key lies inside a truncation and ``_RANGE_ERROR``
-    (formatted with the key and the truncation) reports one that does not.
-    Instances are immutable after construction and safe to share; all
-    operations return new series.
+    (formatted with the key and the truncation) reports one that does not;
+    a kind multiplied by ``_product`` also supplies ``_convolve``, its loop
+    over integer maps.  Instances are immutable after construction and safe
+    to share; all operations return new series.
     """
 
     __slots__ = ("weight", "trunc", "_coeffs")
@@ -117,6 +109,11 @@ class _SparseSeries:
 
     def _tags(self) -> tuple:
         return tuple(getattr(self, name) for name in self._TAGS)
+
+    @classmethod
+    def zero(cls, *tags_and_trunc: int):
+        """The zero series with the given tags and truncation."""
+        return cls(*tags_and_trunc)
 
     def _like(self, trunc: int, coeffs):
         """A series of the same kind and tags."""
@@ -179,6 +176,18 @@ class _SparseSeries:
             out[k] = out.get(k, _ZERO) + v
         return self._like(trunc, out)
 
+    def _product(self, other):
+        """self * other at the smaller truncation with tags added: the kind's
+        ``_convolve`` runs on each operand's numerators over its common denominator."""
+        trunc = min(self.trunc, other.trunc)
+        den_a, a_int = _integer_form(self._coeffs)
+        den_b, b_int = _integer_form(other._coeffs)
+        den = den_a * den_b
+        products = self._convolve(a_int, b_int, trunc)
+        out = {key: Fraction(total, den) for key, total in products if total}
+        tags = (x + y for x, y in zip(self._tags(), other._tags()))
+        return type(self)(*tags, trunc, out)
+
     def _scaled(self, c: int | Fraction):
         c = as_rational(c)
         return self._like(self.trunc, {k: c * v for k, v in self._coeffs.items()})
@@ -219,11 +228,29 @@ class JacobiSeries(_SparseSeries):
         n, _ = key
         return 0 <= n <= trunc
 
-    # -- construction helpers ------------------------------------------------
+    @staticmethod
+    def _convolve(a_int: Mapping[Key, int], b_int: Mapping[Key, int], trunc: int):
+        """(key, total) pairs of the product of two integer maps, pairs grouped by n."""
+        left: dict[int, list[tuple[int, int]]] = {}
+        right: dict[int, list[tuple[int, int]]] = {}
+        for rows, coeffs in ((left, a_int), (right, b_int)):
+            for (n, r), value in coeffs.items():
+                if n <= trunc:
+                    rows.setdefault(n, []).append((r, value))
+        acc: dict[int, dict[int, int]] = {}
+        for n1, row1 in left.items():
+            for n2, row2 in right.items():
+                n = n1 + n2
+                if n > trunc:
+                    continue
+                row = acc.setdefault(n, {})
+                for r1, a in row1:
+                    for r2, b in row2:
+                        r = r1 + r2
+                        row[r] = row.get(r, 0) + a * b
+        return (((n, r), total) for n, row in acc.items() for r, total in row.items())
 
-    @classmethod
-    def zero(cls, weight: int, index: int, trunc: int) -> JacobiSeries:
-        return cls(weight, index, trunc)
+    # -- construction helpers ------------------------------------------------
 
     @classmethod
     def one(cls, trunc: int) -> JacobiSeries:
@@ -257,31 +284,7 @@ class JacobiSeries(_SparseSeries):
 
     def __mul__(self, other):
         if isinstance(other, JacobiSeries):
-            trunc = min(self.trunc, other.trunc)
-            den_a, a_int = _integer_form(self._coeffs)
-            den_b, b_int = _integer_form(other._coeffs)
-            left, right = _rows(a_int, trunc), _rows(b_int, trunc)
-            acc: dict[int, dict[int, int]] = {}
-            for n1, row1 in left.items():
-                for n2, row2 in right.items():
-                    n = n1 + n2
-                    if n > trunc:
-                        continue
-                    row = acc.setdefault(n, {})
-                    for r1, a in row1:
-                        for r2, b in row2:
-                            r = r1 + r2
-                            row[r] = row.get(r, 0) + a * b
-            den = den_a * den_b
-            out = {
-                (n, r): Fraction(total, den)
-                for n, row in acc.items()
-                for r, total in row.items()
-                if total
-            }
-            return JacobiSeries(
-                self.weight + other.weight, self.index + other.index, trunc, out
-            )
+            return self._product(other)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -365,6 +368,8 @@ def heat(f: JacobiSeries) -> JacobiSeries:
 
 
 def heat_power(f: JacobiSeries, p: int) -> JacobiSeries:
+    if p < 0:
+        raise ValueError(f"heat power must be non-negative, got {p}")
     for _ in range(p):
         f = heat(f)
     return f

@@ -79,26 +79,20 @@ def parse_fraction_arg(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+# kind -> (class, header tags in file order, key width)
+KINDS = {
+    "jacobi": (JacobiSeries, ("weight", "index", "trunc"), 2),
+    "siegel": (SiegelSeries, ("weight", "trunc"), 3),
+}
+
+
 def export_series(obj: JacobiSeries | SiegelSeries) -> str:
-    if isinstance(obj, JacobiSeries):
-        lines = [
-            f"{FORMAT_TAG} {FORMAT_VERSION}",
-            "kind jacobi",
-            f"weight {obj.weight}",
-            f"index {obj.index}",
-            f"trunc {obj.trunc}",
-        ]
-        lines += [f"coeff {n} {r} {format_rational(v)}" for (n, r), v in obj.items()]
-    elif isinstance(obj, SiegelSeries):
-        lines = [
-            f"{FORMAT_TAG} {FORMAT_VERSION}",
-            "kind siegel",
-            f"weight {obj.weight}",
-            f"trunc {obj.trunc}",
-        ]
-        lines += [f"coeff {n} {r} {m} {format_rational(v)}" for (n, r, m), v in obj.items()]
-    else:
+    kind = next((name for name, (cls, _, _) in KINDS.items() if isinstance(obj, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot export {type(obj).__name__}")
+    lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"kind {kind}"]
+    lines += [f"{tag} {getattr(obj, tag)}" for tag in KINDS[kind][1]]
+    lines += [f"coeff {' '.join(map(str, key))} {format_rational(v)}" for key, v in obj.items()]
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -154,23 +148,18 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
     reader.cursor += 1
 
     line, tokens = reader.take("kind", 2)
-    kind = tokens[1]
-    if kind not in ("jacobi", "siegel"):
-        raise ParseError(line, f"unknown kind {kind!r}")
-    line, tokens = reader.take("weight", 2)
-    weight = _int_token(tokens[1], line, "weight")
-    index = None
-    if kind == "jacobi":
-        line, tokens = reader.take("index", 2)
-        index = _int_token(tokens[1], line, "index")
-        if index < 0:
-            raise ParseError(line, f"index must be non-negative, got {index}")
-    line, tokens = reader.take("trunc", 2)
-    trunc = _int_token(tokens[1], line, "trunc")
-    if trunc < 0:
-        raise ParseError(line, f"trunc must be non-negative, got {trunc}")
+    if tokens[1] not in KINDS:
+        raise ParseError(line, f"unknown kind {tokens[1]!r}")
+    cls, tags, key_width = KINDS[tokens[1]]
+    header = []
+    for tag in tags:
+        line, tokens = reader.take(tag, 2)
+        value = _int_token(tokens[1], line, tag)
+        if value < 0 and tag != "weight":
+            raise ParseError(line, f"{tag} must be non-negative, got {value}")
+        header.append(value)
+    trunc = header[-1]
 
-    key_width = 2 if kind == "jacobi" else 3
     coeffs = {}
     last_key = None
     while True:
@@ -182,9 +171,8 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
         if len(tokens) != key_width + 2:
             raise ParseError(line, f"coeff record needs {key_width} key integers and a value")
         key = tuple(_int_token(t, line, "coefficient key") for t in tokens[1 : 1 + key_width])
-        for position in (0,) if kind == "jacobi" else (0, 2):
-            if not 0 <= key[position] <= trunc:
-                raise ParseError(line, f"key entry {key[position]} outside truncation {trunc}")
+        if not cls._fits(key, trunc):
+            raise ParseError(line, f"key {key} outside truncation {trunc}")
         if last_key is not None and key <= last_key:
             raise ParseError(line, f"records out of order: {key} after {last_key}")
         last_key = key
@@ -196,9 +184,7 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
     if tokens is not None:
         raise ParseError(line, f"content after END: {' '.join(tokens)!r}")
 
-    if kind == "jacobi":
-        return JacobiSeries(weight, index, trunc, coeffs)
-    return SiegelSeries(weight, trunc, coeffs)
+    return cls(*header, coeffs)
 
 
 def write_series(path: str | Path, obj: JacobiSeries | SiegelSeries) -> None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
-from .series import _ZERO, CheckResult, JacobiSeries, _integer_form, _SparseSeries, form_witness
+from .series import _ZERO, CheckResult, JacobiSeries, _SparseSeries, form_witness
 
 TripleKey = tuple[int, int, int]
 
@@ -34,15 +34,6 @@ class SymmetryError(ValueError):
             f"symmetry violation: a({n},{r},{m}) = {value} but a({m},{r},{n}) = {mirrored}"
         )
         self.key = key
-
-
-def _blocks(coeffs: Mapping[TripleKey, int], trunc: int) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Integer map keyed by (n, r, m) regrouped as (n, m) -> [(r, value)], for n, m <= trunc."""
-    blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (n, r, m), value in coeffs.items():
-        if n <= trunc and m <= trunc:
-            blocks.setdefault((n, m), []).append((r, value))
-    return blocks
 
 
 class SiegelSeries(_SparseSeries):
@@ -73,9 +64,27 @@ class SiegelSeries(_SparseSeries):
         n, _, m = key
         return 0 <= n <= trunc and 0 <= m <= trunc
 
-    @classmethod
-    def zero(cls, weight: int, trunc: int) -> SiegelSeries:
-        return cls(weight, trunc)
+    @staticmethod
+    def _convolve(a_int: Mapping[TripleKey, int], b_int: Mapping[TripleKey, int], trunc: int):
+        """(key, total) pairs of the product of two integer maps, pairs grouped by (n, m)."""
+        left: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        right: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for blocks, coeffs in ((left, a_int), (right, b_int)):
+            for (n, r, m), value in coeffs.items():
+                if n <= trunc and m <= trunc:
+                    blocks.setdefault((n, m), []).append((r, value))
+        acc: dict[tuple[int, int], dict[int, int]] = {}
+        for (n1, m1), row1 in left.items():
+            for (n2, m2), row2 in right.items():
+                n, m = n1 + n2, m1 + m2
+                if n > trunc or m > trunc:
+                    continue
+                block = acc.setdefault((n, m), {})
+                for r1, a in row1:
+                    for r2, b in row2:
+                        r = r1 + r2
+                        block[r] = block.get(r, 0) + a * b
+        return (((n, r, m), total) for (n, m), block in acc.items() for r, total in block.items())
 
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
@@ -99,29 +108,7 @@ class SiegelSeries(_SparseSeries):
 
     def __mul__(self, other):
         if isinstance(other, SiegelSeries):
-            trunc = min(self.trunc, other.trunc)
-            den_a, a_int = _integer_form(self._coeffs)
-            den_b, b_int = _integer_form(other._coeffs)
-            left, right = _blocks(a_int, trunc), _blocks(b_int, trunc)
-            acc: dict[tuple[int, int], dict[int, int]] = {}
-            for (n1, m1), row1 in left.items():
-                for (n2, m2), row2 in right.items():
-                    n, m = n1 + n2, m1 + m2
-                    if n > trunc or m > trunc:
-                        continue
-                    block = acc.setdefault((n, m), {})
-                    for r1, a in row1:
-                        for r2, b in row2:
-                            r = r1 + r2
-                            block[r] = block.get(r, 0) + a * b
-            den = den_a * den_b
-            out = {
-                (n, r, m): Fraction(total, den)
-                for (n, m), block in acc.items()
-                for r, total in block.items()
-                if total
-            }
-            return SiegelSeries(self.weight + other.weight, trunc, out)
+            return self._product(other)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented

@@ -118,6 +118,17 @@ class TestRejections:
     def test_key_beyond_truncation(self):
         self.reject(self.HEAD + "coeff 3 0 1/1\nEND\n", "truncation", line=6)
 
+    def test_negative_n_key(self):
+        self.reject(self.HEAD + "coeff -1 0 1/1\nEND\n", "truncation", line=6)
+
+    def test_siegel_m_beyond_truncation(self):
+        text = "rcforms 1\nkind siegel\nweight 4\ntrunc 2\ncoeff 0 0 0 1/1\ncoeff 0 0 3 1/1\nEND\n"
+        self.reject(text, "truncation", line=6)
+
+    @pytest.mark.parametrize("line,canonical,negative", [(4, "index 1", "index -1"), (5, "trunc 2", "trunc -1")])
+    def test_negative_header_value(self, line, canonical, negative):
+        self.reject(self.HEAD.replace(canonical, negative) + "END\n", "non-negative", line=line)
+
     def test_unsorted_records(self):
         self.reject(self.HEAD + "coeff 2 1 1/1\ncoeff 1 0 1/1\nEND\n", "out of order", line=7)
 
@@ -353,6 +364,20 @@ class TestCli:
         code = self.run("bracket-jacobi", "--left", str(a), "--right", str(a), "--x=٣", "--v", "2", "--out", str(out))
         assert code == 2
         assert "not an exact fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,expected,wrong",
+        [("bracket-jacobi", "jacobi", "siegel"), ("bracket-siegel", "siegel", "jacobi")],
+    )
+    def test_wrong_kind_exits_2(self, tmp_path, theta4, siegel2, capsys, command, expected, wrong):
+        source = tmp_path / f"{wrong}.coef"
+        write_series(source, siegel2 if wrong == "siegel" else theta4)
+        order = ["--v", "0"] if command == "bracket-jacobi" else ["--l", "0"]
+        out = tmp_path / "o.coef"
+        code = self.run(command, "--left", str(source), "--right", str(source), *order, "--out", str(out))
+        assert code == 2
+        assert f"does not contain a {expected} series" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):

@@ -35,6 +35,10 @@ class TestJetOfForm:
         jet = jet_of_form(theta4, 3)
         assert [chi.weight for chi in jet.chis] == [4, 6, 8, 10]
 
+    def test_negative_order_rejected(self, theta4):
+        with pytest.raises(ValueError, match="non-negative"):
+            jet_of_form(theta4, -1)
+
 
 class TestJetScale:
     def test_identity_scale(self, theta4):
@@ -106,6 +110,10 @@ class TestZeta:
     def test_out_of_range_component(self, theta4):
         with pytest.raises(ValueError, match="components"):
             zeta_nu(jet_of_form(theta4, 1), 2)
+
+    def test_negative_projection_rejected(self, theta4):
+        with pytest.raises(ValueError, match="components"):
+            zeta_nu(jet_of_form(theta4, 1), -1)
 
 
 class TestCrosscheck:

@@ -250,6 +250,32 @@ class TestCoordinateRoute:
         assert dict(by_orbit) == expected
 
 
+class TestProductLatticeCounts:
+    """The E8+E8 thetas against counts over its enumerated vectors, which do
+    not go through the integer product loops that build the thetas."""
+
+    def test_siegel_theta_matches_pair_counts(self):
+        vectors = E8_E8.doubled_vectors(1)
+        assert len(vectors) == 481
+        norms = [sum(a * a for a in y) // 8 for y in vectors]
+        counts = Counter()
+        for x, nx in zip(vectors, norms):
+            for y, ny in zip(vectors, norms):
+                counts[(nx, sum(a * b for a, b in zip(x, y)) // 4, ny)] += 1
+        assert dict(siegel_theta(E8_E8, 1).items()) == counts
+
+    def test_jacobi_theta_with_vector_in_both_factors_matches_counts(self):
+        w = (2, -2, 0, 0, 0, 0, 0, 0) + (1,) * 8
+        vectors = E8_E8.doubled_vectors(2)
+        assert len(vectors) == 62401
+        dots4 = [sum(a * b for a, b in zip(y, w)) for y in vectors]
+        assert all(d % 4 == 0 for d in dots4)
+        counts = Counter((sum(a * a for a in y) // 8, d // 4) for y, d in zip(vectors, dots4))
+        theta = jacobi_theta(E8_E8, tuple(Q(a, 2) for a in w), 2)
+        assert (theta.weight, theta.index) == (8, 2)
+        assert dict(theta.items()) == counts
+
+
 class TestEisenstein:
     def test_bernoulli_values(self):
         expected = {

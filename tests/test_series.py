@@ -12,6 +12,7 @@ from rcforms.series import (
     d_z,
     form_witness,
     heat,
+    heat_power,
     theta_q,
 )
 from rcforms.siegel import SiegelSeries
@@ -177,6 +178,10 @@ class TestOperators:
     def test_heat_at_index_zero_is_minus_dz_squared(self):
         f = series(4, 0, 3, {(1, 0): 2, (2, 3): 5, (0, -1): 1})
         assert heat(f) == -1 * d_z(d_z(f))
+
+    def test_negative_heat_power_rejected(self, theta4):
+        with pytest.raises(ValueError, match="non-negative"):
+            heat_power(theta4, -1)
 
 
 def brute_force_disc_class_check(f):
