@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import comb, factorial, isqrt, prod
 from typing import Sequence
 
-from .series import EllipticSeries, InvariantError, JacobiSeries
+from .series import EllipticSeries, InvariantError, JacobiSeries, as_rational
 from .siegel import SiegelSeries
 
 DoubledVector = tuple[int, ...]
@@ -46,13 +46,9 @@ E8_INDEX1_VECTOR: tuple[int, ...] = (1, -1, 0, 0, 0, 0, 0, 0)
 
 
 def _double(vector: Sequence[int | Fraction]) -> DoubledVector | None:
-    doubled = []
-    for x in vector:
-        y = 2 * Fraction(x)
-        if y.denominator != 1:
-            return None
-        doubled.append(int(y))
-    return tuple(doubled)
+    """Twice the exact coordinates, or None off the half-integers; floats raise TypeError."""
+    doubled = [2 * as_rational(x) for x in vector]
+    return None if any(y.denominator != 1 for y in doubled) else tuple(map(int, doubled))
 
 
 def _mul_counts(a: Counts, b: Counts, trunc: int) -> Counts:
@@ -117,10 +113,12 @@ class Lattice:
         """a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}, n, m <= trunc."""
         raise NotImplementedError
 
+    def least_vector(self, half_norm: int) -> DoubledVector:
+        """The lexicographically smallest doubled vector of half-norm ``half_norm``."""
+        raise NotImplementedError
+
     def contains(self, vector: Sequence[int | Fraction]) -> bool:
         """Membership of an exact coordinate vector."""
-        if len(vector) != self.rank:
-            return False
         doubled = _double(vector)
         return doubled is not None and self.contains_doubled(doubled)
 
@@ -218,6 +216,9 @@ class _E8(Lattice):
                 out += [(rep, arrangements * signs) for rep in reps if self.contains_doubled(rep)]
         return out
 
+    def least_vector(self, half_norm: int) -> DoubledVector:
+        return min(_orbit_minimum(rep) for rep, _ in self.d8_orbits(half_norm))
+
     def siegel_counts(self, trunc: int) -> TripleCounts:
         counts: TripleCounts = {}
         for m in range(trunc + 1):
@@ -235,8 +236,7 @@ class _ProductLattice(Lattice):
         self._right = right
 
     def contains_doubled(self, y: DoubledVector) -> bool:
-        if len(y) != self.rank:
-            return False
+        # each factor rejects a part of the wrong length
         split = self._left.rank
         return self._left.contains_doubled(y[:split]) and self._right.contains_doubled(y[split:])
 
@@ -260,6 +260,11 @@ class _ProductLattice(Lattice):
         left = self._left.theta_counts(w[:split], trunc)
         right = self._right.theta_counts(w[split:], trunc)
         return dict(JacobiSeries._convolve(left, right, trunc))
+
+    def least_vector(self, half_norm: int) -> DoubledVector:
+        # the left part decides the order; every half-norm occurs in each factor
+        h = min(range(half_norm + 1), key=self._left.least_vector)
+        return self._left.least_vector(h) + self._right.least_vector(half_norm - h)
 
     def siegel_counts(self, trunc: int) -> TripleCounts:
         left = self._left.siegel_counts(trunc)
@@ -351,12 +356,6 @@ def standard_index_vector(lattice: Lattice, index: int) -> tuple[Fraction, ...]:
     """
     if index < 1:
         raise ValueError("index must be >= 1")
-    if lattice is E8:
-        if index == 1:
-            return tuple(Fraction(c) for c in E8_INDEX1_VECTOR)
-        doubled = min(_orbit_minimum(rep) for rep, _ in E8.d8_orbits(index))
-        return tuple(Fraction(a, 2) for a in doubled)
-    for doubled in lattice.doubled_vectors(index):
-        if sum(a * a for a in doubled) == 8 * index:
-            return tuple(Fraction(a, 2) for a in doubled)
-    raise ValueError(f"no vector of half-norm {index} in {lattice.name}")
+    if lattice is E8 and index == 1:
+        return tuple(Fraction(c) for c in E8_INDEX1_VECTOR)
+    return tuple(Fraction(a, 2) for a in lattice.least_vector(index))

@@ -386,6 +386,12 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    @classmethod
+    def first(cls, name: str, witnesses: Iterable[str]) -> CheckResult:
+        """PASS, or FAIL with the first non-empty witness; stops reading there."""
+        witness = next(filter(None, witnesses), "")
+        return cls(name, not witness, witness)
+
     def describe(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         suffix = f"  ({self.detail})" if self.detail else ""

@@ -223,8 +223,7 @@ def check_siegel_consistency(F: SiegelSeries) -> ConsistencyReport:
     invariance, parity).  The transpose symmetry is not rechecked here:
     :class:`SiegelSeries` raises :class:`SymmetryError` at construction.
     """
-    checks = []
-    for m in range(1, F.trunc + 1):
-        witness = form_witness(F.slice_component(m))
-        checks.append(CheckResult(f"slice {m} form checks", not witness, witness))
-    return ConsistencyReport(tuple(checks))
+    return ConsistencyReport(tuple(
+        CheckResult.first(f"slice {m} form checks", [form_witness(F.slice_component(m))])
+        for m in range(1, F.trunc + 1)
+    ))

@@ -1,21 +1,22 @@
 """One-command verification suites over self-generated test forms.
 
 Every check is called as ``check(forms)`` with one shared :class:`FormSet`
-and returns a list of :class:`rcforms.series.CheckResult`; a check fails
-with a minimal witness string (key + expected + actual) rather than an
-exception, so a run always reports every check.  All comparisons are
-exact.  The coefficient-level Jacobi form checks of bracket outputs, the
-theta and the degree-2 slices all go through
-:func:`rcforms.series.form_witness`; every slice of a degree-2 bracket
-output of order l > 0 is checked as a cusp form.
+and returns a list of :class:`rcforms.series.CheckResult`, so a run always
+reports every check; all comparisons are exact.  A failing result names a
+minimal witness (where, expected and actual): the first failing case in
+the check's iteration order, as :meth:`CheckResult.first` keeps it.  The
+Jacobi form checks of bracket outputs, the theta and the degree-2 slices
+all go through :func:`rcforms.series.form_witness`; every slice of a
+degree-2 bracket output of order l > 0 is checked as a cusp form.
 
-The measured quantities that have no asserted target (the proportionality
-scalars of the jet oracle, the realised x-span ranks) are recorded in the
-result details.
+The results that carry a measurement (the E8 vector counts, the realised
+x-span ranks, the jet-oracle scalars) report it in the detail, pass or fail.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -86,64 +87,63 @@ class FormSet:
         ]
 
     def bracket_pairs(self):
-        for left_name, left in self.bracket_forms():
-            for right_name, right in self.bracket_forms():
-                yield f"({left_name},{right_name})", left, right
+        for (left_name, left), (right_name, right) in itertools.product(self.bracket_forms(), repeat=2):
+            yield f"({left_name},{right_name})", left, right
+
+
+def _first_difference(a, b):
+    """The least key at which the coefficients of two series differ, or None."""
+    return min((key for key in {*a.support(), *b.support()} if a[key] != b[key]), default=None)
 
 
 # -- criterion 1: bracket degenerations ---------------------------------------
 
 
 def check_bracket_degenerations(forms: FormSet) -> list[CheckResult]:
-    out = []
-    product_ok, witness = True, ""
-    for pair_name, f, g in forms.bracket_pairs():
-        for x in BRACKET_X_VALUES:
-            if brackets.bracket_jacobi(f, g, x, 0) != f * g:
-                product_ok, witness = False, f"{pair_name} at x={x}"
-                break
-    out.append(CheckResult("order-0 bracket equals product", product_ok, witness))
+    def product_witnesses():
+        for pair_name, f, g in forms.bracket_pairs():
+            product = f * g
+            for x in BRACKET_X_VALUES:
+                if brackets.bracket_jacobi(f, g, x, 0) != product:
+                    yield f"{pair_name} at x={x}"
 
-    self_ok, witness = True, ""
-    for name, f in forms.bracket_forms():
-        for x in BRACKET_X_VALUES:
-            if not brackets.bracket_jacobi(f, f, x, 1).is_zero():
-                self_ok, witness = False, f"[{name},{name}] at x={x}"
-    out.append(CheckResult("order-1 self-bracket vanishes", self_ok, witness))
-
-    x_free_ok, witness = True, ""
-    for pair_name, f, g in forms.bracket_pairs():
-        left = seriesio.export_series(brackets.bracket_jacobi(f, g, 0, 1))
-        right = seriesio.export_series(brackets.bracket_jacobi(f, g, 1, 1))
-        if left != right:
-            x_free_ok, witness = False, pair_name
-    out.append(CheckResult("order-1 bracket is x-independent (byte-identical)", x_free_ok, witness))
-    return out
+    self_witnesses = (
+        f"[{name},{name}] at x={x}"
+        for name, f in forms.bracket_forms()
+        for x in BRACKET_X_VALUES
+        if not brackets.bracket_jacobi(f, f, x, 1).is_zero()
+    )
+    x_free_witnesses = (
+        pair_name
+        for pair_name, f, g in forms.bracket_pairs()
+        if seriesio.export_series(brackets.bracket_jacobi(f, g, 0, 1))
+        != seriesio.export_series(brackets.bracket_jacobi(f, g, 1, 1))
+    )
+    return [
+        CheckResult.first("order-0 bracket equals product", product_witnesses()),
+        CheckResult.first("order-1 self-bracket vanishes", self_witnesses),
+        CheckResult.first("order-1 bracket is x-independent (byte-identical)", x_free_witnesses),
+    ]
 
 
 # -- criterion 2: bracket output form checks ----------------------------------
 
 
-def _bracket_output_witness(forms: FormSet, v: int) -> str:
-    """The first failing order-v bracket output as "where: witness", or ""."""
+def _bracket_output_witnesses(forms: FormSet, v: int):
+    """One witness per order-v bracket output, "where: witness", or "" where it passes."""
     for pair_name, f, g in forms.bracket_pairs():
         for x in BRACKET_X_VALUES:
             result = brackets.bracket_jacobi(f, g, x, v)
-            if result.weight != f.weight + g.weight + v or result.index != f.index + g.index:
-                witness = "weight/index bookkeeping"
-            else:
-                witness = form_witness(result, cusp=v > 1)
-            if witness:
-                return f"{pair_name} v={v} x={x}: {witness}"
-    return ""
+            tagged = result.weight == f.weight + g.weight + v and result.index == f.index + g.index
+            witness = form_witness(result, cusp=v > 1) if tagged else "weight/index bookkeeping"
+            yield witness and f"{pair_name} v={v} x={x}: {witness}"
 
 
 def check_bracket_outputs(forms: FormSet) -> list[CheckResult]:
-    out = []
-    for v in range(MAX_BRACKET_ORDER + 1):
-        witness = _bracket_output_witness(forms, v)
-        out.append(CheckResult(f"order-{v} bracket outputs are Jacobi-type", not witness, witness))
-    return out
+    return [
+        CheckResult.first(f"order-{v} bracket outputs are Jacobi-type", _bracket_output_witnesses(forms, v))
+        for v in range(MAX_BRACKET_ORDER + 1)
+    ]
 
 
 # -- criterion 3: generating-function oracle ----------------------------------
@@ -177,28 +177,27 @@ def check_generating_function_oracle(forms: FormSet) -> list[CheckResult]:
 
 
 def check_heat_leibniz(forms: FormSet) -> list[CheckResult]:
-    out = []
     g = forms.theta
     m = g.index
-    for name, f in (("E4", forms.e4), ("E6", forms.e6)):
-        passed, witness = True, ""
+
+    def witnesses(f):
+        tau_parts = [f]  # tau_parts[i] = theta_q^i f
+        for _ in range(3):
+            tau_parts.append(theta_q_elliptic(tau_parts[-1]))
         for r in range(4):
             left = heat_power(f.as_jacobi() * g, r)
-            right = None
-            for j in range(r + 1):
-                tau_part = f
-                for _ in range(r - j):
-                    tau_part = theta_q_elliptic(tau_part)
-                term = ((4 * m) ** (r - j) * comb(r, j)) * (
-                    tau_part.as_jacobi() * heat_power(g, j)
-                )
-                right = term if right is None else right + term
+            terms = [
+                ((4 * m) ** (r - j) * comb(r, j)) * (tau_parts[r - j].as_jacobi() * heat_power(g, j))
+                for j in range(r + 1)
+            ]
+            right = sum(terms[1:], terms[0])
             if left != right:
-                diff = [k for k in set(left.support()) | set(right.support()) if left[k] != right[k]]
-                passed, witness = False, f"r={r}, first mismatch at {sorted(diff)[0]}"
-                break
-        out.append(CheckResult(f"heat Leibniz expansion with {name} (r <= 3)", passed, witness))
-    return out
+                yield f"r={r}, first mismatch at {_first_difference(left, right)}"
+
+    return [
+        CheckResult.first(f"heat Leibniz expansion with {name} (r <= 3)", witnesses(f))
+        for name, f in (("E4", forms.e4), ("E6", forms.e6))
+    ]
 
 
 # -- criterion 5: coefficient recursions --------------------------------------
@@ -207,27 +206,29 @@ def check_heat_leibniz(forms: FormSet) -> list[CheckResult]:
 def check_coefficient_recursions(forms: FormSet) -> list[CheckResult]:
     """Independent of the test forms: the relations are identities in the weights."""
     weights = [Fraction(4), Fraction(6), Fraction(10), Fraction(35), Fraction(9, 2), Fraction(7, 3)]
-    passed, witness = True, ""
-    for l in range(1, 7):
-        for k1 in weights:
-            for k2 in weights:
-                if not brackets.check_recursions(k1, k2, l):
-                    passed, witness = False, f"l={l}, k={k1}, k'={k2}"
-    results = [CheckResult("coefficient recursions hold on the weight grid", passed, witness)]
+    grid = (
+        f"l={l}, k={k1}, k'={k2}"
+        for l, k1, k2 in itertools.product(range(1, 7), weights, weights)
+        if not brackets.check_recursions(k1, k2, l)
+    )
 
-    detect_ok, witness = True, ""
     params = brackets.BracketParams(4, 6, 0, 0, 2 * 2)
     level = 2
     triples = [(r, s, level - r - s) for r in range(level + 1) for s in range(level + 1 - r)]
-    for target in triples:
-        def perturbed(r, s, p, _target=target):
-            value = brackets.coeff_C(r, s, p, params)
-            return value + 1 if (r, s, p) == _target else value
 
-        if brackets.check_recursions(4, 6, level, c_fn=perturbed):
-            detect_ok, witness = False, f"perturbation at {target} undetected"
-    results.append(CheckResult("single-coefficient perturbations are detected", detect_ok, witness))
-    return results
+    def undetected():
+        for target in triples:
+            def perturbed(r, s, p, _target=target):
+                value = brackets.coeff_C(r, s, p, params)
+                return value + 1 if (r, s, p) == _target else value
+
+            if brackets.check_recursions(4, 6, level, c_fn=perturbed):
+                yield f"perturbation at {target} undetected"
+
+    return [
+        CheckResult.first("coefficient recursions hold on the weight grid", grid),
+        CheckResult.first("single-coefficient perturbations are detected", undetected()),
+    ]
 
 
 # -- criterion 6: rank of the x-family ----------------------------------------
@@ -253,30 +254,28 @@ def check_bracket_rank(forms: FormSet) -> list[CheckResult]:
 # -- criterion 7: degree-2 dual-path bracket ----------------------------------
 
 
-def check_siegel_dual_path(forms: FormSet) -> list[CheckResult]:
-    out = []
-    F = forms.siegel_theta
-    outputs = {}
-    for l in (0, 1, 2):
-        direct = outputs[l] = bracket_siegel_direct(F, F, l)
-        via = bracket_siegel_via_jacobi(F, F, l)
-        witness = ""
-        if direct != via:
-            keys = sorted(set(direct.support()) | set(via.support()))
-            bad = next(key for key in keys if direct[key] != via[key])
-            witness = f"key {bad}: direct {direct[bad]} vs sliced {via[bad]}"
-        elif direct.weight != 2 * F.weight + 2 * l:
-            witness = f"weight {direct.weight}"
-        elif l > 0:
-            for m, part in enumerate(direct.components()):
-                if witness := form_witness(part, cusp=True):
-                    witness = f"slice {m}: {witness}"
-                    break
-        out.append(CheckResult(f"degree-2 bracket dual-path equality at l={l}", not witness, witness))
+def _dual_path_witnesses(F: SiegelSeries, l: int, direct: SiegelSeries):
+    via = bracket_siegel_via_jacobi(F, F, l)
+    if direct != via:
+        bad = _first_difference(direct, via)
+        yield f"key {bad}: direct {direct[bad]} vs sliced {via[bad]}"
+    elif direct.weight != 2 * F.weight + 2 * l:
+        yield f"weight {direct.weight}"
+    elif l > 0:
+        for m, part in enumerate(direct.components()):
+            if witness := form_witness(part, cusp=True):
+                yield f"slice {m}: {witness}"
 
-    report = check_siegel_consistency(outputs[1])
-    witness = "" if report.passed else report.failures()[0].describe()
-    out.append(CheckResult("degree-2 bracket output consistency at l=1", report.passed, witness))
+
+def check_siegel_dual_path(forms: FormSet) -> list[CheckResult]:
+    F = forms.siegel_theta
+    outputs = [bracket_siegel_direct(F, F, l) for l in (0, 1, 2)]
+    out = [
+        CheckResult.first(f"degree-2 bracket dual-path equality at l={l}", _dual_path_witnesses(F, l, direct))
+        for l, direct in enumerate(outputs)
+    ]
+    failures = check_siegel_consistency(outputs[1]).failures()
+    out.append(CheckResult.first("degree-2 bracket output consistency at l=1", map(CheckResult.describe, failures)))
     return out
 
 
@@ -284,27 +283,18 @@ def check_siegel_dual_path(forms: FormSet) -> list[CheckResult]:
 
 
 def check_lattice_gates(forms: FormSet) -> list[CheckResult]:
-    out = []
-    counts: dict[int, int] = {}
-    for y in lattices.E8.doubled_vectors(2):
-        half_norm = sum(a * a for a in y) // 8
-        counts[half_norm] = counts.get(half_norm, 0) + 1
-    gate = counts.get(1) == 240 and counts.get(2) == 2160 and counts.get(0) == 1
-    out.append(
+    counts = Counter(sum(a * a for a in y) // 8 for y in lattices.E8.doubled_vectors(2))
+    gate = counts[0] == 1 and counts[1] == 240 and counts[2] == 2160
+    failures = check_siegel_consistency(forms.siegel_theta).failures()
+    return [
         CheckResult(
             "E8 vector counts (240 at norm 2, 2160 at norm 4)",
             gate,
             f"measured {counts.get(1)}, {counts.get(2)}",
-        )
-    )
-
-    witness = form_witness(forms.theta)
-    out.append(CheckResult("jacobi theta passes form checks", not witness, witness))
-
-    report = check_siegel_consistency(forms.siegel_theta)
-    witness = "" if report.passed else report.failures()[0].describe()
-    out.append(CheckResult("siegel theta passes consistency checks", report.passed, witness))
-    return out
+        ),
+        CheckResult.first("jacobi theta passes form checks", [form_witness(forms.theta)]),
+        CheckResult.first("siegel theta passes consistency checks", map(CheckResult.describe, failures)),
+    ]
 
 
 # -- criterion 9: I/O round trips ----------------------------------------------
@@ -317,17 +307,17 @@ def check_io_roundtrip(forms: FormSet) -> list[CheckResult]:
         ("siegel theta", forms.siegel_theta),
         ("zero series", JacobiSeries.zero(4, 1, 4)),
     ]
-    passed, witness = True, ""
-    for name, obj in fixtures:
-        text = seriesio.export_series(obj)
-        back = seriesio.import_series(text)
-        if back != obj:
-            passed, witness = False, f"{name}: value changed in round trip"
-            break
-        if seriesio.export_series(back) != text:
-            passed, witness = False, f"{name}: re-export not byte-identical"
-            break
-    return [CheckResult("coefficient files round-trip byte-identically", passed, witness)]
+
+    def witnesses():
+        for name, obj in fixtures:
+            text = seriesio.export_series(obj)
+            back = seriesio.import_series(text)
+            if back != obj:
+                yield f"{name}: value changed in round trip"
+            elif seriesio.export_series(back) != text:
+                yield f"{name}: re-export not byte-identical"
+
+    return [CheckResult.first("coefficient files round-trip byte-identically", witnesses())]
 
 
 SUITES = {
@@ -345,13 +335,9 @@ SUITES = {
 
 def run_suite(name: str, forms: FormSet | None = None) -> list[CheckResult]:
     """Run one suite ("core", "bracket", "genfun", "siegel") or "all"."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {list(SUITES)} or 'all'")
     if forms is None:
         forms = FormSet()
     names = list(SUITES) if name == "all" else [name]
-    results = []
-    for suite_name in names:
-        if suite_name not in SUITES:
-            raise ValueError(f"unknown suite {suite_name!r}; choose from {list(SUITES)} or 'all'")
-        for check in SUITES[suite_name]:
-            results.extend(check(forms))
-    return results
+    return [result for suite_name in names for check in SUITES[suite_name] for result in check(forms)]

@@ -88,6 +88,12 @@ class TestEnumeration:
         assert not E8.contains((1, 1))  # wrong rank
         assert E8_E8.contains(tuple(E8_INDEX1_VECTOR) + tuple([0] * 8))
 
+    def test_float_coordinates_rejected(self):
+        with pytest.raises(TypeError):
+            E8.contains((1.0, -1.0, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(TypeError):
+            jacobi_theta(E8, (0.5,) * 8, 1)
+
 
 class TestJacobiTheta:
     def test_constant_term(self, theta4):
@@ -335,3 +341,28 @@ class TestStandardVector:
     def test_invalid_index_rejected(self):
         with pytest.raises(ValueError):
             standard_index_vector(E8, 0)
+
+    def test_e8_vectors_are_pinned(self):
+        doubled = {
+            1: (2, -2, 0, 0, 0, 0, 0, 0),
+            2: (-4, 0, 0, 0, 0, 0, 0, 0),
+            3: (-4, -2, -2, 0, 0, 0, 0, 0),
+            4: (-5, -1, -1, -1, -1, -1, -1, -1),
+            5: (-6, -2, 0, 0, 0, 0, 0, 0),
+            6: (-6, -2, -2, -2, 0, 0, 0, 0),
+        }
+        for index, y in doubled.items():
+            assert standard_index_vector(E8, index) == tuple(Q(a, 2) for a in y)
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_e8e8_least_vector_matches_enumeration(self, index):
+        """The product rule (least left part, then least right part) finds the
+        lexicographically smallest enumerated vector without listing any."""
+        smallest = next(y for y in E8_E8.doubled_vectors(index) if sum(a * a for a in y) == 8 * index)
+        assert standard_index_vector(E8_E8, index) == tuple(Q(a, 2) for a in smallest)
+
+    @pytest.mark.parametrize("index", [4, 5, 6])
+    def test_e8e8_vector_beyond_enumeration_is_valid(self, index):
+        vector = standard_index_vector(E8_E8, index)
+        assert E8_E8.contains(vector)
+        assert sum(c * c for c in vector) == 2 * index
