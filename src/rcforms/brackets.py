@@ -276,7 +276,8 @@ def _bracket_pass(
     bias = sum(half << (bits * k) for k in range(digits))
     mask = (1 << (bits * digits)) - 1
     out: dict[Key, list[int]] = {}
-    for n in range(trunc + 1):
+    # only the n = n1 + n2 <= trunc that some pair reaches, in ascending order
+    for n in sorted({n1 + n2 for n1 in left_rows for n2 in right_rows if n1 + n2 <= trunc}):
         sums: dict[int, int] = {}
         for n1, row1 in left_rows.items():
             row2 = right_rows.get(n - n1)
@@ -327,7 +328,7 @@ def bracket_jacobi(
             total = total * disc + weight * digit
         if total:
             coeffs[(n, r)] = Fraction(total, den)
-    return JacobiSeries(f.weight + g.weight + v, index, min(f.trunc, g.trunc), coeffs)
+    return f._joined(g, v, coeffs)
 
 
 def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[JacobiSeries]:
@@ -366,9 +367,7 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
             total = sum(map(mul, w, values))
             if total:
                 part[(n, r)] = Fraction(total, den_d)
-    weight = f.weight + g.weight + v
-    trunc = min(f.trunc, g.trunc)
-    return [JacobiSeries(weight, index, trunc, coeffs) for coeffs in parts]
+    return [f._joined(g, v, coeffs) for coeffs in parts]
 
 
 def _exact_rank(rows: list[list[Fraction]]) -> int:

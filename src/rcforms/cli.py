@@ -41,7 +41,8 @@ def _cmd_theta_jacobi(args) -> int:
     if args.vector is not None:
         vector = _parse_vector(args.vector)
     else:
-        vector = lattices.standard_index_vector(lattice, args.half_norm_index)
+        index = 1 if args.half_norm_index is None else args.half_norm_index
+        vector = lattices.standard_index_vector(lattice, index)
     write_series(args.out, lattices.jacobi_theta(lattice, vector, args.trunc))
     return 0
 
@@ -89,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta-jacobi", help="write a lattice theta Jacobi expansion")
     p.add_argument("--lattice", default="e8", help="lattice name (e8, e8e8)")
-    p.add_argument("--half-norm-index", type=int, default=1, help="index = half-norm of the fixed vector")
-    p.add_argument("--vector", help="explicit fixed vector, comma-separated exact coordinates")
+    # no argparse default for --half-norm-index: the group lets a given value equal to the default pass
+    named = p.add_mutually_exclusive_group()
+    named.add_argument("--half-norm-index", type=int, help="index = half-norm of the fixed vector (default 1)")
+    named.add_argument("--vector", help="explicit fixed vector, comma-separated exact coordinates")
     p.add_argument("--trunc", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_theta_jacobi)

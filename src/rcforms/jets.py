@@ -155,18 +155,16 @@ def crosscheck_bracket(
     bracket = bracket_jacobi(f, g, x, v)
     if zeta.is_zero() and bracket.is_zero():
         return None
-    keys = sorted(set(zeta.support()) | set(bracket.support()))
-    first = keys[0]
+    first = min({*zeta.support(), *bracket.support()})
     if zeta[first] == 0 or bracket[first] == 0:
         raise CrosscheckError(
             f"constructions are not proportional at {first}: "
             f"jet side {zeta[first]}, bracket side {bracket[first]}"
         )
     lam = zeta[first] / bracket[first]
-    for key in keys:
-        if zeta[key] != lam * bracket[key]:
-            raise CrosscheckError(
-                f"no consistent scalar: key {key} gives {zeta[key]} vs "
-                f"{lam} * {bracket[key]}"
-            )
+    key = zeta.first_difference(lam * bracket)
+    if key is not None:
+        raise CrosscheckError(
+            f"no consistent scalar: key {key} gives {zeta[key]} vs {lam} * {bracket[key]}"
+        )
     return lam

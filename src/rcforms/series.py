@@ -59,14 +59,17 @@ def _integer_form(coeffs: Mapping[Any, Fraction]) -> tuple[int, dict]:
 class _SparseSeries:
     """Exact coefficient store shared by every series kind.
 
-    A series is a finite map key -> Fraction holding only nonzero values, a
-    truncation, and the bookkeeping tags named by ``_TAGS`` (constructor
-    order, before ``trunc``).  Each kind supplies its key rule: ``_fits``
-    tells whether a key lies inside a truncation and ``_RANGE_ERROR``
-    (formatted with the key and the truncation) reports one that does not;
-    a kind multiplied by ``_product`` also supplies ``_convolve``, its loop
-    over integer maps.  Instances are immutable after construction and safe
-    to share; all operations return new series.
+    A series is a finite map key -> Fraction holding only nonzero values, an
+    int truncation, and the int tags named by ``_TAGS`` (constructor order,
+    weight first, before ``trunc``).  The store builds every derived series:
+    ``_like`` steps the weight (the operators), ``_joined`` adds two series'
+    tags plus a bilinear order on the smaller truncation (products, brackets)
+    and ``first_difference`` compares two series.  Each kind supplies its key
+    rule: ``_fits`` tells whether a key lies inside a truncation and
+    ``_RANGE_ERROR`` (formatted with the key and the truncation) reports one
+    that does not; a kind multiplied by ``_product`` also supplies
+    ``_convolve``, its loop over integer maps.  Instances are immutable after
+    construction and safe to share; all operations return new series.
     """
 
     __slots__ = ("weight", "trunc", "_coeffs")
@@ -84,6 +87,9 @@ class _SparseSeries:
 
     def _store(self, tags: tuple, trunc: int, coeffs) -> None:
         """Set tags and truncation, then validate and keep the nonzero coefficients."""
+        for name, value in zip((*self._TAGS, "trunc"), (*tags, trunc)):
+            if not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if trunc < 0:
             raise ValueError(f"truncation must be non-negative, got {trunc}")
         for name, value in zip(self._TAGS, tags):
@@ -115,9 +121,15 @@ class _SparseSeries:
         """The zero series with the given tags and truncation."""
         return cls(*tags_and_trunc)
 
-    def _like(self, trunc: int, coeffs):
-        """A series of the same kind and tags."""
-        return type(self)(*self._tags(), trunc, coeffs)
+    def _like(self, trunc: int, coeffs, step: int = 0):
+        """A series of the same kind and tags, its weight advanced by ``step``."""
+        weight, *rest = self._tags()
+        return type(self)(weight + step, *rest, trunc, coeffs)
+
+    def _joined(self, other, order: int, coeffs):
+        """An order-``order`` bilinear output: tags added, weight plus order, smaller truncation."""
+        weight, *rest = (x + y for x, y in zip(self._tags(), other._tags()))
+        return type(self)(weight + order, *rest, min(self.trunc, other.trunc), coeffs)
 
     # -- queries -------------------------------------------------------------
 
@@ -133,6 +145,11 @@ class _SparseSeries:
 
     def is_zero(self) -> bool:
         return not self._coeffs
+
+    def first_difference(self, other):
+        """The least key at which the coefficients of self and other differ, or None."""
+        keys = {*self._coeffs, *other._coeffs}
+        return min((key for key in keys if self[key] != other[key]), default=None)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -184,9 +201,7 @@ class _SparseSeries:
         den_b, b_int = _integer_form(other._coeffs)
         den = den_a * den_b
         products = self._convolve(a_int, b_int, trunc)
-        out = {key: Fraction(total, den) for key, total in products if total}
-        tags = (x + y for x, y in zip(self._tags(), other._tags()))
-        return type(self)(*tags, trunc, out)
+        return self._joined(other, 0, {key: Fraction(total, den) for key, total in products if total})
 
     def _scaled(self, c: int | Fraction):
         c = as_rational(c)
@@ -319,19 +334,12 @@ class EllipticSeries(_SparseSeries):
     def __mul__(self, other):
         if isinstance(other, EllipticSeries):
             product = self.as_jacobi() * other.as_jacobi()
-            return EllipticSeries(
-                product.weight, product.trunc, {n: v for (n, _), v in product._coeffs.items()}
-            )
+            return self._joined(other, 0, {n: v for (n, _), v in product._coeffs.items()})
         if isinstance(other, JacobiSeries):
             return self.as_jacobi() * other
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, JacobiSeries):
-            return other * self.as_jacobi()
-        return self.__mul__(other)
 
 
 # -- scaled differential operators -------------------------------------------
@@ -339,32 +347,23 @@ class EllipticSeries(_SparseSeries):
 
 def theta_q(f: JacobiSeries) -> JacobiSeries:
     """q d/dq: multiply c(n, r) by n.  Weight tag advances by 2."""
-    return JacobiSeries(
-        f.weight + 2, f.index, f.trunc, {(n, r): n * v for (n, r), v in f._coeffs.items()}
-    )
+    return f._like(f.trunc, {(n, r): n * v for (n, r), v in f._coeffs.items()}, 2)
 
 
 def theta_q_elliptic(f: EllipticSeries) -> EllipticSeries:
     """q d/dq on a univariate expansion."""
-    return EllipticSeries(f.weight + 2, f.trunc, {n: n * v for n, v in f._coeffs.items()})
+    return f._like(f.trunc, {n: n * v for n, v in f._coeffs.items()}, 2)
 
 
 def d_z(f: JacobiSeries) -> JacobiSeries:
     """zeta d/dzeta: multiply c(n, r) by r.  Weight tag advances by 1."""
-    return JacobiSeries(
-        f.weight + 1, f.index, f.trunc, {(n, r): r * v for (n, r), v in f._coeffs.items()}
-    )
+    return f._like(f.trunc, {(n, r): r * v for (n, r), v in f._coeffs.items()}, 1)
 
 
 def heat(f: JacobiSeries) -> JacobiSeries:
     """Heat operator at the series' own index: multiply c(n, r) by 4*n*m - r**2."""
     m = f.index
-    return JacobiSeries(
-        f.weight + 2,
-        m,
-        f.trunc,
-        {(n, r): (4 * n * m - r * r) * v for (n, r), v in f._coeffs.items()},
-    )
+    return f._like(f.trunc, {(n, r): (4 * n * m - r * r) * v for (n, r), v in f._coeffs.items()}, 2)
 
 
 def heat_power(f: JacobiSeries, p: int) -> JacobiSeries:

@@ -148,11 +148,7 @@ def delta_op(F: SiegelSeries) -> SiegelSeries:
     On the index-m slice this is exactly the heat operator, so slicing and
     delta_op commute through :func:`rcforms.series.heat`.
     """
-    return SiegelSeries(
-        F.weight + 2,
-        F.trunc,
-        {(n, r, m): (4 * n * m - r * r) * v for (n, r, m), v in F._coeffs.items()},
-    )
+    return F._like(F.trunc, {(n, r, m): (4 * n * m - r * r) * v for (n, r, m), v in F._coeffs.items()}, 2)
 
 
 def _delta_power(F: SiegelSeries, p: int) -> SiegelSeries:
@@ -172,7 +168,7 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     params = BracketParams(F.weight, G.weight, 0, 0, 2 * l)
-    out = SiegelSeries.zero(F.weight + G.weight + 2 * l, min(F.trunc, G.trunc))
+    out = F._joined(G, 2 * l, {})
     for term in bracket_terms(params):
         if not term.c_value:
             continue

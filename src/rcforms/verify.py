@@ -91,11 +91,6 @@ class FormSet:
             yield f"({left_name},{right_name})", left, right
 
 
-def _first_difference(a, b):
-    """The least key at which the coefficients of two series differ, or None."""
-    return min((key for key in {*a.support(), *b.support()} if a[key] != b[key]), default=None)
-
-
 # -- criterion 1: bracket degenerations ---------------------------------------
 
 
@@ -192,7 +187,7 @@ def check_heat_leibniz(forms: FormSet) -> list[CheckResult]:
             ]
             right = sum(terms[1:], terms[0])
             if left != right:
-                yield f"r={r}, first mismatch at {_first_difference(left, right)}"
+                yield f"r={r}, first mismatch at {left.first_difference(right)}"
 
     return [
         CheckResult.first(f"heat Leibniz expansion with {name} (r <= 3)", witnesses(f))
@@ -257,7 +252,7 @@ def check_bracket_rank(forms: FormSet) -> list[CheckResult]:
 def _dual_path_witnesses(F: SiegelSeries, l: int, direct: SiegelSeries):
     via = bracket_siegel_via_jacobi(F, F, l)
     if direct != via:
-        bad = _first_difference(direct, via)
+        bad = direct.first_difference(via)
         yield f"key {bad}: direct {direct[bad]} vs sliced {via[bad]}"
     elif direct.weight != 2 * F.weight + 2 * l:
         yield f"weight {direct.weight}"

@@ -205,6 +205,13 @@ class TestBracketPolynomial:
                 total = total + power * part
             assert total == bracket_jacobi(theta4, theta4_index2, x, v)
 
+    @pytest.mark.parametrize("v", [0, 1, 2, 5])
+    def test_unequal_truncations_bookkeeping(self, theta4, e4_theta4, v):
+        short = e4_theta4.truncated(2)  # weight 8, index 1
+        for f, g in ((theta4, short), (short, theta4)):
+            for part in bracket_jacobi_poly(f, g, v):
+                assert (part.weight, part.index, part.trunc) == (4 + 8 + v, 2, 2)
+
     def test_evaluation_at_zero_gives_constant_part(self, theta4, theta4_index2):
         parts = bracket_jacobi_poly(theta4, theta4_index2, 2)
         assert parts[0] == bracket_jacobi(theta4, theta4_index2, 0, 2)

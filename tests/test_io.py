@@ -300,6 +300,18 @@ class TestCli:
         assert code == 0
         assert read_series(out).index == 1
 
+    @pytest.mark.parametrize("index", ["1", "2"])
+    def test_theta_jacobi_takes_one_name_for_the_vector(self, tmp_path, capsys, index):
+        out = tmp_path / "theta.coef"
+        with pytest.raises(SystemExit) as exc:
+            self.run(
+                "theta-jacobi", "--half-norm-index", index, "--vector", "1,-1,0,0,0,0,0,0",
+                "--trunc", "1", "--out", str(out),
+            )
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_e8e8_thetas_complete(self, tmp_path):
         jacobi, siegel = tmp_path / "j.coef", tmp_path / "s.coef"
         assert self.run("theta-jacobi", "--lattice", "e8e8", "--trunc", "6", "--out", str(jacobi)) == 0
@@ -342,6 +354,29 @@ class TestCli:
         monkeypatch.setattr(brackets, "_exact_rank", lambda rows: len(rows))
         assert self.run("rank-x", "--left", str(a), "--right", str(a), "--v", "2") == 1
         assert "exceeds the degree bound" in capsys.readouterr().err
+
+    def test_bracket_cost_follows_the_inputs_not_the_truncation(self, tmp_path):
+        # three records at trunc 10**9: a walk over every n up to trunc would
+        # run for minutes, the reachable n1 + n2 are 0, 1 and 2
+        records = {(0, 0): 1, (1, -1): Q(-3, 2), (1, 1): 5}
+        huge, small = tmp_path / "huge.coef", JacobiSeries(4, 1, 2, records)
+        write_series(huge, JacobiSeries(4, 1, 10**9, records))
+        out = tmp_path / "bracket.coef"
+        for command, *extra in (
+            ("bracket-jacobi", "--x", "1/3", "--out", str(out)),
+            ("rank-x",),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "rcforms", command, "--left", str(huge), "--right", str(huge),
+                 "--v", "4", *extra],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+        bracket = read_series(out)
+        expected = brackets.bracket_jacobi(small, small, Q(1, 3), 4)
+        assert bracket.trunc == 10**9 and not expected.is_zero()
+        assert bracket.items() == expected.items()
+        assert int(result.stdout) == brackets.bracket_rank_over_x(small, small, 4)
 
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.coef"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,4 +190,21 @@ class TestCrosscheck:
 
         monkeypatch.setattr(jets_module, "bracket_jacobi", corrupted)
         with pytest.raises(CrosscheckError):
+            crosscheck_bracket(theta4, theta4_index2, Q(1), 2)
+
+    def test_inconsistent_scalar_names_the_least_corrupted_key(self, theta4, theta4_index2, monkeypatch):
+        import rcforms.jets as jets_module
+
+        keys = bracket_jacobi(theta4, theta4_index2, Q(1), 2).support()
+        lesser, greater = keys[3], keys[-2]
+
+        def corrupted(f, g, x, v):
+            out = bracket_jacobi(f, g, x, v)
+            coeffs = dict(out.items())
+            for key in (greater, lesser):
+                coeffs[key] += 1
+            return JacobiSeries(out.weight, out.index, out.trunc, coeffs)
+
+        monkeypatch.setattr(jets_module, "bracket_jacobi", corrupted)
+        with pytest.raises(CrosscheckError, match=re.escape(f"no consistent scalar: key {lesser} gives")):
             crosscheck_bracket(theta4, theta4_index2, Q(1), 2)

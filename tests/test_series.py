@@ -15,6 +15,7 @@ from rcforms.series import (
     heat_power,
     theta_q,
 )
+from rcforms.seriesio import export_series
 from rcforms.siegel import SiegelSeries
 
 Q = Fraction
@@ -40,6 +41,19 @@ class TestConstruction:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError, match="exact scalar"):
             series(4, 1, 2, {(1, 0): 0.5})
+
+    @pytest.mark.parametrize("kind, tags, name", [
+        (JacobiSeries, (4, 1.0, 2.0), "index"),
+        (JacobiSeries, (4, 1, 2.0), "trunc"),
+        (JacobiSeries, (Q(9, 2), 1, 2), "weight"),
+        (EllipticSeries, (4.0, 2), "weight"),
+        (EllipticSeries, (4, Q(2)), "trunc"),
+        (SiegelSeries, (4.0, 1), "weight"),
+        (SiegelSeries, (4, 1.0), "trunc"),
+    ])
+    def test_non_integer_tags_rejected(self, kind, tags, name):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            kind(*tags)
 
     def test_immutable(self):
         for f in (
@@ -287,6 +301,10 @@ class TestEllipticSeries:
         right = theta4 * e
         assert left == right
         assert left.weight == 8 and left.index == 1
+
+    def test_mixed_product_exports_the_same_bytes_either_way(self, theta4):
+        e = EllipticSeries(4, 3, {0: 1, 1: 240, 3: Q(-1, 7)})
+        assert export_series(theta4 * e) == export_series(e * theta4)
 
     def test_ring_ops(self):
         e = EllipticSeries(4, 3, {0: 1, 1: 2})

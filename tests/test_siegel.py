@@ -112,6 +112,13 @@ class TestBrackets:
         with pytest.raises(ValueError):
             bracket_siegel_direct(siegel2, siegel2, -1)
 
+    def test_unequal_truncations_bookkeeping(self, siegel2):
+        square = (siegel2 * siegel2).truncated(1)  # weight 8, trunc 1
+        for F, G in ((siegel2, square), (square, siegel2)):
+            for l in (0, 1, 2):
+                out = bracket_siegel_direct(F, G, l)
+                assert out.weight == 4 + 8 + 2 * l and out.trunc == 1
+
 
 class TestConsistencyReport:
     def test_theta_passes(self, siegel2):
