@@ -54,8 +54,10 @@ pair adds at most t + 1 products of one left and one right entry to a digit,
 times |m1*r2 - m2*r1| for odd v (the derivation is in :func:`_bracket_pass`).
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
-:mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`,
-and the series product behind the order-0 check.
+:mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
+(delta in place of heat, on integer numerators, the p-layers combined by
+Horner's rule in delta, C taken from :func:`bracket_terms`), and the series
+product behind the order-0 check.
 """
 
 from __future__ import annotations

@@ -9,8 +9,11 @@ derivatives in the three variables; on each slice it restricts to the
 index-m heat operator of :mod:`rcforms.series`.
 
 The order-l bracket is computed along two independent routes that must
-agree exactly: directly from delta_op powers of the triple series, and
-slice by slice from the order-2l Jacobi brackets at x = 0.
+agree exactly.  The direct route keeps the operator form
+sum C(r, s, p) delta^p(delta^r(F) * delta^s(G)) on integer numerators: it
+groups the products by p into layers T_p and applies delta by Horner's rule,
+T_0 + delta(T_1 + delta(T_2 + ...)).  The slice route sums the order-2l
+Jacobi brackets at x = 0 of the slices of F and G.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
-from .series import _ZERO, CheckResult, JacobiSeries, _SparseSeries, form_witness
+from .series import _ZERO, CheckResult, JacobiSeries, _integer_form, _SparseSeries, form_witness
 
 TripleKey = tuple[int, int, int]
 
@@ -98,7 +101,11 @@ class SiegelSeries(_SparseSeries):
         )
 
     def components(self) -> list[JacobiSeries]:
-        return [self.slice_component(m) for m in range(self.trunc + 1)]
+        """The slices f_0, ..., f_trunc, split from the store in one scan."""
+        rows: list[dict] = [{} for _ in range(self.trunc + 1)]
+        for (n, r, m), value in self._coeffs.items():
+            rows[m][(n, r)] = value
+        return [JacobiSeries(self.weight, m, self.trunc, row) for m, row in enumerate(rows)]
 
     def __neg__(self) -> SiegelSeries:
         return self._scaled(-1)
@@ -142,19 +149,18 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
     return SiegelSeries(weight, trunc, coeffs)
 
 
+def _delta(coeffs: Mapping[TripleKey, int | Fraction]) -> dict:
+    """The delta rule on a coefficient map: a(n, r, m) times 4*n*m - r**2, zeros dropped."""
+    return {(n, r, m): d * v for (n, r, m), v in coeffs.items() if (d := 4 * n * m - r * r)}
+
+
 def delta_op(F: SiegelSeries) -> SiegelSeries:
     """Multiply a(n, r, m) by 4*n*m - r**2; weight tag advances by 2.
 
     On the index-m slice this is exactly the heat operator, so slicing and
     delta_op commute through :func:`rcforms.series.heat`.
     """
-    return F._like(F.trunc, {(n, r, m): (4 * n * m - r * r) * v for (n, r, m), v in F._coeffs.items()}, 2)
-
-
-def _delta_power(F: SiegelSeries, p: int) -> SiegelSeries:
-    for _ in range(p):
-        F = delta_op(F)
-    return F
+    return F._like(F.trunc, _delta(F._coeffs), 2)
 
 
 def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSeries:
@@ -164,17 +170,38 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     v = 2*l; output weight is F.weight + G.weight + 2*l.  For l > 0 every
     slice of the output is supported in the open cone r**2 < 4*n*m, so the
     m = 0 and n = 0 slices vanish identically.
+
+    The sum runs on integer numerators over one common denominator each for
+    F, G and the C(r, s, p) of :func:`rcforms.brackets.bracket_terms`.
+    delta^0..delta^l of each input are built once; the product of
+    delta^r(F) and delta^s(G), times C, goes into the layer T_p with
+    p = l - r - s, and the layers combine by Horner's rule in delta: from
+    T_l, apply delta and add T_p for p = l - 1 down to 0.  Each output key
+    is divided by the denominators once.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
+    trunc = min(F.trunc, G.trunc)
+    den_f, f_int = _integer_form(F._restricted(trunc))
+    den_g, g_int = _integer_form(G._restricted(trunc))
     params = BracketParams(F.weight, G.weight, 0, 0, 2 * l)
-    out = F._joined(G, 2 * l, {})
-    for term in bracket_terms(params):
-        if not term.c_value:
-            continue
-        product = _delta_power(F, term.r) * _delta_power(G, term.s)
-        out = out + term.c_value * _delta_power(product, term.p)
-    return out
+    den_c, c_int = _integer_form({(t.r, t.s, t.p): t.c_value for t in bracket_terms(params) if t.c_value})
+    f_powers, g_powers = [f_int], [g_int]
+    for _ in range(l):
+        f_powers.append(_delta(f_powers[-1]))
+        g_powers.append(_delta(g_powers[-1]))
+    layers: list[dict[TripleKey, int]] = [{} for _ in range(l + 1)]
+    for (r, s, p), c in c_int.items():
+        layer = layers[p]
+        for key, total in SiegelSeries._convolve(f_powers[r], g_powers[s], trunc):
+            layer[key] = layer.get(key, 0) + c * total
+    acc = layers[l]
+    for layer in reversed(layers[:l]):
+        acc = _delta(acc)
+        for key, total in layer.items():
+            acc[key] = acc.get(key, 0) + total
+    den = den_f * den_g * den_c
+    return F._joined(G, 2 * l, {key: Fraction(total, den) for key, total in acc.items() if total})
 
 
 def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSeries:
@@ -182,21 +209,29 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
 
     Slice mu of the output is the sum over m + m' = mu of the order-2l
     brackets of the slices f_m and g_m'; only complete slices mu <= trunc
-    are emitted.  Agrees exactly with :func:`bracket_siegel_direct`.
+    are emitted, and pairs with an empty slice are skipped, so the number of
+    brackets follows the inputs' nonzero slices.  Agrees exactly with
+    :func:`bracket_siegel_direct`.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     trunc = min(F.trunc, G.trunc)
     weight = F.weight + G.weight + 2 * l
-    f_slices = [F.slice_component(m).truncated(trunc) for m in range(trunc + 1)]
-    g_slices = [G.slice_component(m).truncated(trunc) for m in range(trunc + 1)]
-    parts = []
-    for mu in range(trunc + 1):
-        acc = JacobiSeries.zero(weight, mu, trunc)
-        for m in range(mu + 1):
-            acc = acc + bracket_jacobi(f_slices[m], g_slices[mu - m], 0, 2 * l)
-        parts.append(acc)
-    return siegel_from_components(parts)
+
+    def nonzero_slices(series):
+        # one of F, G has truncation trunc, so every bracket below is cut there
+        return [(m, part) for m, part in enumerate(series.components()[: trunc + 1]) if not part.is_zero()]
+
+    g_slices = nonzero_slices(G)
+    sums: list[dict] = [{} for _ in range(trunc + 1)]
+    for m, f in nonzero_slices(F):
+        for m2, g in g_slices:
+            if m + m2 > trunc:
+                continue
+            acc = sums[m + m2]
+            for key, value in bracket_jacobi(f, g, 0, 2 * l)._coeffs.items():
+                acc[key] = acc.get(key, _ZERO) + value
+    return siegel_from_components([JacobiSeries(weight, mu, trunc, acc) for mu, acc in enumerate(sums)])
 
 
 @dataclass(frozen=True)
@@ -220,6 +255,6 @@ def check_siegel_consistency(F: SiegelSeries) -> ConsistencyReport:
     :class:`SiegelSeries` raises :class:`SymmetryError` at construction.
     """
     return ConsistencyReport(tuple(
-        CheckResult.first(f"slice {m} form checks", [form_witness(F.slice_component(m))])
-        for m in range(1, F.trunc + 1)
+        CheckResult.first(f"slice {m} form checks", [form_witness(part)])
+        for m, part in enumerate(F.components()[1:], 1)
     ))

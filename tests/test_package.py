@@ -210,6 +210,12 @@ def test_independent_routes_do_not_use_the_bracket_kernel(monkeypatch):
     for route in fast_routes:
         with pytest.raises(RuntimeError, match="bracket kernel"):
             route()
+    # nor may they reach the kernel's factorisation of C and D or the Jacobi
+    # bracket itself: the direct Siegel route takes C from bracket_terms
+    for helper in ("_weight_factors", "_index_factors"):
+        monkeypatch.setattr(brackets, helper, forbidden)
+    for module in (brackets, jets, siegel):
+        monkeypatch.setattr(module, "bracket_jacobi", forbidden)
     assert independent_routes() == expected
     # the jets rebuild C and D from falling_factorial themselves, not from
     # the kernel's factorisation

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rcforms import verify
+from rcforms import siegel, verify
 from rcforms.series import JacobiSeries, heat
 from rcforms.siegel import (
     SiegelSeries,
@@ -84,7 +84,7 @@ class TestBrackets:
         assert bracket_siegel_direct(siegel2, siegel2, 0) == product
         assert bracket_siegel_via_jacobi(siegel2, siegel2, 0) == product
 
-    @pytest.mark.parametrize("l", [1, 2])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_dual_path_equality(self, siegel2, l):
         direct = bracket_siegel_direct(siegel2, siegel2, l)
         sliced = bracket_siegel_via_jacobi(siegel2, siegel2, l)
@@ -108,6 +108,16 @@ class TestBrackets:
         assert direct == sliced
         assert direct.weight == 4 + 8 + 2
 
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
+    def test_dual_path_with_denominators(self, siegel2, l):
+        # F/7 with (F*F)/3: the common denominators of both inputs and of C
+        # all enter the direct route's integer numerators
+        F = siegel2 * Q(1, 7)
+        G = siegel2 * siegel2 * Q(1, 3)
+        direct = bracket_siegel_direct(F, G, l)
+        assert direct == bracket_siegel_via_jacobi(F, G, l)
+        assert not direct.is_zero()
+
     def test_negative_order_rejected(self, siegel2):
         with pytest.raises(ValueError):
             bracket_siegel_direct(siegel2, siegel2, -1)
@@ -118,6 +128,36 @@ class TestBrackets:
             for l in (0, 1, 2):
                 out = bracket_siegel_direct(F, G, l)
                 assert out.weight == 4 + 8 + 2 * l and out.trunc == 1
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_unequal_truncations_dual_path(self, forms, l):
+        F = forms.siegel_theta  # trunc 3
+        G = (F * F).truncated(2) * Q(1, 5)
+        for left, right in ((F, G), (G, F)):
+            direct = bracket_siegel_direct(left, right, l)
+            assert direct == bracket_siegel_via_jacobi(left, right, l)
+            assert direct.trunc == 2
+        if l:
+            assert not direct.is_zero()
+
+    def test_slice_route_cost_follows_nonzero_slices(self, monkeypatch):
+        # a few records at trunc 200: one Jacobi bracket per pair of nonempty
+        # slices, not one per slice pair with m + m' <= 200
+        F = SiegelSeries(4, 200, {(1, 0, 1): 1, (1, 1, 2): 3, (2, 1, 1): 3, (5, -2, 5): 7})
+        G = SiegelSeries(6, 200, {(0, 0, 0): 1, (2, 1, 3): 2, (3, 1, 2): 2, (199, 0, 199): 1})
+        calls = []
+
+        def counted(f, g, x, v):
+            calls.append((f.index, g.index))
+            return real(f, g, x, v)
+
+        real = siegel.bracket_jacobi
+        monkeypatch.setattr(siegel, "bracket_jacobi", counted)
+        out = bracket_siegel_via_jacobi(F, G, 1)
+        # nonempty slices: F at m = 1, 2, 5; G at m = 0, 2, 3, 199
+        assert sorted(calls) == [(m, m2) for m in (1, 2, 5) for m2 in (0, 2, 3, 199) if m + m2 <= 200]
+        assert out == bracket_siegel_direct(F, G, 1)
+        assert not out.is_zero()
 
 
 class TestConsistencyReport:
