@@ -88,7 +88,7 @@ class _SparseSeries:
     def _store(self, tags: tuple, trunc: int, coeffs) -> None:
         """Set tags and truncation, then validate and keep the nonzero coefficients."""
         for name, value in zip((*self._TAGS, "trunc"), (*tags, trunc)):
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if trunc < 0:
             raise ValueError(f"truncation must be non-negative, got {trunc}")
@@ -281,13 +281,18 @@ class JacobiSeries(_SparseSeries):
             return None
         return min(rs), max(rs)
 
+    def _outside_cone(self, strict: bool) -> Key | None:
+        """Least stored key with r**2 > 4*n*index, or r**2 + 1 > 4*n*index if ``strict``; or None."""
+        m = self.index
+        return min(((n, r) for n, r in self._coeffs if r * r + strict > 4 * n * m), default=None)
+
     def has_holomorphic_support(self) -> bool:
         """True iff every nonzero c(n, r) satisfies r**2 <= 4*n*index."""
-        return all(r * r <= 4 * n * self.index for (n, r) in self._coeffs)
+        return self._outside_cone(False) is None
 
     def has_cusp_support(self) -> bool:
         """True iff every nonzero c(n, r) satisfies r**2 < 4*n*index."""
-        return all(r * r < 4 * n * self.index for (n, r) in self._coeffs)
+        return self._outside_cone(True) is None
 
     # -- ring operations -----------------------------------------------------
 
@@ -397,32 +402,26 @@ class CheckResult:
         return f"{status} {self.name}{suffix}"
 
 
+def _parity_failure(f: JacobiSeries) -> Key | None:
+    """The least stored key (n, r) with c(n, -r) != (-1)**weight * c(n, r), or None."""
+    mirror = {key: -v for key, v in f._coeffs.items()} if f.weight % 2 else f._coeffs
+    return min(((n, r) for (n, r), v in f._coeffs.items() if mirror.get((n, -r), _ZERO) != v), default=None)
+
+
 def check_parity(f: JacobiSeries) -> bool:
     """True iff c(n, -r) = (-1)**weight * c(n, r) on all stored entries."""
-    sign = -1 if f.weight % 2 else 1
-    return all(f[(n, -r)] == sign * v for (n, r), v in f._coeffs.items())
+    return _parity_failure(f) is None
 
 
-def _class_members(disc: int, rho: int, m: int, trunc: int) -> list[Key]:
-    """All (n, r) with 0 <= n <= trunc, 4*n*m - r**2 = disc, r = rho mod 2*m."""
-    rmax_sq = 4 * trunc * m - disc
-    if rmax_sq < 0:
-        return []
-    rmax = isqrt(rmax_sq)
+def _class_members(key: Key, m: int, trunc: int) -> list[Key]:
+    """The (4*n*m - r**2, r mod 2*m) class of the key (n, r), ascending in r':
+    the (n + s*r + m*s**2, r + 2*m*s) over integers s with n' >= 0 and
+    |r'| <= isqrt(4*m*(trunc - n) + r**2), which is n' <= trunc."""
+    n, r = key
     period = 2 * m
-    members = []
-    # smallest representative >= -rmax congruent to rho
-    r = rho - ((rho + rmax) // period) * period
-    while r <= rmax:
-        e = disc + r * r
-        if e >= 0:
-            if e % (4 * m):
-                raise InvariantError(f"class ({disc}, {rho} mod {period}) has non-integral n at r={r}")
-            n = e // (4 * m)
-            if 0 <= n <= trunc:
-                members.append((n, r))
-        r += period
-    return members
+    rmax = isqrt(4 * m * (trunc - n) + r * r)
+    shifts = range(-((rmax + r) // period), (rmax - r) // period + 1)
+    return [(n_s, r + period * s) for s in shifts if (n_s := n + s * r + m * s * s) >= 0]
 
 
 def check_disc_class_invariance(f: JacobiSeries) -> tuple[bool, DiscClassWitness | None]:
@@ -431,25 +430,22 @@ def check_disc_class_invariance(f: JacobiSeries) -> tuple[bool, DiscClassWitness
     This is the coefficient-level shadow of invariance under the lattice
     translations of the elliptic variable.  Absent entries count as zero,
     so the stored map must be the exact support (every constructor in this
-    package guarantees that).  Returns (True, None) or (False, witness)
-    with witness = ((n1, r1), c1, (n2, r2), c2) a violating pair.
+    package guarantees that).  Each class is listed once, from its least
+    stored key, and compared with its first member.  Returns (True, None)
+    or (False, witness) with witness = ((n1, r1), c1, (n2, r2), c2).
     """
     m = f.index
     if m < 1:
         raise ValueError("disc-class invariance needs index >= 1")
-    seen: set[tuple[int, int]] = set()
-    for (n, r) in sorted(f._coeffs):
-        disc = 4 * n * m - r * r
-        rho = r % (2 * m)
-        if (disc, rho) in seen:
-            continue
-        seen.add((disc, rho))
-        members = _class_members(disc, rho, m, f.trunc)
-        first = members[0]
-        value = f[first]
-        for other in members[1:]:
-            if f[other] != value:
-                return False, (first, value, other, f[other])
+    seen: set[Key] = set()
+    for key in sorted(f._coeffs):
+        if key not in seen:
+            first, *others = members = _class_members(key, m, f.trunc)
+            seen.update(members)
+            value = f[first]
+            for other in others:
+                if f[other] != value:
+                    return False, (first, value, other, f[other])
     return True, None
 
 
@@ -457,24 +453,18 @@ def form_witness(f: JacobiSeries, cusp: bool = False) -> str:
     """Run every coefficient-level Jacobi form check on f.
 
     Returns "" when f passes, or else a witness naming the first failing
-    condition and its key, checked in this order: holomorphic support, then
-    (when ``cusp``) cusp support, disc-class invariance (index >= 1; at
-    index 0 holomorphic support already forces r = 0), and parity.
+    condition and its least failing key, checked in this order: holomorphic
+    support, then (when ``cusp``) cusp support, disc-class invariance
+    (index >= 1; at index 0 holomorphic support already forces r = 0), and
+    parity.  Each condition is scanned once.
     """
-    m = f.index
-    if not f.has_holomorphic_support():
-        key = next(k for k in f.support() if k[1] ** 2 > 4 * k[0] * m)
+    if (key := f._outside_cone(False)) is not None:
         return f"holomorphic support: c{key} = {f[key]}"
-    if cusp and not f.has_cusp_support():
-        key = next(k for k in f.support() if k[1] ** 2 >= 4 * k[0] * m)
+    if cusp and (key := f._outside_cone(True)) is not None:
         return f"cusp support: c{key} = {f[key]}"
-    if m >= 1:
-        ok, pair = check_disc_class_invariance(f)
-        if not ok:
-            first, a, other, b = pair
-            return f"disc-class: c{first} = {a} vs c{other} = {b}"
-    if not check_parity(f):
-        sign = -1 if f.weight % 2 else 1
-        n, r = next((n, r) for n, r in f.support() if f[(n, -r)] != sign * f[(n, r)])
-        return f"parity: c{(n, r)} = {f[(n, r)]} vs c{(n, -r)} = {f[(n, -r)]}"
+    if f.index >= 1 and (pair := check_disc_class_invariance(f)[1]):
+        return "disc-class: c{} = {} vs c{} = {}".format(*pair)
+    if (key := _parity_failure(f)) is not None:
+        n, r = key
+        return f"parity: c{key} = {f[key]} vs c{(n, -r)} = {f[(n, -r)]}"
     return ""

@@ -209,29 +209,33 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
 
     Slice mu of the output is the sum over m + m' = mu of the order-2l
     brackets of the slices f_m and g_m'; only complete slices mu <= trunc
-    are emitted, and pairs with an empty slice are skipped, so the number of
-    brackets follows the inputs' nonzero slices.  Agrees exactly with
-    :func:`bracket_siegel_direct`.
+    are emitted.  Each input is split into its nonempty slices with
+    m <= trunc and the brackets are summed into one coefficient map, so the
+    cost follows the stored coefficients, not the truncation.  Agrees
+    exactly with :func:`bracket_siegel_direct`.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     trunc = min(F.trunc, G.trunc)
-    weight = F.weight + G.weight + 2 * l
 
     def nonzero_slices(series):
+        rows: dict[int, dict] = {}
+        for (n, r, m), value in series._coeffs.items():
+            if m <= trunc:
+                rows.setdefault(m, {})[(n, r)] = value
         # one of F, G has truncation trunc, so every bracket below is cut there
-        return [(m, part) for m, part in enumerate(series.components()[: trunc + 1]) if not part.is_zero()]
+        return {m: JacobiSeries(series.weight, m, series.trunc, row) for m, row in rows.items()}
 
     g_slices = nonzero_slices(G)
-    sums: list[dict] = [{} for _ in range(trunc + 1)]
-    for m, f in nonzero_slices(F):
-        for m2, g in g_slices:
+    coeffs: dict[TripleKey, Fraction] = {}
+    for m, f in nonzero_slices(F).items():
+        for m2, g in g_slices.items():
             if m + m2 > trunc:
                 continue
-            acc = sums[m + m2]
-            for key, value in bracket_jacobi(f, g, 0, 2 * l)._coeffs.items():
-                acc[key] = acc.get(key, _ZERO) + value
-    return siegel_from_components([JacobiSeries(weight, mu, trunc, acc) for mu, acc in enumerate(sums)])
+            for (n, r), value in bracket_jacobi(f, g, 0, 2 * l)._coeffs.items():
+                key = (n, r, m + m2)
+                coeffs[key] = coeffs.get(key, _ZERO) + value
+    return F._joined(G, 2 * l, coeffs)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from rcforms.brackets import (
 )
 from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, standard_index_vector
 from rcforms.series import EllipticSeries, JacobiSeries, d_z, heat_power
+from rcforms.verify import FormSet
 
 Q = Fraction
 
@@ -182,6 +183,24 @@ class TestBracketForms:
     def test_term_count(self):
         assert len(bracket_terms(BracketParams(4, 4, 1, 1, 4))) == 6
         assert len(bracket_terms(BracketParams(4, 4, 1, 1, 5))) == 12
+
+
+SWAP_FORMS = FormSet(trunc=6, siegel_trunc=1)
+SWAP_PAIRS = {
+    "(theta,E4*theta)": ("theta", "e4_theta"),
+    "(theta,theta-index2)": ("theta", "theta_index2"),
+    "(E4*theta,theta-index2)": ("e4_theta", "theta_index2"),
+    "(E6*theta,E4*theta)": ("e6_theta", "e4_theta"),
+}
+
+
+@pytest.mark.parametrize("pair", SWAP_PAIRS)
+@pytest.mark.parametrize("v", range(6))
+def test_argument_swap_on_whole_series(pair, v):
+    """[g, f]_{v,x} = (-1)**v [f, g]_{v,-x} on every coefficient, for pairs of unequal weight or index."""
+    f, g = (getattr(SWAP_FORMS, name) for name in SWAP_PAIRS[pair])
+    for x in (Q(0), Q(1), Q(1, 3), Q(-2, 5)):
+        assert bracket_jacobi(g, f, x, v) == (-1) ** v * bracket_jacobi(f, g, -x, v)
 
 
 class TestBracketPolynomial:

@@ -39,6 +39,10 @@ class TestExportFormat:
             "END\n"
         )
 
+    def test_elliptic_series_not_exported(self):
+        with pytest.raises(TypeError, match="cannot export EllipticSeries"):
+            export_series(eisenstein_q(4, 2))
+
     def test_zero_series_has_no_records(self):
         text = export_series(JacobiSeries.zero(4, 1, 3))
         assert "coeff" not in text
@@ -146,6 +150,9 @@ class TestRejections:
 
     def test_unknown_kind(self):
         self.reject("rcforms 1\nkind maass\nweight 4\n", "unknown kind", line=2)
+
+    def test_file_ends_after_kind(self):
+        self.reject("rcforms 1\nkind jacobi\n", "unexpected end of file, expected 'weight'")
 
     def test_missing_metadata(self):
         self.reject("rcforms 1\nkind jacobi\nweight 4\ntrunc 2\nEND\n", "index")
@@ -413,6 +420,12 @@ class TestCli:
         code = self.run(command, "--left", str(source), "--right", str(source), *order, "--out", str(out))
         assert code == 2
         assert f"does not contain a {expected} series" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_lattice_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o.coef"
+        assert self.run("theta-jacobi", "--lattice", "d4", "--trunc", "2", "--out", str(out)) == 2
+        assert "unknown lattice 'd4'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):

@@ -124,6 +124,14 @@ class TestJacobiTheta:
         assert check_disc_class_invariance(theta4) == (True, None)
         assert check_parity(theta4)
 
+    def test_negative_truncation_rejected_before_counting(self, monkeypatch):
+        for counts in ("theta_counts", "siegel_counts"):
+            monkeypatch.setattr(E8, counts, lambda *args: pytest.fail("counted at trunc -1"))
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            jacobi_theta(E8, E8_INDEX1_VECTOR, -1)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            siegel_theta(E8, -1)
+
     def test_vector_outside_lattice_rejected(self):
         with pytest.raises(ValueError, match="not in lattice"):
             jacobi_theta(E8, (1, 0, 0, 0, 0, 0, 0, 0), 2)

@@ -59,14 +59,18 @@ def test_invariant_error_is_exported_arithmetic_error():
 
 OPTIMIZED_SCRIPT = """
 import sys
-from rcforms import E8, E8_INDEX1_VECTOR, InvariantError, brackets, jacobi_theta, series
+from fractions import Fraction
+from rcforms import E8, E8_INDEX1_VECTOR, InvariantError, brackets, jacobi_theta
 if not sys.flags.optimize:
     sys.exit("not running under -O")
 raised = []
+E8.contains_doubled = lambda y: y == (1, 0, 0, 0, 0, 0, 0, 0)  # admits (1/2, 0, ..., 0), of norm 1/4
 try:
-    series._class_members(1, 0, 1, 2)  # disc 1 admits no integral n at r = 0
-except InvariantError:
-    raised.append("series")
+    jacobi_theta(E8, (Fraction(1, 2), 0, 0, 0, 0, 0, 0, 0), 2)
+except InvariantError as exc:
+    if "has odd norm" in str(exc):
+        raised.append("lattices")
+del E8.contains_doubled
 theta = jacobi_theta(E8, E8_INDEX1_VECTOR, 2)
 brackets._exact_rank = lambda rows: len(rows)
 try:
@@ -80,7 +84,7 @@ print(" ".join(raised))
 def test_invariant_checks_survive_optimize_flag():
     result = run_python("-O", "-c", OPTIMIZED_SCRIPT)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["series", "brackets"]
+    assert result.stdout.split() == ["lattices", "brackets"]
 
 
 def test_verify_reports_rank_invariant_as_failed_check(monkeypatch):

@@ -1,12 +1,14 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from rcforms.series import (
     EllipticSeries,
     JacobiSeries,
+    _class_members,
     check_disc_class_invariance,
     check_parity,
     d_z,
@@ -50,6 +52,9 @@ class TestConstruction:
         (EllipticSeries, (4, Q(2)), "trunc"),
         (SiegelSeries, (4.0, 1), "weight"),
         (SiegelSeries, (4, 1.0), "trunc"),
+        (JacobiSeries, (True, 1, 2), "weight"),
+        (JacobiSeries, (4, True, 2), "index"),
+        (JacobiSeries, (4, 1, True), "trunc"),
     ])
     def test_non_integer_tags_rejected(self, kind, tags, name):
         with pytest.raises(TypeError, match=f"{name} must be an int"):
@@ -100,6 +105,12 @@ class TestConstruction:
             assert g._coeffs is not f._coeffs
             with pytest.raises(AttributeError, match="immutable"):
                 g.trunc = 5
+
+    def test_truncation_cannot_grow(self):
+        f = series(4, 1, 2, {(1, 0): 1})
+        assert f.truncated(2) == f
+        with pytest.raises(ValueError, match="cannot extend truncation 2 to 3"):
+            f.truncated(3)
 
     def test_one(self):
         one = JacobiSeries.one(3)
@@ -282,6 +293,24 @@ class TestFormChecks:
     def test_form_witness_index_zero(self):
         assert form_witness(series(4, 0, 2, {(0, 0): 1, (1, 0): 240})) == ""
         assert form_witness(series(4, 0, 2, {(1, 1): 1})) == "holomorphic support: c(1, 1) = 1"
+
+    def test_class_members_match_brute_force_enumeration(self):
+        # r runs 8 past the cone edge at n = trunc, so the window holds classes
+        # with 4nm - r^2 < 0, which the keys with n' < 0 split in two
+        for m in range(1, 5):
+            for trunc in range(9):
+                edge = isqrt(4 * trunc * m) + 8
+                for n in range(trunc + 1):
+                    for r in range(-edge, edge + 1):
+                        disc = 4 * n * m - r * r
+                        brute = [
+                            ((disc + r2 * r2) // (4 * m), r2)
+                            for r2 in range(-3 * edge, 3 * edge + 1)
+                            if (r2 - r) % (2 * m) == 0
+                            and (disc + r2 * r2) % (4 * m) == 0
+                            and 0 <= disc + r2 * r2 <= 4 * m * trunc
+                        ]
+                        assert _class_members((n, r), m, trunc) == brute, (n, r, m, trunc)
 
     def test_zeta_window(self, theta4):
         assert theta4.zeta_window(1) == (-2, 2)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,10 @@ class TestConstruction:
 
     def test_component_roundtrip(self, siegel2):
         assert siegel_from_components(siegel2.components()) == siegel2
+
+    def test_no_components_rejected(self):
+        with pytest.raises(ValueError, match="m = 0 component"):
+            siegel_from_components([])
 
     def test_component_index_mismatch(self):
         parts = [JacobiSeries.zero(4, 0, 2), JacobiSeries.zero(4, 2, 2)]
@@ -122,6 +127,10 @@ class TestBrackets:
         with pytest.raises(ValueError):
             bracket_siegel_direct(siegel2, siegel2, -1)
 
+    def test_negative_order_rejected_by_the_slice_route(self, siegel2):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            bracket_siegel_via_jacobi(siegel2, siegel2, -1)
+
     def test_unequal_truncations_bookkeeping(self, siegel2):
         square = (siegel2 * siegel2).truncated(1)  # weight 8, trunc 1
         for F, G in ((siegel2, square), (square, siegel2)):
@@ -158,6 +167,17 @@ class TestBrackets:
         assert sorted(calls) == [(m, m2) for m in (1, 2, 5) for m2 in (0, 2, 3, 199) if m + m2 <= 200]
         assert out == bracket_siegel_direct(F, G, 1)
         assert not out.is_zero()
+
+    def test_slice_route_cost_follows_stored_coefficients(self):
+        # a few records at trunc 10**6: the slice route must not work per slice up to the truncation
+        trunc = 10**6
+        F = SiegelSeries(4, trunc, {(1, 0, 1): 1, (1, 1, 2): 3, (2, 1, 1): 3, (5, -2, 5): 7})
+        G = SiegelSeries(6, trunc, {(0, 0, 0): 1, (2, 1, 3): 2, (3, 1, 2): 2, (trunc - 1, 0, trunc - 1): 1})
+        start = time.process_time()
+        out = bracket_siegel_via_jacobi(F, G, 1)
+        assert time.process_time() - start < 1.0
+        assert out == bracket_siegel_direct(F, G, 1)
+        assert out[(trunc, 0, trunc)] != 0
 
 
 class TestConsistencyReport:

@@ -8,8 +8,8 @@ iteration order.
 
 import pytest
 
-from rcforms import brackets, seriesio, verify
-from rcforms.series import CheckResult
+from rcforms import brackets, jets, seriesio, verify
+from rcforms.series import CheckResult, JacobiSeries
 from rcforms.siegel import SiegelSeries, bracket_siegel_direct, bracket_siegel_via_jacobi
 
 
@@ -130,3 +130,27 @@ def test_io_roundtrip_names_the_first_changed_fixture(small, monkeypatch):
     monkeypatch.setattr(seriesio, "import_series", patched)
     (line,) = verify.check_io_roundtrip(small)
     assert (line.passed, line.detail) == (False, "bracket order 2: value changed in round trip")
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suite("nope")
+
+
+def test_jet_oracle_fails_on_a_non_proportional_bracket(small, monkeypatch):
+    """At v=1, x=1 the bracket gains a term at (0, -50), below every key of
+    the jet side, so the two constructions are not proportional there."""
+    real = jets.bracket_jacobi
+
+    def patched(f, g, x, v):
+        out = real(f, g, x, v)
+        if (v, x) != (1, 1):
+            return out
+        return out + JacobiSeries(out.weight, out.index, out.trunc, {(0, -50): 1})
+
+    monkeypatch.setattr(jets, "bracket_jacobi", patched)
+    lines = verify.check_generating_function_oracle(small)
+    assert [line.passed for line in lines] == [False, False]
+    for line in lines:
+        assert "v=1,x=1: constructions are not proportional at (0, -50): jet side 0, bracket side 1" in line.detail
+        assert "v=1,x=0: lam=" in line.detail
