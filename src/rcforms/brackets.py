@@ -40,18 +40,25 @@ mu_s = B_s (1 + m1 x)^s D2^s,
 
     K = (1 or m1*r2 - m2*r1) * sum_p G_p * D^p * [X^(t-p)] (sum_r lam_r X^r) (sum_s mu_s X^s).
 
-``bracket_jacobi`` evaluates both polynomials at X = 2**b (Kronecker
-substitution): over integer numerators, each coefficient a of f packs into
-one int sum_r a * lam_r * 2**(b*r), each coefficient of g likewise, and a
-coefficient pair costs one product of two packed ints.  Per output key the
-accumulated int is read back as the digits 0..t (one bias add and one
-``to_bytes``), which are the sums for p = t..0, and G_p * D^p is applied
-by Horner's rule.  ``bracket_jacobi_poly`` packs g at X^((t+1)*s) instead,
-so that every (r, s) keeps its own digit, and applies its x-degree weights
-per key.  The width b is a multiple of 8 with every digit provably below
-2**(b-1) in absolute value: a key collects at most min(#f, #g) pairs, and a
-pair adds at most t + 1 products of one left and one right entry to a digit,
-times |m1*r2 - m2*r1| for odd v (the derivation is in :func:`_bracket_pass`).
+``bracket_jacobi`` evaluates this on whole q^n rows (Kronecker substitution
+in the zeta-exponent).  Over integer numerators, for each e = 0..t the row
+n1 of f packs into one int F_{n1,e} = sum_{r1} a(n1, r1) * lam_e * 2**(b*(r1 - lo)),
+lam_e taken at the key's D1 and lo the row's least r1, and g likewise into
+G_{n2,e} with mu_e.  The output row n sums F_{n1,e1} * G_{n-n1,e2} over n1
+and over e1 + e2 = k into slot k, each product shifted to the row's least
+lo1 + lo2: a pair of rows costs (t+1)(t+2)/2 products, and the digit of
+slot k at r1 + r2 collects the summands with r + s = k.  For odd v the pair
+factor m1*r2 - m2*r1 splits into left rows weighted by -m2*r1 times plain
+right rows, plus plain left rows times right rows weighted by m1*r2: two
+products per (e1, e2).  Each output row is read back once per slot (one
+bias add, then one shift and mask per digit); slot k is the sum for
+p = t - k, and G_p * D^p is applied by Horner's rule per key.
+``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
+loop and applies its x-degree weights per key.  The digit width b holds
+every digit as a signed digit: a key collects at most min(#f, #g) pairs,
+and a pair adds at most t + 1 products of one left and one right entry to
+a slot, times |m1*r2 - m2*r1| for odd v (:func:`rcforms.series._digit_bits`,
+the rule the series products use too).
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
@@ -67,7 +74,17 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import mul
 
-from .series import InvariantError, JacobiSeries, Key, _integer_form, as_rational
+from .series import (
+    InvariantError,
+    JacobiSeries,
+    Key,
+    _digit_bits,
+    _integer_form,
+    _pack,
+    _row_groups,
+    _unpack,
+    as_rational,
+)
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
 
 THREE_HALVES = Fraction(3, 2)
@@ -206,101 +223,91 @@ def _bracket_pass(
     left: list[Fraction],
     right: list[Fraction],
     cross: tuple[int, int] | None,
-    spread: int,
-) -> tuple[int, dict[Key, list[int]]]:
-    """Packed sums over the coefficient pairs of f and g, one list per output key.
+    slots: list[list[tuple[int, int]]],
+) -> tuple[int, dict[int, tuple[int, list[list[int]]]]]:
+    """Packed sums over the coefficient pairs of f and g, one row of slots per output q^n.
 
-    With t = len(left) - 1, the entry r + spread*s of the list at key (n, r)
-    is the sum over pairs (n1 + n2, r1 + r2) = (n, r) of
+    Returns (den, rows) with rows[n] = (lo, columns): columns[k][i] / den is,
+    at the key (n, lo + i), the sum over the pairs (n1 + n2, r1 + r2) = (n, lo + i)
+    and over the (e1, e2) in slots[k] of
 
-        a * left[r] * D1^r * b * right[s] * D2^s        (times c1*r1 + c2*r2 if cross = (c1, c2)),
+        a * left[e1] * D1^e1 * b * right[e2] * D2^e2        (times c1*r1 + c2*r2 if cross = (c1, c2)),
 
-    for r, s <= t; spread = 1 adds the entries with one r + s together (the
-    list holds r + s = 0..t), spread = t + 1 keeps each (r, s) apart.
-    Returns (den, sums) with the rational sums equal to sums / den.  Each
-    pair costs one product of two packed ints; see the module docstring.
+    with e1, e2 <= t = len(left) - 1; keys of the row whose sums are all
+    zero are listed too.  For each e the q^n row of f packs into one int
+    over its r1 (:func:`rcforms.series._pack`), and g likewise.  A pair of
+    rows costs one product per (e1, e2) of the slots, two when cross is set
+    (the left rows weighted by c1*r1 times the plain right rows, plus the
+    plain left rows times the right rows weighted by c2*r2), and the pairs
+    of each output row meet at its least r (:func:`rcforms.series._row_groups`).
+    Each output row is read back once per slot.
     """
     trunc = min(f.trunc, g.trunc)
     t = len(left) - 1
 
-    def vectors(series, weights):
-        """(den, [(n, r, [w_e * c * disc^e for e = 0..t])]) over integer numerators c and w_e."""
+    def rows(series, weights):
+        """(den, {n: [(r, [w_e * c * disc^e for e = 0..t])]}) over integer numerators c and w_e."""
         den, coeffs = _integer_form(series._coeffs)
         den_w, w = _integer_form(dict(enumerate(weights)))
-        m, out = series.index, []
+        m, out = series.index, {}
         for (n, r), c in coeffs.items():
             if n <= trunc:
                 disc, vec = 4 * n * m - r * r, []
                 for w_e in w.values():
                     vec.append(w_e * c)
                     c *= disc
-                out.append((n, r, vec))
+                out.setdefault(n, []).append((r, vec))
         return den * den_w, out
 
-    den_f, vec_f = vectors(f, left)
-    den_g, vec_g = vectors(g, right)
+    den_f, rows_f = rows(f, left)
+    den_g, rows_g = rows(g, right)
     den = den_f * den_g
-    if not vec_f or not vec_g:
+    if not rows_f or not rows_g:
         return den, {}
-    # Digit bound.  A fixed output key (n, r) meets each coefficient of f at
-    # most once (its partner in g is then fixed) and each of g at most once,
-    # so it collects at most min(#f, #g) pairs.  A pair adds to one digit at
-    # most t + 1 products of an f entry and a g entry (r + s = k has at most
-    # t + 1 solutions; with spread = t + 1 a digit holds a single (r, s)),
-    # each at most max|f entry| * max|g entry|, and with cross set each
-    # times |c1*r1 + c2*r2| <= |c1|*max|r1| + |c2|*max|r2|.  So every digit
-    # is at most `bound` in absolute value, and b = 8*width bits with
-    # bound < 2**(b - 1) hold it as a signed digit.  Digits above the ones
-    # read are multiples of 2**(b*digits) and drop out under the mask.
-    scale = 1
+    entries_f = [entry for row in rows_f.values() for entry in row]
+    entries_g = [entry for row in rows_g.values() for entry in row]
+    # A pair adds to one slot at most len(slot) products of an f entry and a
+    # g entry, each times |c1*r1 + c2*r2| <= |c1|*max|r1| + |c2|*max|r2| with
+    # cross set; the rest of the digit bound is that of every packed product.
+    c1, c2 = cross if cross is not None else (None, None)
+    per_pair = max(map(len, slots))
     if cross is not None:
-        scale = abs(cross[0]) * max(abs(r) for _, r, _ in vec_f) + abs(cross[1]) * max(abs(r) for _, r, _ in vec_g)
-    bound = (
-        max(abs(e) for *_, vec in vec_f for e in vec)
-        * max(abs(e) for *_, vec in vec_g for e in vec)
-        * scale
-        * min(len(vec_f), len(vec_g))
-        * (t + 1)
+        per_pair *= abs(c1) * max([abs(r) for r, _ in entries_f]) + abs(c2) * max([abs(r) for r, _ in entries_g])
+    bits = _digit_bits(
+        max([abs(e) for _, vec in entries_f for e in vec]),
+        max([abs(e) for _, vec in entries_g for e in vec]),
+        len(entries_f),
+        len(entries_g),
+        per_pair,
     )
-    width = (bound.bit_length() + 8) // 8
-    bits = 8 * width
 
-    def rows(vecs, step):
-        """n -> [(r, sum_e vec[e] * 2**(bits*step*e))]: the packed ints."""
-        out: dict[int, list] = {}
-        for n, r, vec in vecs:
-            out.setdefault(n, []).append((r, sum(e << (bits * step * k) for k, e in enumerate(vec))))
+    def packed(rows, c):
+        """n -> (lo, hi, [F_0..F_t]) with F_e the row's entries e packed, then
+        with c set [c*r*F_0..c*r*F_t] after them (each r-entry times c*r)."""
+        out = {}
+        for n, row in rows.items():
+            rs = [r for r, _ in row]
+            lo = min(rs)
+            columns = [[vec[e] for _, vec in row] for e in range(t + 1)]
+            if c is not None:
+                columns += [[c * r * x for r, x in zip(rs, column)] for column in columns]
+            out[n] = (lo, max(rs), [_pack(zip(rs, column), lo, bits) for column in columns])
         return out
 
-    left_rows, right_rows = rows(vec_f, 1), rows(vec_g, spread)
-    digits = spread * t + 1
-    half = 1 << (bits - 1)
-    bias = sum(half << (bits * k) for k in range(digits))
-    mask = (1 << (bits * digits)) - 1
-    out: dict[Key, list[int]] = {}
-    # only the n = n1 + n2 <= trunc that some pair reaches, in ascending order
-    for n in sorted({n1 + n2 for n1 in left_rows for n2 in right_rows if n1 + n2 <= trunc}):
-        sums: dict[int, int] = {}
-        for n1, row1 in left_rows.items():
-            row2 = right_rows.get(n - n1)
-            if row2 is None:
-                continue
-            if cross is None:
-                for r1, a in row1:
-                    for r2, b in row2:
-                        sums[r1 + r2] = sums.get(r1 + r2, 0) + a * b
-            else:
-                c1, c2 = cross
-                for r1, a in row1:
-                    for r2, b in row2:
-                        sums[r1 + r2] = sums.get(r1 + r2, 0) + (c1 * r1 + c2 * r2) * a * b
-        for r, total in sums.items():
-            # the bias lifts every digit into [0, 2**bits), so the bytes of
-            # the sum are the digits plus half
-            data = ((total + bias) & mask).to_bytes(width * digits, "little")
-            out[(n, r)] = [
-                int.from_bytes(data[k * width : (k + 1) * width], "little") - half for k in range(digits)
-            ]
+    left_rows, right_rows = packed(rows_f, c1), packed(rows_g, c2)
+    # slot k sums a[i*(t+1) + e1] * b[j*(t+1) + e2] over its (e1, e2) and
+    # over the sides (i, j): plain times plain, or weighted left times plain
+    # right plus plain left times weighted right
+    sides = [(0, 0)] if cross is None else [(1, 0), (0, 1)]
+    terms = [[(i * (t + 1) + e1, j * (t + 1) + e2) for i, j in sides for e1, e2 in slot] for slot in slots]
+    out = {}
+    row_pairs = JacobiSeries._row_pairs(left_rows, right_rows, trunc)
+    for n, (lo, count, items) in _row_groups(left_rows, right_rows, row_pairs).items():
+        sums = [
+            sum([sum([a[p] * b[q] for p, q in slot_terms]) << (bits * (low - lo)) for low, _, a, b in items])
+            for slot_terms in terms
+        ]
+        out[n] = (lo, _unpack(sums, count, bits))
     return den, out
 
 
@@ -317,19 +324,22 @@ def bracket_jacobi(
     A, B, G = _weight_factors(params)
     L, R = _index_factors(params)
     cross = (-params.m2, params.m1) if params.parity else None
-    den, sums = _bracket_pass(f, g, list(map(mul, A, L)), list(map(mul, B, R)), cross, 1)
+    t = params.half_order
+    slots = [[(e, k - e) for e in range(k + 1)] for k in range(t + 1)]  # r + s = k
+    den, rows = _bracket_pass(f, g, list(map(mul, A, L)), list(map(mul, B, R)), cross, slots)
     den_G, g_int = _integer_form(dict(enumerate(G)))
     g_int = list(g_int.values())[::-1]  # G[t - k] meets the sum with r + s = k
     den *= den_G
     index = f.index + g.index
     coeffs = {}
-    for (n, r), digits in sums.items():
-        disc = 4 * n * index - r * r
-        total = 0
-        for weight, digit in zip(g_int, digits):  # Horner's rule in D
-            total = total * disc + weight * digit
-        if total:
-            coeffs[(n, r)] = Fraction(total, den)
+    for n, (lo, columns) in rows.items():
+        for r, digits in enumerate(zip(*columns), lo):
+            disc = 4 * n * index - r * r
+            total = 0
+            for weight, digit in zip(g_int, digits):  # Horner's rule in D
+                total = total * disc + weight * digit
+            if total:
+                coeffs[(n, r)] = Fraction(total, den)
     return f._joined(g, v, coeffs)
 
 
@@ -344,9 +354,8 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     A, B, G = _weight_factors(params)
     m1, m2, t = params.m1, params.m2, params.half_order
     cross = (-m2, m1) if params.parity else None
-    den, sums = _bracket_pass(f, g, A, B, cross, t + 1)
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1 - r)]
-    slots = [(t - r - s, r + (t + 1) * s) for r, s in pairs]  # (p, position of (r, s) in the sums)
+    den, rows = _bracket_pass(f, g, A, B, cross, [[pair] for pair in pairs])
     scaled = []
     for d in range(t + 1):
         # G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r
@@ -361,14 +370,15 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
         scaled.append((den * den_w, list(w.values())))
     index = f.index + g.index
     parts: list[dict[Key, Fraction]] = [{} for _ in scaled]
-    for (n, r), digits in sums.items():
-        disc = 4 * n * index - r * r
-        powers = [disc**p for p in range(t + 1)]
-        values = [powers[p] * digits[k] for p, k in slots]
-        for part, (den_d, w) in zip(parts, scaled):
-            total = sum(map(mul, w, values))
-            if total:
-                part[(n, r)] = Fraction(total, den_d)
+    for n, (lo, columns) in rows.items():
+        for r, digits in enumerate(zip(*columns), lo):
+            disc = 4 * n * index - r * r
+            powers = [disc**p for p in range(t + 1)]
+            values = [powers[t - sum(pair)] * digit for pair, digit in zip(pairs, digits)]
+            for part, (den_d, w) in zip(parts, scaled):
+                total = sum(map(mul, w, values))
+                if total:
+                    part[(n, r)] = Fraction(total, den_d)
     return [f._joined(g, v, coeffs) for coeffs in parts]
 
 

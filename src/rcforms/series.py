@@ -56,6 +56,112 @@ def _integer_form(coeffs: Mapping[Any, Fraction]) -> tuple[int, dict]:
     return den, {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}
 
 
+# -- packed rows (Kronecker substitution) -------------------------------------
+#
+# The integer product loops multiply whole rows.  The (r, value) entries of a
+# row pack into one int, sum value * 2**(bits*(r - lo)) with lo the row's
+# least r, so the product of two packed rows holds at digit
+# r1 + r2 - lo1 - lo2 the sum of the entry products with that r1 + r2.  An
+# output row sums its row products, each shifted to the least lo1 + lo2 of
+# the row, and is read back once.
+
+
+def _digit_bits(a_max: int, b_max: int, a_keys: int, b_keys: int, per_pair: int = 1) -> int:
+    """Digit width b that holds every output digit as a signed digit.
+
+    An output key meets each key of the left operand at most once (its
+    partner on the right is then fixed) and each key of the right operand
+    at most once, so it collects at most min(a_keys, b_keys) pairs.  A pair
+    adds to the digit at most ``per_pair`` products of a left and a right
+    entry, each at most a_max * b_max in absolute value.  So every digit is
+    at most bound = a_max * b_max * per_pair * min(a_keys, b_keys) in
+    absolute value, and bound < 2**(b - 1).
+    """
+    bound = a_max * b_max * per_pair * min(a_keys, b_keys)
+    return bound.bit_length() + 1
+
+
+def _pack(row: Iterable[tuple[int, int]], lo: int, bits: int) -> int:
+    """sum value * 2**(bits*(r - lo)) over the (r, value) entries of a row."""
+    total = 0
+    for r, value in row:
+        total += value << (bits * (r - lo))
+    return total
+
+
+def _unpack(totals: list[int], count: int, bits: int) -> list[list[int]]:
+    """For each total = sum d_i * 2**(bits*i), its signed digits d_0..d_{count-1}.
+
+    Every digit must lie within the bound of :func:`_digit_bits`.  A bias of
+    2**(bits - 1) per digit lifts each digit into [0, 2**bits) without a
+    carry, so each bits-wide field of a biased total is a digit plus the
+    bias.
+    """
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    bias = half * ((1 << (bits * count)) - 1) // mask
+    out = []
+    for total in totals:
+        total += bias
+        out.append([((total >> shift) & mask) - half for shift in range(0, bits * count, bits)])
+    return out
+
+
+def _row_groups(left: Mapping, right: Mapping, pairs: Iterable[tuple]) -> dict:
+    """The row pairs of each output row and the row's digit span.
+
+    ``left`` and ``right`` map a row key to (lo, hi, payload) for a row with
+    entries at r = lo..hi, and ``pairs`` lists (row1, row2, output row).
+    Returns {row: (lo, count, [(lo1 + lo2, hi1 + hi2, x, y)])}: the output
+    row spans the count digits from lo, the least lo1 + lo2 of its pairs,
+    and the product of a pair's payloads x and y goes lo1 + lo2 - lo digits
+    above lo.
+    """
+    groups: dict[Any, list[tuple]] = {}
+    for row1, row2, row in pairs:
+        lo1, hi1, x = left[row1]
+        lo2, hi2, y = right[row2]
+        groups.setdefault(row, []).append((lo1 + lo2, hi1 + hi2, x, y))
+    out = {}
+    for row, items in groups.items():
+        lo = min([item[0] for item in items])
+        out[row] = (lo, max([item[1] for item in items]) - lo + 1, items)
+    return out
+
+
+def _packed_products(left: Mapping[Any, list], right: Mapping[Any, list], row_pairs, trunc: int) -> dict:
+    """{row: (lo, digits)}: the product of two maps of rows, digits[i] at r = lo + i.
+
+    ``left`` and ``right`` map a row key to its (r, value) entries with int
+    values; ``row_pairs(left_keys, right_keys, trunc)`` lists the (row1,
+    row2, output row) of every pair of rows inside the truncation.  One
+    product per row pair.
+    """
+    if not left or not right:
+        return {}
+    bits = _digit_bits(
+        max([abs(v) for row in left.values() for _, v in row]),
+        max([abs(v) for row in right.values() for _, v in row]),
+        sum(map(len, left.values())),
+        sum(map(len, right.values())),
+    )
+
+    def packed(rows):
+        out = {}
+        for key, row in rows.items():
+            rs = [r for r, _ in row]
+            lo = min(rs)
+            out[key] = (lo, max(rs), _pack(row, lo, bits))
+        return out
+
+    packed_left, packed_right = packed(left), packed(right)
+    out = {}
+    pairs = row_pairs(packed_left, packed_right, trunc)
+    for row, (lo, count, items) in _row_groups(packed_left, packed_right, pairs).items():
+        total = sum([(x * y) << (bits * (low - lo)) for low, _, x, y in items])
+        out[row] = (lo, _unpack([total], count, bits)[0])
+    return out
+
+
 class _SparseSeries:
     """Exact coefficient store shared by every series kind.
 
@@ -68,8 +174,10 @@ class _SparseSeries:
     rule: ``_fits`` tells whether a key lies inside a truncation and
     ``_RANGE_ERROR`` (formatted with the key and the truncation) reports one
     that does not; a kind multiplied by ``_product`` also supplies
-    ``_convolve``, its loop over integer maps.  Instances are immutable after
-    construction and safe to share; all operations return new series.
+    ``_convolve``, which groups its integer maps into rows (by n, or by
+    (n, m)) and multiplies them through ``_packed_products`` under the
+    kind's ``_row_pairs`` rule.  Instances are immutable after construction
+    and safe to share; all operations return new series.
     """
 
     __slots__ = ("weight", "trunc", "_coeffs")
@@ -245,25 +353,20 @@ class JacobiSeries(_SparseSeries):
 
     @staticmethod
     def _convolve(a_int: Mapping[Key, int], b_int: Mapping[Key, int], trunc: int):
-        """(key, total) pairs of the product of two integer maps, pairs grouped by n."""
+        """(key, total) pairs of the product of two integer maps, one packed product per pair of q^n rows."""
         left: dict[int, list[tuple[int, int]]] = {}
         right: dict[int, list[tuple[int, int]]] = {}
         for rows, coeffs in ((left, a_int), (right, b_int)):
             for (n, r), value in coeffs.items():
                 if n <= trunc:
                     rows.setdefault(n, []).append((r, value))
-        acc: dict[int, dict[int, int]] = {}
-        for n1, row1 in left.items():
-            for n2, row2 in right.items():
-                n = n1 + n2
-                if n > trunc:
-                    continue
-                row = acc.setdefault(n, {})
-                for r1, a in row1:
-                    for r2, b in row2:
-                        r = r1 + r2
-                        row[r] = row.get(r, 0) + a * b
-        return (((n, r), total) for n, row in acc.items() for r, total in row.items())
+        rows = _packed_products(left, right, JacobiSeries._row_pairs, trunc)
+        return (((n, r), total) for n, (lo, digits) in rows.items() for r, total in enumerate(digits, lo) if total)
+
+    @staticmethod
+    def _row_pairs(left: Iterable[int], right: Iterable[int], trunc: int) -> list[tuple[int, int, int]]:
+        """(n1, n2, n1 + n2) for the q^n rows n1 of the left and n2 of the right operand with n1 + n2 <= trunc."""
+        return [(n1, n2, n1 + n2) for n1 in left for n2 in right if n1 + n2 <= trunc]
 
     # -- construction helpers ------------------------------------------------
 

@@ -117,14 +117,16 @@ class _Reader:
                 raise ParseError(number, "tokens must be separated by single spaces, none at either end")
             self.rows.append((number, tokens))
         self.cursor = 0
+        self.last_line = len(lines) - 1
 
     def peek(self):
-        return self.rows[self.cursor] if self.cursor < len(self.rows) else (0, None)
+        """The next (line, tokens); past the last record, (the file's last line, None)."""
+        return self.rows[self.cursor] if self.cursor < len(self.rows) else (self.last_line, None)
 
     def take(self, expected_key: str, count: int) -> tuple[int, list[str]]:
         line, tokens = self.peek()
         if tokens is None:
-            raise ParseError(line or 1, f"unexpected end of file, expected {expected_key!r}")
+            raise ParseError(line, f"unexpected end of file, expected {expected_key!r}")
         if tokens[0] != expected_key or len(tokens) != count:
             raise ParseError(line, f"expected {expected_key!r} with {count - 1} value(s), got {' '.join(tokens)!r}")
         self.cursor += 1
@@ -165,7 +167,7 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
     while True:
         line, tokens = reader.peek()
         if tokens is None:
-            raise ParseError(line or 1, "missing END terminator")
+            raise ParseError(line, "missing END terminator")
         if tokens[0] != "coeff":
             break
         if len(tokens) != key_width + 2:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
-from .series import _ZERO, CheckResult, JacobiSeries, _integer_form, _SparseSeries, form_witness
+from .series import _ZERO, CheckResult, JacobiSeries, _integer_form, _packed_products, _SparseSeries, form_witness
 
 TripleKey = tuple[int, int, int]
 
@@ -69,25 +69,30 @@ class SiegelSeries(_SparseSeries):
 
     @staticmethod
     def _convolve(a_int: Mapping[TripleKey, int], b_int: Mapping[TripleKey, int], trunc: int):
-        """(key, total) pairs of the product of two integer maps, pairs grouped by (n, m)."""
+        """(key, total) pairs of the product of two integer maps, one packed product per pair of (n, m) rows."""
         left: dict[tuple[int, int], list[tuple[int, int]]] = {}
         right: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for blocks, coeffs in ((left, a_int), (right, b_int)):
             for (n, r, m), value in coeffs.items():
                 if n <= trunc and m <= trunc:
                     blocks.setdefault((n, m), []).append((r, value))
-        acc: dict[tuple[int, int], dict[int, int]] = {}
-        for (n1, m1), row1 in left.items():
-            for (n2, m2), row2 in right.items():
-                n, m = n1 + n2, m1 + m2
-                if n > trunc or m > trunc:
-                    continue
-                block = acc.setdefault((n, m), {})
-                for r1, a in row1:
-                    for r2, b in row2:
-                        r = r1 + r2
-                        block[r] = block.get(r, 0) + a * b
-        return (((n, r, m), total) for (n, m), block in acc.items() for r, total in block.items())
+        rows = _packed_products(left, right, SiegelSeries._row_pairs, trunc)
+        return (
+            ((n, r, m), total)
+            for (n, m), (lo, digits) in rows.items()
+            for r, total in enumerate(digits, lo)
+            if total
+        )
+
+    @staticmethod
+    def _row_pairs(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]], trunc: int) -> list[tuple]:
+        """((n1, m1), (n2, m2), (n1 + n2, m1 + m2)) for the rows of the two operands inside the block."""
+        return [
+            ((n1, m1), (n2, m2), (n1 + n2, m1 + m2))
+            for n1, m1 in left
+            for n2, m2 in right
+            if n1 + n2 <= trunc and m1 + m2 <= trunc
+        ]
 
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""

@@ -21,6 +21,7 @@ from rcforms.brackets import (
 from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, standard_index_vector
 from rcforms.series import EllipticSeries, JacobiSeries, d_z, heat_power
 from rcforms.verify import FormSet
+from row_shapes import sparse_rows, window
 
 Q = Fraction
 
@@ -310,19 +311,32 @@ class TestRecursions:
         assert not check_recursions(4, 6, 2, c_fn=perturbed)
 
 
-def reference_bracket(f, g, x, v):
+def loop_product(f, g):
+    """f * g by a double loop over the coefficient pairs, apart from the packed product."""
+    trunc = min(f.trunc, g.trunc)
+    out = {}
+    for (n1, r1), a in f.items():
+        for (n2, r2), b in g.items():
+            if n1 + n2 <= trunc:
+                out[(n1 + n2, r1 + r2)] = out.get((n1 + n2, r1 + r2), 0) + a * b
+    return JacobiSeries(f.weight + g.weight, f.index + g.index, trunc, out)
+
+
+def reference_bracket(f, g, x, v, product=loop_product):
     """The bracket assembled term by term in operator form: for each summand a
-    series product of heat powers, then heat^p and a weighted series sum."""
+    series product of heat powers, then heat^p and a weighted series sum.
+    The default product loops over coefficient pairs, so the reference shares
+    no packed rows with the bracket kernel."""
     params = BracketParams(f.weight, g.weight, f.index, g.index, v, Q(x))
     out = JacobiSeries.zero(f.weight + g.weight + v, f.index + g.index, min(f.trunc, g.trunc))
     for term in bracket_terms(params):
         left = heat_power(d_z(f) if term.i else f, term.r)
         right = heat_power(d_z(g) if term.j else g, term.s)
-        out = out + (term.c_value * term.d_value) * heat_power(left * right, term.p)
+        out = out + (term.c_value * term.d_value) * heat_power(product(left, right), term.p)
     return out
 
 
-def reference_poly(f, g, v):
+def reference_poly(f, g, v, product=loop_product):
     """x-polynomial coefficients, expanding each summand's (1 + m1 x)^s (1 - m2 x)^r."""
     params = BracketParams(f.weight, g.weight, f.index, g.index, v)
     m1, m2 = f.index, g.index
@@ -331,7 +345,7 @@ def reference_poly(f, g, v):
     for term in bracket_terms(params):
         left = heat_power(d_z(f) if term.i else f, term.r)
         right = heat_power(d_z(g) if term.j else g, term.s)
-        series = heat_power(left * right, term.p)
+        series = heat_power(product(left, right), term.p)
         for a in range(term.s + 1):
             for b in range(term.r + 1):
                 weight = comb(term.s, a) * m1**a * comb(term.r, b) * (-m2) ** b
@@ -347,13 +361,14 @@ coefficient_values = st.one_of(
 
 
 @st.composite
-def bracket_inputs(draw, values=coefficient_values, r_max=5, orders=st.integers(0, 7), min_size=0, max_size=8):
-    """Two small random series (indices 0-3, truncations 1-4 drawn separately),
-    an order, and x drawn at random or where 1 + m1 x or 1 - m2 x vanishes."""
+def bracket_inputs(draw, values=coefficient_values, shapes=window(5), orders=st.integers(0, 7), min_size=0, max_size=8):
+    """Two small random series (indices 0-3, truncations 1-4 and row shapes
+    drawn separately), an order, and x drawn at random or where 1 + m1 x or
+    1 - m2 x vanishes."""
     pair = []
     for _ in range(2):
         weight, index, trunc = draw(st.integers(0, 12)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
-        keys = st.tuples(st.integers(0, trunc), st.integers(-r_max, r_max))
+        keys = st.tuples(st.integers(0, trunc), draw(shapes))
         coeffs = draw(st.dictionaries(keys, values, min_size=min_size, max_size=max_size))
         pair.append(JacobiSeries(weight, index, trunc, coeffs))
     f, g = pair
@@ -373,10 +388,15 @@ wide_values = st.one_of(
     st.builds(Q, st.integers(-(2**120), 2**120), st.integers(1, 2**40)),
     st.builds(lambda k, sign, less: sign * (2**k - less), st.integers(1, 120), st.sampled_from([1, -1]), st.integers(0, 1)),
 )
-# keys far outside the holomorphic cone (|r| up to 12 at index <= 3), and
-# v = 0 and 1 drawn often: their digit bound has no slack factor t + 1
+# keys far outside the holomorphic cone (|r| up to 12 at index <= 3, rows
+# with gaps, rows wholly at negative r), and v = 0 and 1 drawn often: their
+# digit bound has no slack factor t + 1
 wide_bracket_inputs = bracket_inputs(
-    wide_values, r_max=12, orders=st.one_of(st.sampled_from([0, 1]), st.integers(0, 10)), min_size=1, max_size=3
+    wide_values,
+    shapes=st.one_of(window(12), sparse_rows),
+    orders=st.one_of(st.sampled_from([0, 1]), st.integers(0, 10)),
+    min_size=1,
+    max_size=3,
 )
 
 
@@ -391,6 +411,13 @@ class TestBracketAgainstOperatorForm:
     @given(bracket_inputs())
     def test_poly_matches_reference(self, case):
         f, g, v, _ = case
+        assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bracket_inputs(shapes=sparse_rows, min_size=1, max_size=12))
+    def test_sparse_rows_match_reference(self, case):
+        f, g, v, x = case
+        assert bracket_jacobi(f, g, x, v) == reference_bracket(f, g, x, v)
         assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
 
     @settings(max_examples=250, deadline=None)
@@ -412,6 +439,38 @@ class TestBracketAgainstOperatorForm:
             for v in (0, 1):
                 assert bracket_jacobi(f, g, 0, v) == reference_bracket(f, g, 0, v)
                 assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
+
+    @pytest.mark.parametrize("bits", [1, 7, 8, 29, 30, 31, 64])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+    def test_row_slots_at_the_digit_bound(self, bits, signs):
+        # whole q^1 rows r = -3..3 at +-2**bits: the key (2, 0) collects all
+        # 7 = min(#f, #g) pairs, each max|f| * max|g| with one sign, so its
+        # digit is the bound itself, and a width one bit short carries into
+        # or borrows from the neighbouring r-slots
+        sf, sg = signs
+        f = JacobiSeries(4, 1, 3, {(1, r): sf * 2**bits for r in range(-3, 4)})
+        g = JacobiSeries(6, 2, 3, {(1, r): sg * 2**bits for r in range(-3, 4)})
+        assert bracket_jacobi(f, g, 0, 0) == reference_bracket(f, g, 0, 0)
+        assert bracket_jacobi_poly(f, g, 0) == reference_poly(f, g, 0)
+        # rows of shifted spans: the key (3, 0) of the q^3 row collects 13 of
+        # the 14 = min(#f, #g) pairs from two row pairs shifted apart, which
+        # still fills the bound's top bit
+        f2 = JacobiSeries(4, 1, 3, {**f._coeffs, **{(2, r): sf * 2**bits for r in range(-2, 5)}})
+        g2 = JacobiSeries(6, 2, 3, {**g._coeffs, **{(2, r): sg * 2**bits for r in range(-3, 4)}})
+        assert bracket_jacobi(f2, g2, 0, 0) == reference_bracket(f2, g2, 0, 0)
+        # v = 1: f holds r1 = 3 on the rows 0..3 and g the rows 0..3 at
+        # r2 = -3..3; the key (3, 0) collects 4 = min(#f, #g) pairs, each with
+        # |m1*r2 - m2*r1| = 3*(m1 + m2), the bound's index factor
+        f1 = JacobiSeries(4, 1, 3, {(n, 3): sf * 2**bits for n in range(4)})
+        g1 = JacobiSeries(6, 2, 3, {(n, r): sg * 2**bits for n in range(4) for r in range(-3, 4)})
+        assert bracket_jacobi(f1, g1, 0, 1) == reference_bracket(f1, g1, 0, 1)
+        assert bracket_jacobi_poly(f1, g1, 1) == reference_poly(f1, g1, 1)
+        # v = 2 sums two (e1, e2) products per slot, whose weights differ, so
+        # its digits stay below the bound; the same whole rows still carry
+        # between slots if the width were short
+        for x in (Q(0), Q(1, 2), Q(-1, 3)):
+            assert bracket_jacobi(f2, g2, x, 2) == reference_bracket(f2, g2, x, 2)
+        assert bracket_jacobi_poly(f2, g2, 2) == reference_poly(f2, g2, 2)
 
     @pytest.mark.parametrize("v", range(8))
     def test_theta_pairs_match_reference(self, theta4, theta4_index2, e4_theta4, v):

@@ -152,7 +152,13 @@ class TestRejections:
         self.reject("rcforms 1\nkind maass\nweight 4\n", "unknown kind", line=2)
 
     def test_file_ends_after_kind(self):
-        self.reject("rcforms 1\nkind jacobi\n", "unexpected end of file, expected 'weight'")
+        self.reject("rcforms 1\nkind jacobi\n", "unexpected end of file, expected 'weight'", line=2)
+
+    def test_file_ends_after_trunc(self):
+        self.reject(self.HEAD, "missing END terminator", line=5)
+
+    def test_end_of_file_names_the_last_line_after_comments(self):
+        self.reject(self.HEAD + "coeff 1 0 1/1\n# no END\n\n", "missing END terminator", line=8)
 
     def test_missing_metadata(self):
         self.reject("rcforms 1\nkind jacobi\nweight 4\ntrunc 2\nEND\n", "index")

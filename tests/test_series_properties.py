@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcforms.brackets import bracket_jacobi
@@ -16,6 +17,7 @@ from rcforms.series import (
     theta_q_elliptic,
 )
 from rcforms.siegel import SiegelSeries
+from row_shapes import sparse_rows, window
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=6
@@ -161,21 +163,23 @@ mixed_values = st.one_of(st.integers(-10**6, 10**6), rationals)
 
 
 @st.composite
-def product_operands(draw, keys, build):
-    """Two series of one kind with separately drawn truncations; either may be empty."""
+def product_operands(draw, keys, build, shapes=window(4), max_size=8):
+    """Two series of one kind with separately drawn truncations and row
+    shapes; either may be empty."""
     out = []
     for _ in range(2):
         trunc = draw(st.integers(0, 4))
-        out.append(build(draw(st.integers(0, 6)), trunc, draw(st.dictionaries(keys(trunc), mixed_values, max_size=8))))
+        coeffs = draw(st.dictionaries(keys(trunc, draw(shapes)), mixed_values, max_size=max_size))
+        out.append(build(draw(st.integers(0, 6)), trunc, coeffs))
     return out
 
 
-def jacobi_keys(trunc):
-    return st.tuples(st.integers(0, trunc), st.integers(-4, 4))
+def jacobi_keys(trunc, rs):
+    return st.tuples(st.integers(0, trunc), rs)
 
 
-def siegel_keys(trunc):
-    return st.tuples(st.integers(0, trunc), st.integers(-4, 4), st.integers(0, trunc))
+def siegel_keys(trunc, rs):
+    return st.tuples(st.integers(0, trunc), rs, st.integers(0, trunc))
 
 
 def symmetric_siegel(weight, trunc, coeffs):
@@ -194,7 +198,7 @@ def test_jacobi_product_matches_naive_loop(operands):
 
 
 @settings(max_examples=150)
-@given(product_operands(lambda t: st.integers(0, t), EllipticSeries))
+@given(product_operands(lambda t, _: st.integers(0, t), EllipticSeries))
 def test_elliptic_product_matches_naive_loop(operands):
     f, g = operands
     trunc, out = naive_product(f, g, lambda a, b: a + b, lambda k, t: k <= t)
@@ -208,3 +212,58 @@ def test_siegel_product_matches_naive_loop(operands):
     combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     trunc, out = naive_product(f, g, combine, lambda k, t: k[0] <= t and k[2] <= t)
     assert f * g == SiegelSeries(f.weight + g.weight, trunc, out)
+
+
+@settings(max_examples=100)
+@given(product_operands(jacobi_keys, lambda w, t, c: JacobiSeries(w, w % 4, t, c), shapes=sparse_rows, max_size=16))
+def test_jacobi_product_on_sparse_rows(operands):
+    f, g = operands
+    trunc, out = naive_product(f, g, lambda a, b: (a[0] + b[0], a[1] + b[1]), lambda k, t: k[0] <= t)
+    assert f * g == JacobiSeries(f.weight + g.weight, f.index + g.index, trunc, out)
+
+
+@st.composite
+def siegel_long_rows(draw):
+    """Two degree-2 series up to trunc 6, where the rows (n, m) of a theta
+    reach |r| = 12, each with its entries in one to three (n, m) blocks (and
+    their mirrors), so that its rows are long."""
+    out = []
+    for _ in range(2):
+        trunc = draw(st.integers(0, 6))
+        blocks = draw(st.lists(st.tuples(st.integers(0, trunc), st.integers(0, trunc)), min_size=1, max_size=3))
+        keys = st.tuples(st.sampled_from(blocks), draw(st.one_of(window(12), sparse_rows)))
+        coeffs = draw(st.dictionaries(keys.map(lambda k: (k[0][0], k[1], k[0][1])), mixed_values, max_size=25))
+        out.append(symmetric_siegel(draw(st.integers(0, 6)), trunc, coeffs))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(siegel_long_rows())
+def test_siegel_product_on_long_rows(operands):
+    f, g = operands
+    combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    trunc, out = naive_product(f, g, combine, lambda k, t: k[0] <= t and k[2] <= t)
+    assert f * g == SiegelSeries(f.weight + g.weight, trunc, out)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 29, 30, 31, 64])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_products_at_the_digit_bound(bits, signs):
+    """Whole rows r = -3..3 at +-2**bits: one output key collects min(#f, #g)
+    pairs, each max|f| * max|g| with one sign, so its digit is the bound and
+    a width one bit short carries into the neighbouring r-slots."""
+    sf, sg = signs
+    jacobi_sum = lambda a, b: (a[0] + b[0], a[1] + b[1])
+    # the q^1 rows: the key (2, 0) collects 7 pairs; with a second row each,
+    # the q^2 row sums two row pairs and its key (2, 0) collects all 14
+    for rows in ([1], [0, 1]):
+        f = JacobiSeries(4, 1, 2, {(n, r): sf * 2**bits for n in rows for r in range(-3, 4)})
+        g = JacobiSeries(6, 1, 2, {(n, r): sg * 2**bits for n in rows for r in range(-3, 4)})
+        trunc, out = naive_product(f, g, jacobi_sum, lambda k, t: k[0] <= t)
+        assert f * g == JacobiSeries(10, 2, trunc, out)
+    # the (1, 1) block: the key (2, 0, 2) collects 7 pairs
+    F = SiegelSeries(4, 2, {(1, r, 1): sf * 2**bits for r in range(-3, 4)})
+    G = SiegelSeries(6, 2, {(1, r, 1): sg * 2**bits for r in range(-3, 4)})
+    combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    trunc, out = naive_product(F, G, combine, lambda k, t: k[0] <= t and k[2] <= t)
+    assert F * G == SiegelSeries(10, trunc, out)
