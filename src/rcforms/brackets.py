@@ -41,24 +41,30 @@ mu_s = B_s (1 + m1 x)^s D2^s,
     K = (1 or m1*r2 - m2*r1) * sum_p G_p * D^p * [X^(t-p)] (sum_r lam_r X^r) (sum_s mu_s X^s).
 
 ``bracket_jacobi`` evaluates this on whole q^n rows (Kronecker substitution
-in the zeta-exponent).  Over integer numerators, for each e = 0..t the row
-n1 of f packs into one int F_{n1,e} = sum_{r1} a(n1, r1) * lam_e * 2**(b*(r1 - lo)),
-lam_e taken at the key's D1 and lo the row's least r1, and g likewise into
-G_{n2,e} with mu_e.  The output row n sums F_{n1,e1} * G_{n-n1,e2} over n1
-and over e1 + e2 = k into slot k, each product shifted to the row's least
-lo1 + lo2: a pair of rows costs (t+1)(t+2)/2 products, and the digit of
+in the zeta-exponent).  Over integer numerators, each entry a(n1, r1) of f
+carries one column per e = 0..t, a(n1, r1) * lam_e with lam_e taken at the
+key's D1, and g likewise with mu_e.  Each row is cut into runs at gaps of
+more than two r-slots, and each column of a run packs into one int
+F_{n1,e} = sum_{r1} a(n1, r1) * lam_e * 2**(b*(r1 - lo)), lo the run's
+least r1 (:func:`rcforms.series._packed_rows`).  The output row n sums
+F_{n1,e1} * G_{n-n1,e2} over n1, over the runs and over e1 + e2 = k into
+slot k, each product shifted to the least lo1 + lo2 of the products whose
+spans meet: a pair of runs costs (t+1)(t+2)/2 products, and the digit of
 slot k at r1 + r2 collects the summands with r + s = k.  For odd v the pair
-factor m1*r2 - m2*r1 splits into left rows weighted by -m2*r1 times plain
-right rows, plus plain left rows times right rows weighted by m1*r2: two
-products per (e1, e2).  Each output row is read back once per slot (one
-bias add, then one shift and mask per digit); slot k is the sum for
-p = t - k, and G_p * D^p is applied by Horner's rule per key.
+factor m1*r2 - m2*r1 splits into left columns weighted by -m2*r1 times
+plain right columns, plus plain left columns times right columns weighted
+by m1*r2: two products per (e1, e2).  Each sum is read back once per slot
+from its bytes (:func:`rcforms.series._row_products`); slot k is the sum
+for p = t - k, and G_p * D^p is applied by Horner's rule per key.
 ``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
-loop and applies its x-degree weights per key.  The digit width b holds
-every digit as a signed digit: a key collects at most min(#f, #g) pairs,
-and a pair adds at most t + 1 products of one left and one right entry to
-a slot, times |m1*r2 - m2*r1| for odd v (:func:`rcforms.series._digit_bits`,
-the rule the series products use too).
+loop and applies its x-degree weights per key.  The digit width b, a whole
+number of bytes, holds every digit as a signed digit: a key collects at
+most min(#f, #g) pairs, and a pair adds at most t + 1 products of one left
+and one right entry to a slot, times |m1*r2 - m2*r1| for odd v
+(:func:`rcforms.series._digit_bits`, the rule the series products use too).
+Packing, products and read-back cover only the r-slots of runs and of
+their products, so the cost follows the stored coefficients however far
+apart in r they lie.
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
@@ -80,9 +86,8 @@ from .series import (
     Key,
     _digit_bits,
     _integer_form,
-    _pack,
-    _row_groups,
-    _unpack,
+    _packed_rows,
+    _row_products,
     as_rational,
 )
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
@@ -224,91 +229,75 @@ def _bracket_pass(
     right: list[Fraction],
     cross: tuple[int, int] | None,
     slots: list[list[tuple[int, int]]],
-) -> tuple[int, dict[int, tuple[int, list[list[int]]]]]:
-    """Packed sums over the coefficient pairs of f and g, one row of slots per output q^n.
+) -> tuple[int, dict[int, list[tuple[int, list[list[int]]]]]]:
+    """Packed sums over the coefficient pairs of f and g, by output q^n row and slot.
 
-    Returns (den, rows) with rows[n] = (lo, columns): columns[k][i] / den is,
-    at the key (n, lo + i), the sum over the pairs (n1 + n2, r1 + r2) = (n, lo + i)
-    and over the (e1, e2) in slots[k] of
+    Returns (den, rows) with rows[n] a list of (lo, columns) over disjoint
+    spans of r: columns[k][i] / den is, at the key (n, lo + i), the sum over
+    the pairs (n1 + n2, r1 + r2) = (n, lo + i) and over the (e1, e2) in
+    slots[k] of
 
         a * left[e1] * D1^e1 * b * right[e2] * D2^e2        (times c1*r1 + c2*r2 if cross = (c1, c2)),
 
-    with e1, e2 <= t = len(left) - 1; keys of the row whose sums are all
-    zero are listed too.  For each e the q^n row of f packs into one int
-    over its r1 (:func:`rcforms.series._pack`), and g likewise.  A pair of
-    rows costs one product per (e1, e2) of the slots, two when cross is set
-    (the left rows weighted by c1*r1 times the plain right rows, plus the
-    plain left rows times the right rows weighted by c2*r2), and the pairs
-    of each output row meet at its least r (:func:`rcforms.series._row_groups`).
-    Each output row is read back once per slot.
+    with e1, e2 <= t = len(left) - 1; keys of a span whose sums are all
+    zero are listed too.  Each q^n row of f carries one column per e, and
+    with cross set the same columns times c1*r1 after them, and g likewise;
+    the rows are cut into runs and packed per column
+    (:func:`rcforms.series._packed_rows`).  A pair of runs costs one
+    product per (e1, e2) of the slots, two when cross is set (the weighted
+    left columns times the plain right ones, plus the plain left columns
+    times the weighted right ones), and each span of an output row is read
+    back once per slot (:func:`rcforms.series._row_products`).
     """
     trunc = min(f.trunc, g.trunc)
     t = len(left) - 1
 
-    def rows(series, weights):
-        """(den, {n: [(r, [w_e * c * disc^e for e = 0..t])]}) over integer numerators c and w_e."""
+    def rows(series, weights, c):
+        """(den, {n: [(r, values)]}): values[e] = w_e * a * disc^e for e = 0..t over
+        integer numerators a and w_e, then with c set the same times c*r."""
         den, coeffs = _integer_form(series._coeffs)
         den_w, w = _integer_form(dict(enumerate(weights)))
         m, out = series.index, {}
-        for (n, r), c in coeffs.items():
+        for (n, r), a in coeffs.items():
             if n <= trunc:
-                disc, vec = 4 * n * m - r * r, []
+                disc, values = 4 * n * m - r * r, []
                 for w_e in w.values():
-                    vec.append(w_e * c)
-                    c *= disc
-                out.setdefault(n, []).append((r, vec))
+                    values.append(w_e * a)
+                    a *= disc
+                if c is not None:
+                    values += [c * r * value for value in values]
+                out.setdefault(n, []).append((r, values))
         return den * den_w, out
 
-    den_f, rows_f = rows(f, left)
-    den_g, rows_g = rows(g, right)
+    c1, c2 = cross if cross is not None else (None, None)
+    den_f, rows_f = rows(f, left, c1)
+    den_g, rows_g = rows(g, right, c2)
     den = den_f * den_g
     if not rows_f or not rows_g:
         return den, {}
     entries_f = [entry for row in rows_f.values() for entry in row]
     entries_g = [entry for row in rows_g.values() for entry in row]
     # A pair adds to one slot at most len(slot) products of an f entry and a
-    # g entry, each times |c1*r1 + c2*r2| <= |c1|*max|r1| + |c2|*max|r2| with
-    # cross set; the rest of the digit bound is that of every packed product.
-    c1, c2 = cross if cross is not None else (None, None)
+    # g entry, each times |c1*r1 + c2*r2| <= |c1|*max|r1| + |c2|*max|r2|
+    # with cross set; the rest of the digit bound is that of every packed
+    # product.  The plain columns are the first t + 1.
     per_pair = max(map(len, slots))
     if cross is not None:
         per_pair *= abs(c1) * max([abs(r) for r, _ in entries_f]) + abs(c2) * max([abs(r) for r, _ in entries_g])
     bits = _digit_bits(
-        max([abs(e) for _, vec in entries_f for e in vec]),
-        max([abs(e) for _, vec in entries_g for e in vec]),
+        max([abs(e) for _, values in entries_f for e in values[: t + 1]]),
+        max([abs(e) for _, values in entries_g for e in values[: t + 1]]),
         len(entries_f),
         len(entries_g),
         per_pair,
     )
-
-    def packed(rows, c):
-        """n -> (lo, hi, [F_0..F_t]) with F_e the row's entries e packed, then
-        with c set [c*r*F_0..c*r*F_t] after them (each r-entry times c*r)."""
-        out = {}
-        for n, row in rows.items():
-            rs = [r for r, _ in row]
-            lo = min(rs)
-            columns = [[vec[e] for _, vec in row] for e in range(t + 1)]
-            if c is not None:
-                columns += [[c * r * x for r, x in zip(rs, column)] for column in columns]
-            out[n] = (lo, max(rs), [_pack(zip(rs, column), lo, bits) for column in columns])
-        return out
-
-    left_rows, right_rows = packed(rows_f, c1), packed(rows_g, c2)
     # slot k sums a[i*(t+1) + e1] * b[j*(t+1) + e2] over its (e1, e2) and
     # over the sides (i, j): plain times plain, or weighted left times plain
     # right plus plain left times weighted right
     sides = [(0, 0)] if cross is None else [(1, 0), (0, 1)]
     terms = [[(i * (t + 1) + e1, j * (t + 1) + e2) for i, j in sides for e1, e2 in slot] for slot in slots]
-    out = {}
-    row_pairs = JacobiSeries._row_pairs(left_rows, right_rows, trunc)
-    for n, (lo, count, items) in _row_groups(left_rows, right_rows, row_pairs).items():
-        sums = [
-            sum([sum([a[p] * b[q] for p, q in slot_terms]) << (bits * (low - lo)) for low, _, a, b in items])
-            for slot_terms in terms
-        ]
-        out[n] = (lo, _unpack(sums, count, bits))
-    return den, out
+    pairs = JacobiSeries._row_pairs(rows_f, rows_g, trunc)
+    return den, _row_products(_packed_rows(rows_f, bits), _packed_rows(rows_g, bits), pairs, bits, terms)
 
 
 def bracket_jacobi(
@@ -332,14 +321,15 @@ def bracket_jacobi(
     den *= den_G
     index = f.index + g.index
     coeffs = {}
-    for n, (lo, columns) in rows.items():
-        for r, digits in enumerate(zip(*columns), lo):
-            disc = 4 * n * index - r * r
-            total = 0
-            for weight, digit in zip(g_int, digits):  # Horner's rule in D
-                total = total * disc + weight * digit
-            if total:
-                coeffs[(n, r)] = Fraction(total, den)
+    for n, sums in rows.items():
+        for lo, columns in sums:
+            for r, digits in enumerate(zip(*columns), lo):
+                disc = 4 * n * index - r * r
+                total = 0
+                for weight, digit in zip(g_int, digits):  # Horner's rule in D
+                    total = total * disc + weight * digit
+                if total:
+                    coeffs[(n, r)] = Fraction(total, den)
     return f._joined(g, v, coeffs)
 
 
@@ -370,15 +360,16 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
         scaled.append((den * den_w, list(w.values())))
     index = f.index + g.index
     parts: list[dict[Key, Fraction]] = [{} for _ in scaled]
-    for n, (lo, columns) in rows.items():
-        for r, digits in enumerate(zip(*columns), lo):
-            disc = 4 * n * index - r * r
-            powers = [disc**p for p in range(t + 1)]
-            values = [powers[t - sum(pair)] * digit for pair, digit in zip(pairs, digits)]
-            for part, (den_d, w) in zip(parts, scaled):
-                total = sum(map(mul, w, values))
-                if total:
-                    part[(n, r)] = Fraction(total, den_d)
+    for n, sums in rows.items():
+        for lo, columns in sums:
+            for r, digits in enumerate(zip(*columns), lo):
+                disc = 4 * n * index - r * r
+                powers = [disc**p for p in range(t + 1)]
+                values = [powers[t - sum(pair)] * digit for pair, digit in zip(pairs, digits)]
+                for part, (den_d, w) in zip(parts, scaled):
+                    total = sum(map(mul, w, values))
+                    if total:
+                        part[(n, r)] = Fraction(total, den_d)
     return [f._joined(g, v, coeffs) for coeffs in parts]
 
 

@@ -58,16 +58,19 @@ def _integer_form(coeffs: Mapping[Any, Fraction]) -> tuple[int, dict]:
 
 # -- packed rows (Kronecker substitution) -------------------------------------
 #
-# The integer product loops multiply whole rows.  The (r, value) entries of a
-# row pack into one int, sum value * 2**(bits*(r - lo)) with lo the row's
-# least r, so the product of two packed rows holds at digit
-# r1 + r2 - lo1 - lo2 the sum of the entry products with that r1 + r2.  An
-# output row sums its row products, each shifted to the least lo1 + lo2 of
-# the row, and is read back once.
+# The integer product loops multiply whole rows.  A row of (r, values)
+# entries is cut into runs that hold at least one entry per two r-slots, and
+# each value column of a run packs into one int, sum value * 2**(bits*(r - lo))
+# with lo the run's least r, so the product of two packed runs holds at digit
+# r1 + r2 - lo1 - lo2 the sum of the entry products with that r1 + r2.  The
+# run products of an output row whose digit spans meet are summed, each
+# shifted to their least lo1 + lo2, and each sum is read back once.  Runs
+# and sums cover only r-slots next to stored entries, so the cost follows
+# the stored entries, however far apart in r they lie.
 
 
 def _digit_bits(a_max: int, b_max: int, a_keys: int, b_keys: int, per_pair: int = 1) -> int:
-    """Digit width b that holds every output digit as a signed digit.
+    """Digit width b, a whole number of bytes, that holds every output digit as a signed digit.
 
     An output key meets each key of the left operand at most once (its
     partner on the right is then fixed) and each key of the right operand
@@ -78,88 +81,118 @@ def _digit_bits(a_max: int, b_max: int, a_keys: int, b_keys: int, per_pair: int 
     absolute value, and bound < 2**(b - 1).
     """
     bound = a_max * b_max * per_pair * min(a_keys, b_keys)
-    return bound.bit_length() + 1
+    return 8 * (bound.bit_length() // 8 + 1)
 
 
-def _pack(row: Iterable[tuple[int, int]], lo: int, bits: int) -> int:
-    """sum value * 2**(bits*(r - lo)) over the (r, value) entries of a row."""
-    total = 0
-    for r, value in row:
-        total += value << (bits * (r - lo))
-    return total
+def _packed_rows(rows: Mapping[Any, list], bits: int) -> dict:
+    """{key: [(lo, hi, [packed column, ...]), ...]}: each row cut into runs and packed.
 
-
-def _unpack(totals: list[int], count: int, bits: int) -> list[list[int]]:
-    """For each total = sum d_i * 2**(bits*i), its signed digits d_0..d_{count-1}.
-
-    Every digit must lie within the bound of :func:`_digit_bits`.  A bias of
-    2**(bits - 1) per digit lifts each digit into [0, 2**bits) without a
-    carry, so each bits-wide field of a biased total is a digit plus the
-    bias.
+    A row is a list of (r, values) entries with distinct r and one int per
+    column in values; it is sorted in place.  In ascending r, an entry more
+    than two r-slots above the one before it starts a new run, so at least
+    every other r-slot of a run holds an entry.  A run with entries at
+    r = lo..hi packs column j into sum values[j] * 2**(bits*(r - lo)).
     """
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    bias = half * ((1 << (bits * count)) - 1) // mask
-    out = []
-    for total in totals:
-        total += bias
-        out.append([((total >> shift) & mask) - half for shift in range(0, bits * count, bits)])
+    out = {}
+    for key, row in rows.items():
+        row.sort()
+        runs, hi = [], None
+        for r, values in row:
+            if hi is None or r - hi > 2:
+                if hi is not None:
+                    runs.append((lo, hi, columns))
+                lo, columns = r, [0] * len(values)
+            shift = bits * (r - lo)
+            for j, value in enumerate(values):
+                columns[j] += value << shift
+            hi = r
+        runs.append((lo, hi, columns))
+        out[key] = runs
     return out
 
 
-def _row_groups(left: Mapping, right: Mapping, pairs: Iterable[tuple]) -> dict:
-    """The row pairs of each output row and the row's digit span.
+def _row_products(left: Mapping, right: Mapping, pairs: Iterable[tuple], bits: int, slots: list) -> dict:
+    """{row: [(lo, [digits, ...]), ...]}: the products of two maps of packed rows, by output row.
 
-    ``left`` and ``right`` map a row key to (lo, hi, payload) for a row with
-    entries at r = lo..hi, and ``pairs`` lists (row1, row2, output row).
-    Returns {row: (lo, count, [(lo1 + lo2, hi1 + hi2, x, y)])}: the output
-    row spans the count digits from lo, the least lo1 + lo2 of its pairs,
-    and the product of a pair's payloads x and y goes lo1 + lo2 - lo digits
-    above lo.
+    ``left`` and ``right`` map a row key to its packed runs
+    (:func:`_packed_rows`) and ``pairs`` lists (row1, row2, output row).
+    Each slot lists (p, q) column pairs: slot k of two runs with columns a
+    and b is the sum of a[p] * b[q] over its (p, q).  The run products of
+    an output row are taken by ascending least r; those whose digit spans
+    meet or touch are summed, each shifted to the least lo1 + lo2 of the
+    sum, and each sum is read back once per slot, as (lo, one digit list
+    per slot) with digit i at r = lo + i.  The sums of a row cover disjoint
+    spans of r, and every r-slot of a sum lies in the span of one of its
+    run products.
     """
     groups: dict[Any, list[tuple]] = {}
     for row1, row2, row in pairs:
-        lo1, hi1, x = left[row1]
-        lo2, hi2, y = right[row2]
-        groups.setdefault(row, []).append((lo1 + lo2, hi1 + hi2, x, y))
+        items = groups.setdefault(row, [])
+        for lo1, hi1, a in left[row1]:
+            for lo2, hi2, b in right[row2]:
+                items.append((lo1 + lo2, hi1 + hi2, a, b))
     out = {}
     for row, items in groups.items():
-        lo = min([item[0] for item in items])
-        out[row] = (lo, max([item[1] for item in items]) - lo + 1, items)
+        items.sort()
+        sums, members, (lo, hi, *_) = [], [], items[0]
+        for item in items:
+            if item[0] > hi + 1:
+                sums.append(_read_sum(members, lo, hi, bits, slots))
+                members, (lo, hi, *_) = [], item
+            elif item[1] > hi:
+                hi = item[1]
+            members.append(item)
+        sums.append(_read_sum(members, lo, hi, bits, slots))
+        out[row] = sums
     return out
 
 
-def _packed_products(left: Mapping[Any, list], right: Mapping[Any, list], row_pairs, trunc: int) -> dict:
-    """{row: (lo, digits)}: the product of two maps of rows, digits[i] at r = lo + i.
+def _read_sum(items: list[tuple], lo: int, hi: int, bits: int, slots: list) -> tuple[int, list[list[int]]]:
+    """(lo, [digits of each slot]) for the run products ``items``, which cover the r-slots lo..hi."""
+    totals = [sum([a[p] * b[q] << bits * (low - lo) for p, q in slot for low, _, a, b in items]) for slot in slots]
+    return lo, [_unpack(total, hi - lo + 1, bits) for total in totals]
 
-    ``left`` and ``right`` map a row key to its (r, value) entries with int
-    values; ``row_pairs(left_keys, right_keys, trunc)`` lists the (row1,
-    row2, output row) of every pair of rows inside the truncation.  One
-    product per row pair.
+
+def _unpack(total: int, count: int, bits: int) -> list[int]:
+    """The signed digits d_0..d_{count-1} of total = sum d_i * 2**(bits*i), read in one pass.
+
+    Every digit must lie within the bound of :func:`_digit_bits`.  A bias of
+    2**(bits - 1) per digit lifts each digit into [0, 2**bits) without a
+    carry, so each bits-wide field of the biased total, taken from its
+    bytes, is a digit plus the bias.
+    """
+    width, half = bits // 8, 1 << (bits - 1)
+    bias = _from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    data = (total + bias).to_bytes(width * count, "little")
+    return [_from_bytes(data[i : i + width], "little") - half for i in range(0, width * count, width)]
+
+
+_from_bytes = int.from_bytes
+
+
+def _packed_products(left: Mapping[Any, list], right: Mapping[Any, list], row_pairs, trunc: int, slots: list) -> dict:
+    """{row: [(lo, [digits of each slot]), ...]}: products of two maps of rows, digit i at r = lo + i.
+
+    ``left`` and ``right`` map a row key to its (r, values) entries with
+    int values, one per column; ``row_pairs(left_keys, right_keys, trunc)``
+    lists the (row1, row2, output row) of every pair of rows inside the
+    truncation, and each slot lists the one (p, q) column pair it
+    multiplies.  One product per slot and pair of runs
+    (:func:`_packed_rows`), read back by :func:`_row_products`.
     """
     if not left or not right:
         return {}
     bits = _digit_bits(
-        max([abs(v) for row in left.values() for _, v in row]),
-        max([abs(v) for row in right.values() for _, v in row]),
+        max([abs(v) for row in left.values() for _, values in row for v in values]),
+        max([abs(v) for row in right.values() for _, values in row for v in values]),
         sum(map(len, left.values())),
         sum(map(len, right.values())),
     )
+    pairs = row_pairs(left, right, trunc)
+    return _row_products(_packed_rows(left, bits), _packed_rows(right, bits), pairs, bits, slots)
 
-    def packed(rows):
-        out = {}
-        for key, row in rows.items():
-            rs = [r for r, _ in row]
-            lo = min(rs)
-            out[key] = (lo, max(rs), _pack(row, lo, bits))
-        return out
 
-    packed_left, packed_right = packed(left), packed(right)
-    out = {}
-    pairs = row_pairs(packed_left, packed_right, trunc)
-    for row, (lo, count, items) in _row_groups(packed_left, packed_right, pairs).items():
-        total = sum([(x * y) << (bits * (low - lo)) for low, _, x, y in items])
-        out[row] = (lo, _unpack([total], count, bits)[0])
-    return out
+_PRODUCT = [[(0, 0)]]
 
 
 class _SparseSeries:
@@ -175,8 +208,8 @@ class _SparseSeries:
     ``_RANGE_ERROR`` (formatted with the key and the truncation) reports one
     that does not; a kind multiplied by ``_product`` also supplies
     ``_convolve``, which groups its integer maps into rows (by n, or by
-    (n, m)) and multiplies them through ``_packed_products`` under the
-    kind's ``_row_pairs`` rule.  Instances are immutable after construction
+    (n, m)) and multiplies them through ``_packed_products`` (one product
+    per pair of packed runs) under the kind's ``_row_pairs`` rule.  Instances are immutable after construction
     and safe to share; all operations return new series.
     """
 
@@ -353,15 +386,21 @@ class JacobiSeries(_SparseSeries):
 
     @staticmethod
     def _convolve(a_int: Mapping[Key, int], b_int: Mapping[Key, int], trunc: int):
-        """(key, total) pairs of the product of two integer maps, one packed product per pair of q^n rows."""
-        left: dict[int, list[tuple[int, int]]] = {}
-        right: dict[int, list[tuple[int, int]]] = {}
+        """(key, total) pairs of the product of two integer maps, one packed product per pair of q^n row runs."""
+        left: dict[int, list[tuple[int, tuple[int]]]] = {}
+        right: dict[int, list[tuple[int, tuple[int]]]] = {}
         for rows, coeffs in ((left, a_int), (right, b_int)):
             for (n, r), value in coeffs.items():
                 if n <= trunc:
-                    rows.setdefault(n, []).append((r, value))
-        rows = _packed_products(left, right, JacobiSeries._row_pairs, trunc)
-        return (((n, r), total) for n, (lo, digits) in rows.items() for r, total in enumerate(digits, lo) if total)
+                    rows.setdefault(n, []).append((r, (value,)))
+        rows = _packed_products(left, right, JacobiSeries._row_pairs, trunc, _PRODUCT)
+        return (
+            ((n, r), total)
+            for n, sums in rows.items()
+            for lo, (digits,) in sums
+            for r, total in enumerate(digits, lo)
+            if total
+        )
 
     @staticmethod
     def _row_pairs(left: Iterable[int], right: Iterable[int], trunc: int) -> list[tuple[int, int, int]]:

@@ -23,7 +23,16 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
-from .series import _ZERO, CheckResult, JacobiSeries, _integer_form, _packed_products, _SparseSeries, form_witness
+from .series import (
+    _PRODUCT,
+    _ZERO,
+    CheckResult,
+    JacobiSeries,
+    _integer_form,
+    _packed_products,
+    _SparseSeries,
+    form_witness,
+)
 
 TripleKey = tuple[int, int, int]
 
@@ -69,17 +78,18 @@ class SiegelSeries(_SparseSeries):
 
     @staticmethod
     def _convolve(a_int: Mapping[TripleKey, int], b_int: Mapping[TripleKey, int], trunc: int):
-        """(key, total) pairs of the product of two integer maps, one packed product per pair of (n, m) rows."""
-        left: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        right: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        """(key, total) pairs of the product of two integer maps, one packed product per pair of (n, m) row runs."""
+        left: dict[tuple[int, int], list[tuple[int, tuple[int]]]] = {}
+        right: dict[tuple[int, int], list[tuple[int, tuple[int]]]] = {}
         for blocks, coeffs in ((left, a_int), (right, b_int)):
             for (n, r, m), value in coeffs.items():
                 if n <= trunc and m <= trunc:
-                    blocks.setdefault((n, m), []).append((r, value))
-        rows = _packed_products(left, right, SiegelSeries._row_pairs, trunc)
+                    blocks.setdefault((n, m), []).append((r, (value,)))
+        rows = _packed_products(left, right, SiegelSeries._row_pairs, trunc, _PRODUCT)
         return (
             ((n, r, m), total)
-            for (n, m), (lo, digits) in rows.items()
+            for (n, m), sums in rows.items()
+            for lo, (digits,) in sums
             for r, total in enumerate(digits, lo)
             if total
         )
@@ -178,11 +188,13 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
 
     The sum runs on integer numerators over one common denominator each for
     F, G and the C(r, s, p) of :func:`rcforms.brackets.bracket_terms`.
-    delta^0..delta^l of each input are built once; the product of
-    delta^r(F) and delta^s(G), times C, goes into the layer T_p with
-    p = l - r - s, and the layers combine by Horner's rule in delta: from
-    T_l, apply delta and add T_p for p = l - 1 down to 0.  Each output key
-    is divided by the denominators once.
+    Each coefficient carries delta^0..delta^l of itself as columns, so each
+    (n, m) row of an input packs once; the product of delta^r(F) and
+    delta^s(G) is one slot of the packed series product, and times C it
+    goes into the layer T_p with p = l - r - s.  The layers combine by
+    Horner's rule in delta: from T_l, apply delta and add T_p for
+    p = l - 1 down to 0.  Each output key is divided by the denominators
+    once.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
@@ -191,15 +203,27 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     den_g, g_int = _integer_form(G._restricted(trunc))
     params = BracketParams(F.weight, G.weight, 0, 0, 2 * l)
     den_c, c_int = _integer_form({(t.r, t.s, t.p): t.c_value for t in bracket_terms(params) if t.c_value})
-    f_powers, g_powers = [f_int], [g_int]
-    for _ in range(l):
-        f_powers.append(_delta(f_powers[-1]))
-        g_powers.append(_delta(g_powers[-1]))
+
+    def powers(coeffs):
+        """{(n, m): [(r, [delta^e a for e = 0..l])]} over the integer numerators a."""
+        rows: dict[tuple[int, int], list] = {}
+        for (n, r, m), value in coeffs.items():
+            disc, values = 4 * n * m - r * r, [value]
+            for _ in range(l):
+                values.append(values[-1] * disc)
+            rows.setdefault((n, m), []).append((r, values))
+        return rows
+
+    slots = [[(r, s)] for r, s, _ in c_int]
+    sums = _packed_products(powers(f_int), powers(g_int), SiegelSeries._row_pairs, trunc, slots)
     layers: list[dict[TripleKey, int]] = [{} for _ in range(l + 1)]
-    for (r, s, p), c in c_int.items():
-        layer = layers[p]
-        for key, total in SiegelSeries._convolve(f_powers[r], g_powers[s], trunc):
-            layer[key] = layer.get(key, 0) + c * total
+    weights = [(layers[p], c) for (_, _, p), c in c_int.items()]
+    for (n, m), spans in sums.items():
+        for lo, columns in spans:
+            for (layer, c), digits in zip(weights, columns):
+                for r, total in enumerate(digits, lo):
+                    if total:
+                        layer[(n, r, m)] = layer.get((n, r, m), 0) + c * total
     acc = layers[l]
     for layer in reversed(layers[:l]):
         acc = _delta(acc)

@@ -443,26 +443,40 @@ class TestBracketAgainstOperatorForm:
     @pytest.mark.parametrize("bits", [1, 7, 8, 29, 30, 31, 64])
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
     def test_row_slots_at_the_digit_bound(self, bits, signs):
-        # whole q^1 rows r = -3..3 at +-2**bits: the key (2, 0) collects all
+        self.check_row_slots_at_the_bound(2**bits, signs)
+
+    @pytest.mark.parametrize("magnitude", [4, 6, 3 * 2**29])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+    def test_row_slots_at_a_whole_byte_bound(self, magnitude, signs):
+        # the digit width is a whole number of bytes, so a width one bit
+        # short of the signed bound differs only where the bound's bit length
+        # is a multiple of 8: 14 * 4**2 = 224 (the q^3 row of the shifted
+        # spans), 7 * 6**2 = 252 and 7 * (3 * 2**29)**2 = 63 * 2**58 (the q^1
+        # rows); 36 * 2**2 = 144 (v = 1) is reached by bits = 1 above
+        self.check_row_slots_at_the_bound(magnitude, signs)
+
+    @staticmethod
+    def check_row_slots_at_the_bound(a, signs):
+        # whole q^1 rows r = -3..3 at +-a: the key (2, 0) collects all
         # 7 = min(#f, #g) pairs, each max|f| * max|g| with one sign, so its
         # digit is the bound itself, and a width one bit short carries into
         # or borrows from the neighbouring r-slots
         sf, sg = signs
-        f = JacobiSeries(4, 1, 3, {(1, r): sf * 2**bits for r in range(-3, 4)})
-        g = JacobiSeries(6, 2, 3, {(1, r): sg * 2**bits for r in range(-3, 4)})
+        f = JacobiSeries(4, 1, 3, {(1, r): sf * a for r in range(-3, 4)})
+        g = JacobiSeries(6, 2, 3, {(1, r): sg * a for r in range(-3, 4)})
         assert bracket_jacobi(f, g, 0, 0) == reference_bracket(f, g, 0, 0)
         assert bracket_jacobi_poly(f, g, 0) == reference_poly(f, g, 0)
         # rows of shifted spans: the key (3, 0) of the q^3 row collects 13 of
         # the 14 = min(#f, #g) pairs from two row pairs shifted apart, which
         # still fills the bound's top bit
-        f2 = JacobiSeries(4, 1, 3, {**f._coeffs, **{(2, r): sf * 2**bits for r in range(-2, 5)}})
-        g2 = JacobiSeries(6, 2, 3, {**g._coeffs, **{(2, r): sg * 2**bits for r in range(-3, 4)}})
+        f2 = JacobiSeries(4, 1, 3, {**f._coeffs, **{(2, r): sf * a for r in range(-2, 5)}})
+        g2 = JacobiSeries(6, 2, 3, {**g._coeffs, **{(2, r): sg * a for r in range(-3, 4)}})
         assert bracket_jacobi(f2, g2, 0, 0) == reference_bracket(f2, g2, 0, 0)
         # v = 1: f holds r1 = 3 on the rows 0..3 and g the rows 0..3 at
         # r2 = -3..3; the key (3, 0) collects 4 = min(#f, #g) pairs, each with
         # |m1*r2 - m2*r1| = 3*(m1 + m2), the bound's index factor
-        f1 = JacobiSeries(4, 1, 3, {(n, 3): sf * 2**bits for n in range(4)})
-        g1 = JacobiSeries(6, 2, 3, {(n, r): sg * 2**bits for n in range(4) for r in range(-3, 4)})
+        f1 = JacobiSeries(4, 1, 3, {(n, 3): sf * a for n in range(4)})
+        g1 = JacobiSeries(6, 2, 3, {(n, r): sg * a for n in range(4) for r in range(-3, 4)})
         assert bracket_jacobi(f1, g1, 0, 1) == reference_bracket(f1, g1, 0, 1)
         assert bracket_jacobi_poly(f1, g1, 1) == reference_poly(f1, g1, 1)
         # v = 2 sums two (e1, e2) products per slot, whose weights differ, so
@@ -471,6 +485,17 @@ class TestBracketAgainstOperatorForm:
         for x in (Q(0), Q(1, 2), Q(-1, 3)):
             assert bracket_jacobi(f2, g2, x, 2) == reference_bracket(f2, g2, x, 2)
         assert bracket_jacobi_poly(f2, g2, 2) == reference_poly(f2, g2, 2)
+
+    @pytest.mark.parametrize("v", range(6))
+    def test_entries_far_apart_in_r(self, v):
+        # rows whose entries lie 10**9 apart pack into separate runs, and the
+        # run products of an output row that lie apart are read back apart
+        far = 10**9
+        f = JacobiSeries(4, 1, 2, {(0, -far): 1, (0, far): 3, (1, -far): Q(2, 3), (1, 1 - far): -5, (2, far): 7})
+        g = JacobiSeries(6, 2, 2, {(0, 0): 2, (0, 2 * far): -1, (1, far - 1): Q(1, 2), (1, far): 4})
+        for x in (Q(0), Q(-1, 3)):
+            assert bracket_jacobi(f, g, x, v) == reference_bracket(f, g, x, v)
+        assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
 
     @pytest.mark.parametrize("v", range(8))
     def test_theta_pairs_match_reference(self, theta4, theta4_index2, e4_theta4, v):

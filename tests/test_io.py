@@ -1,3 +1,4 @@
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -390,6 +391,38 @@ class TestCli:
         assert bracket.trunc == 10**9 and not expected.is_zero()
         assert bracket.items() == expected.items()
         assert int(result.stdout) == brackets.bracket_rank_over_x(small, small, 4)
+
+    def test_bracket_cost_follows_the_inputs_not_the_spread_of_r(self, tmp_path):
+        # two records at r = -10**9 and 10**9: a packed row spanning every r
+        # between them would be an integer of hundreds of megabytes, while
+        # the stored entries make a handful of small products
+        far = 10**9
+        jacobi, siegel = tmp_path / "jacobi.coef", tmp_path / "siegel.coef"
+        write_series(jacobi, JacobiSeries(4, 1, 2, {(0, -far): 1, (0, far): 3}))
+        write_series(siegel, SiegelSeries(4, 2, {(0, -far, 0): 1, (0, far, 0): 2}))
+        out = tmp_path / "out.coef"
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        results = {}
+        for command, source, extra in (
+            ("bracket-jacobi", jacobi, ("--v", "0", "--out", str(out))),
+            ("bracket-jacobi", jacobi, ("--v", "5", "--x", "1/3", "--out", str(tmp_path / "v5.coef"))),
+            ("rank-x", jacobi, ("--v", "4")),
+            ("bracket-siegel", siegel, ("--l", "0", "--out", str(tmp_path / "siegel_out.coef"))),
+            ("bracket-siegel", siegel, ("--l", "2", "--out", str(tmp_path / "siegel_l2.coef"))),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "rcforms", command, "--left", str(source), "--right", str(source), *extra],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            results[command] = result.stdout
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 10
+        assert read_series(out).items() == [((0, -2 * far), 1), ((0, 0), 6), ((0, 2 * far), 9)]
+        assert read_series(tmp_path / "siegel_out.coef").items() == [
+            ((0, -2 * far, 0), 1), ((0, 0, 0), 4), ((0, 2 * far, 0), 4)
+        ]
+        assert int(results["rank-x"]) >= 1
 
     def test_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.coef"

@@ -249,7 +249,20 @@ def test_siegel_product_on_long_rows(operands):
 @pytest.mark.parametrize("bits", [1, 7, 8, 29, 30, 31, 64])
 @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
 def test_products_at_the_digit_bound(bits, signs):
-    """Whole rows r = -3..3 at +-2**bits: one output key collects min(#f, #g)
+    check_products_at_the_bound(2**bits, signs)
+
+
+@pytest.mark.parametrize("magnitude", [4, 6, 3 * 2**29])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_products_at_a_whole_byte_bound(magnitude, signs):
+    """The digit width is a whole number of bytes, so a width one bit short
+    of the signed bound differs only where the bound's bit length is a
+    multiple of 8: 14 * 4**2 = 224, 7 * 6**2 = 252, 7 * (3 * 2**29)**2."""
+    check_products_at_the_bound(magnitude, signs)
+
+
+def check_products_at_the_bound(a, signs):
+    """Whole rows r = -3..3 at +-a: one output key collects min(#f, #g)
     pairs, each max|f| * max|g| with one sign, so its digit is the bound and
     a width one bit short carries into the neighbouring r-slots."""
     sf, sg = signs
@@ -257,13 +270,27 @@ def test_products_at_the_digit_bound(bits, signs):
     # the q^1 rows: the key (2, 0) collects 7 pairs; with a second row each,
     # the q^2 row sums two row pairs and its key (2, 0) collects all 14
     for rows in ([1], [0, 1]):
-        f = JacobiSeries(4, 1, 2, {(n, r): sf * 2**bits for n in rows for r in range(-3, 4)})
-        g = JacobiSeries(6, 1, 2, {(n, r): sg * 2**bits for n in rows for r in range(-3, 4)})
+        f = JacobiSeries(4, 1, 2, {(n, r): sf * a for n in rows for r in range(-3, 4)})
+        g = JacobiSeries(6, 1, 2, {(n, r): sg * a for n in rows for r in range(-3, 4)})
         trunc, out = naive_product(f, g, jacobi_sum, lambda k, t: k[0] <= t)
         assert f * g == JacobiSeries(10, 2, trunc, out)
     # the (1, 1) block: the key (2, 0, 2) collects 7 pairs
-    F = SiegelSeries(4, 2, {(1, r, 1): sf * 2**bits for r in range(-3, 4)})
-    G = SiegelSeries(6, 2, {(1, r, 1): sg * 2**bits for r in range(-3, 4)})
+    F = SiegelSeries(4, 2, {(1, r, 1): sf * a for r in range(-3, 4)})
+    G = SiegelSeries(6, 2, {(1, r, 1): sg * a for r in range(-3, 4)})
+    combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    trunc, out = naive_product(F, G, combine, lambda k, t: k[0] <= t and k[2] <= t)
+    assert F * G == SiegelSeries(10, trunc, out)
+
+
+def test_products_of_entries_far_apart_in_r():
+    """Entries 10**9 apart in r: separate runs, and output sums read back apart."""
+    far = 10**9
+    f = JacobiSeries(4, 1, 3, {(0, -far): 1, (0, far): 3, (1, 2 - far): Fraction(2, 3), (1, far): -5, (2, 0): 7})
+    g = JacobiSeries(6, 1, 3, {(0, 0): 2, (0, 2 * far): -1, (1, -far): 4, (1, 1 - far): Fraction(1, 2)})
+    trunc, out = naive_product(f, g, lambda a, b: (a[0] + b[0], a[1] + b[1]), lambda k, t: k[0] <= t)
+    assert f * g == JacobiSeries(10, 2, trunc, out)
+    F = symmetric_siegel(4, 2, {(0, -far, 0): 1, (0, far, 0): 2, (0, 1, 1): 3, (1, far, 1): -1})
+    G = symmetric_siegel(6, 2, {(0, 0, 0): 5, (1, -far, 0): 2, (1, 1 - far, 1): Fraction(1, 3)})
     combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     trunc, out = naive_product(F, G, combine, lambda k, t: k[0] <= t and k[2] <= t)
     assert F * G == SiegelSeries(10, trunc, out)
