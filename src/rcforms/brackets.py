@@ -41,10 +41,13 @@ mu_s = B_s (1 + m1 x)^s D2^s,
     K = (1 or m1*r2 - m2*r1) * sum_p G_p * D^p * [X^(t-p)] (sum_r lam_r X^r) (sum_s mu_s X^s).
 
 ``bracket_jacobi`` evaluates this on whole q^n rows (Kronecker substitution
-in the zeta-exponent).  Over integer numerators, each entry a(n1, r1) of f
-carries one column per e = 0..t, a(n1, r1) * lam_e with lam_e taken at the
-key's D1, and g likewise with mu_e.  Each row is cut into runs at gaps of
-more than two r-slots, and each column of a run packs into one int
+in the zeta-exponent).  It runs on integer numerators: the store's
+numerators a(n1, r1) of f over its one denominator, and the weight lists
+A*L, B*R and G over their common denominators (``_integer_form``).  Each
+entry a(n1, r1) of f carries one column per e = 0..t, a(n1, r1) * lam_e
+with lam_e taken at the key's D1, and g likewise with mu_e.  Each row is
+cut into runs at gaps of more than two r-slots, and each column of a run
+packs into one int
 F_{n1,e} = sum_{r1} a(n1, r1) * lam_e * 2**(b*(r1 - lo)), lo the run's
 least r1 (:func:`rcforms.series._packed_rows`).  The output row n sums
 F_{n1,e1} * G_{n-n1,e2} over n1, over the runs and over e1 + e2 = k into
@@ -55,7 +58,9 @@ factor m1*r2 - m2*r1 splits into left columns weighted by -m2*r1 times
 plain right columns, plus plain left columns times right columns weighted
 by m1*r2: two products per (e1, e2).  Each sum is read back once per slot
 from its bytes (:func:`rcforms.series._row_products`); slot k is the sum
-for p = t - k, and G_p * D^p is applied by Horner's rule per key.
+for p = t - k, and G_p * D^p is applied by Horner's rule per key.  The
+integer totals go to the store over the product of the denominators, which
+reduces them once per output series; no ``Fraction`` is built.
 ``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
 loop and applies its x-degree weights per key.  The digit width b, a whole
 number of bytes, holds every digit as a signed digit: a key collects at
@@ -76,8 +81,9 @@ product behind the order-0 check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .series import (
@@ -95,16 +101,20 @@ from .series import d_z, heat_power  # noqa: F401  (re-exported)
 THREE_HALVES = Fraction(3, 2)
 
 
+def _falling_numerator(p: int, q: int, n: int) -> int:
+    """q**n * (p/q)_n = prod_{0 <= i < n} (p - i*q), over ints."""
+    out = 1
+    for i in range(n):
+        out *= p - i * q
+    return out
+
+
 def falling_factorial(x: int | Fraction, n: int) -> Fraction:
     """Falling Pochhammer (x)_n = prod_{0 <= i < n} (x - i); 1 for n = 0."""
     if n < 0:
         raise ValueError(f"falling factorial needs n >= 0, got {n}")
     x = as_rational(x)
-    p, q = x.numerator, x.denominator
-    out = 1
-    for i in range(n):
-        out *= p - i * q
-    return Fraction(out, q**n)
+    return Fraction(_falling_numerator(x.numerator, x.denominator, n), x.denominator**n)
 
 
 @dataclass(frozen=True)
@@ -135,15 +145,15 @@ class BracketParams:
     def parity(self) -> int:
         return self.v - 2 * (self.v // 2)
 
-    @property
+    @cached_property
     def alpha(self) -> Fraction:
         return as_rational(self.k1) - THREE_HALVES
 
-    @property
+    @cached_property
     def beta(self) -> Fraction:
         return as_rational(self.k2) - THREE_HALVES
 
-    @property
+    @cached_property
     def gamma(self) -> Fraction:
         return as_rational(self.k1) + as_rational(self.k2) - THREE_HALVES + self.parity
 
@@ -162,16 +172,22 @@ class BracketTerm:
 
 
 def coeff_C(r: int, s: int, p: int, params: BracketParams) -> Fraction:
-    """Weight-dependent coefficient of the (r, s, p) summand."""
+    """Weight-dependent coefficient of the (r, s, p) summand,
+
+        (alpha + t)_{s+p} (beta + t)_{r+p} (-gamma - t)_{r+s} / (r! s! p!),   t = r + s + p,
+
+    built as one ``Fraction`` from the int Pochhammer numerators and denominators.
+    """
     t = r + s + p
-    return (
-        falling_factorial(params.alpha + t, s + p)
-        / factorial(r)
-        * falling_factorial(params.beta + t, r + p)
-        / factorial(s)
-        * falling_factorial(-(params.gamma + t), r + s)
-        / factorial(p)
+    a, b, c = params.alpha, params.beta, params.gamma
+    qa, qb, qc = a.denominator, b.denominator, c.denominator
+    numerator = (
+        _falling_numerator(a.numerator + t * qa, qa, s + p)
+        * _falling_numerator(b.numerator + t * qb, qb, r + p)
+        * _falling_numerator(-c.numerator - t * qc, qc, r + s)
     )
+    denominator = qa ** (s + p) * qb ** (r + p) * qc ** (r + s) * factorial(r) * factorial(s) * factorial(p)
+    return Fraction(numerator, denominator)
 
 
 def coeff_D(r: int, s: int, i: int, j: int, params: BracketParams) -> Fraction:
@@ -255,10 +271,9 @@ def _bracket_pass(
     def rows(series, weights, c):
         """(den, {n: [(r, values)]}): values[e] = w_e * a * disc^e for e = 0..t over
         integer numerators a and w_e, then with c set the same times c*r."""
-        den, coeffs = _integer_form(series._coeffs)
         den_w, w = _integer_form(dict(enumerate(weights)))
         m, out = series.index, {}
-        for (n, r), a in coeffs.items():
+        for (n, r), a in series._num.items():
             if n <= trunc:
                 disc, values = 4 * n * m - r * r, []
                 for w_e in w.values():
@@ -267,7 +282,7 @@ def _bracket_pass(
                 if c is not None:
                     values += [c * r * value for value in values]
                 out.setdefault(n, []).append((r, values))
-        return den * den_w, out
+        return series._den * den_w, out
 
     c1, c2 = cross if cross is not None else (None, None)
     den_f, rows_f = rows(f, left, c1)
@@ -329,8 +344,8 @@ def bracket_jacobi(
                 for weight, digit in zip(g_int, digits):  # Horner's rule in D
                     total = total * disc + weight * digit
                 if total:
-                    coeffs[(n, r)] = Fraction(total, den)
-    return f._joined(g, v, coeffs)
+                    coeffs[(n, r)] = total
+    return f._joined(g, v, den, coeffs)
 
 
 def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[JacobiSeries]:
@@ -359,7 +374,7 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
         den_w, w = _integer_form(row)
         scaled.append((den * den_w, list(w.values())))
     index = f.index + g.index
-    parts: list[dict[Key, Fraction]] = [{} for _ in scaled]
+    parts: list[dict[Key, int]] = [{} for _ in scaled]
     for n, sums in rows.items():
         for lo, columns in sums:
             for r, digits in enumerate(zip(*columns), lo):
@@ -369,29 +384,40 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
                 for part, (den_d, w) in zip(parts, scaled):
                     total = sum(map(mul, w, values))
                     if total:
-                        part[(n, r)] = Fraction(total, den_d)
-    return [f._joined(g, v, coeffs) for coeffs in parts]
+                        part[(n, r)] = total
+    return [f._joined(g, v, den_d, coeffs) for coeffs, (den_d, _) in zip(parts, scaled)]
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by Gaussian elimination in exact ``Fraction`` arithmetic."""
-    rows = [row[:] for row in rows if any(row)]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+def _exact_rank(rows: list[list[int | Fraction]]) -> int:
+    """Rank over the rationals: each row cleared of its denominators once,
+    then fraction-free elimination on ints (Bareiss).
+
+    After k pivot steps every entry below the pivot rows is a (k+1)-minor of
+    the cleared matrix, so each step is one exact integer division per
+    entry, by the previous pivot (Sylvester's identity; Bareiss 1968).
+    """
+    matrix = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        if any(ints):
+            matrix.append(ints)
+    rank, previous = 0, 1
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][col]), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] / lead
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        lead = top[col]
+        for i in range(rank + 1, len(matrix)):
+            row = matrix[i]
+            c = row[col]
+            matrix[i] = [(lead * a - c * b) // previous for a, b in zip(row, top)]
+        previous = lead
         rank += 1
-        col += 1
+        if rank == len(matrix):
+            break
     return rank
 
 
@@ -404,12 +430,14 @@ def bracket_rank_over_x(f: JacobiSeries, g: JacobiSeries, v: int) -> int:
     point lets a degree violation show up as rank floor(v/2) + 2, which
     raises :class:`InvariantError`.  Each point is one independent
     :func:`bracket_jacobi` evaluation, not read off
-    :func:`bracket_jacobi_poly`.
+    :func:`bracket_jacobi_poly`.  The rows are the brackets' numerators,
+    each bracket's coefficients times its denominator, which span a space
+    of the same dimension.
     """
     vf = v // 2
     brackets = [bracket_jacobi(f, g, x, v) for x in range(vf + 2)]
-    keys = sorted(set().union(*(b.support() for b in brackets)))
-    rank = _exact_rank([[b[key] for key in keys] for b in brackets])
+    keys = sorted(set().union(*(b._num for b in brackets)))
+    rank = _exact_rank([[b._num.get(key, 0) for key in keys] for b in brackets])
     if rank > vf + 1:
         raise InvariantError(f"rank {rank} exceeds the degree bound {vf + 1}")
     return rank

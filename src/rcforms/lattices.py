@@ -93,6 +93,36 @@ def _descending_squares(target: int, parity: int, length: int, cap: int):
             yield (a,) + rest
 
 
+def _extend_e8(out: list[DoubledVector], prefix: list[int], norm: int, budget: int, parity: int) -> None:
+    """Append to ``out`` every doubled E8 vector of one coordinate parity that
+    starts with ``prefix`` (of doubled norm ``norm``) and has doubled norm
+    at most ``budget``.
+
+    A plain function that takes ``out``, so the recursion captures no cell
+    of its own and the list is freed as soon as its caller drops it.
+    """
+    depth = len(prefix)
+    remaining = budget - norm
+    if depth == 7:
+        # last coordinate is pinned mod 4 by the coordinate-sum rule
+        residue = (-sum(prefix)) % 4
+        if residue % 2 != parity:
+            return
+        limit = isqrt(remaining)
+        y = -limit + ((residue + limit) % 4)
+        while y <= limit:
+            out.append(tuple(prefix) + (y,))
+            y += 4
+        return
+    # each remaining odd coordinate costs at least 1
+    floor_cost = (7 - depth) * parity
+    limit = isqrt(remaining - floor_cost) if remaining >= floor_cost else -1
+    y = -limit if (-limit) % 2 == parity else -limit + 1
+    while y <= limit:
+        _extend_e8(out, prefix + [y], norm + y * y, budget, parity)
+        y += 2
+
+
 class Lattice:
     """Coordinate model of an even unimodular lattice (standard inner product)."""
 
@@ -141,33 +171,10 @@ class _E8(Lattice):
             raise ValueError("half-norm bound must be non-negative")
         budget = 8 * max_half_norm
         out: list[DoubledVector] = []
-
-        def extend(prefix: list[int], norm: int, parity: int) -> None:
-            depth = len(prefix)
-            remaining = budget - norm
-            if depth == 7:
-                # last coordinate is pinned mod 4 by the coordinate-sum rule
-                residue = (-sum(prefix)) % 4
-                if residue % 2 != parity:
-                    return
-                limit = isqrt(remaining)
-                y = -limit + ((residue + limit) % 4)
-                while y <= limit:
-                    out.append(tuple(prefix) + (y,))
-                    y += 4
-                return
-            # each remaining odd coordinate costs at least 1
-            floor_cost = (7 - depth) * parity
-            limit = isqrt(remaining - floor_cost) if remaining >= floor_cost else -1
-            y = -limit if (-limit) % 2 == parity else -limit + 1
-            while y <= limit:
-                extend(prefix + [y], norm + y * y, parity)
-                y += 2
-
         for parity in (0, 1):
             if parity == 1 and budget < 8:
                 continue
-            extend([], 0, parity)
+            _extend_e8(out, [], 0, budget, parity)
         out.sort()
         return out
 

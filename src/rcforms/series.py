@@ -1,8 +1,14 @@
 """Sparse truncated Fourier expansions over exact rationals.
 
-A bivariate expansion sum c(n, r) q^n zeta^r is stored as a finite map
-(n, r) -> Fraction with absent entries meaning zero; a series of truncation
-N promises that every q^n coefficient with 0 <= n <= N is complete.  All
+A bivariate expansion sum c(n, r) q^n zeta^r is stored as integer
+numerators over one denominator: a map (n, r) -> nonzero int and a positive
+int d with c(n, r) = numerator / d, absent entries meaning zero.  The form
+is canonical (d and the numerators share no factor, so d is the least
+common denominator of the values, and the zero series has d = 1), so two
+series are equal exactly when their maps and denominators are.  Every
+operation runs on the integers; a ``Fraction`` is built only where a value
+leaves the store (indexing and ``items``).  A series of truncation N
+promises that every q^n coefficient with 0 <= n <= N is complete.  All
 scalars are exact rationals; floats are rejected everywhere.
 
 The differential operators are normalised so that coefficients stay
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Any, Iterable, Mapping
 
 Key = tuple[int, int]
@@ -49,11 +55,24 @@ _ZERO = Fraction(0)
 def _integer_form(coeffs: Mapping[Any, Fraction]) -> tuple[int, dict]:
     """(d, {key: d * value}) with d the least common denominator of the values.
 
-    Product and bracket loops run on these integer numerators and divide by
-    the denominators once per output key.
+    For the ``Fraction``-valued weight lists of the bracket loops, which
+    run on these integer numerators and divide by d once per output series.
     """
     den = lcm(*{v.denominator for v in coeffs.values()})
     return den, {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}
+
+
+def _numerators(coeffs) -> tuple[int, dict]:
+    """(d, {key: d * value}) for a map or pairs key -> exact scalar, d the least common denominator.
+
+    The public constructors' input: ints pass as they are, anything else
+    goes through :func:`as_rational` (floats raise ``TypeError``), and zero
+    values stay, so that ``_store`` checks their keys too.
+    """
+    items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    values = {key: value if type(value) is int else as_rational(value) for key, value in items}
+    den = lcm(*{v.denominator for v in values.values()})
+    return den, {key: v.numerator * (den // v.denominator) for key, v in values.items()}
 
 
 # -- packed rows (Kronecker substitution) -------------------------------------
@@ -198,9 +217,15 @@ _PRODUCT = [[(0, 0)]]
 class _SparseSeries:
     """Exact coefficient store shared by every series kind.
 
-    A series is a finite map key -> Fraction holding only nonzero values, an
-    int truncation, and the int tags named by ``_TAGS`` (constructor order,
-    weight first, before ``trunc``).  The store builds every derived series:
+    A series is a finite map key -> nonzero int numerator ``_num`` over one
+    positive int denominator ``_den``, in canonical form (gcd(_den, *_num)
+    = 1, so ``_den`` is the least common denominator of the values and the
+    zero series has ``_den`` = 1), an int truncation, and the int tags named
+    by ``_TAGS`` (constructor order, weight first, before ``trunc``).  The
+    public constructor takes exact values; every derived series is built
+    from integers through ``_store``, which validates and reduces once, and
+    a ``Fraction`` is built only where a value leaves the store
+    (``__getitem__``, ``items``).  The store builds every derived series:
     ``_like`` steps the weight (the operators), ``_joined`` adds two series'
     tags plus a bilinear order on the smaller truncation (products, brackets)
     and ``first_difference`` compares two series.  Each kind supplies its key
@@ -209,11 +234,12 @@ class _SparseSeries:
     that does not; a kind multiplied by ``_product`` also supplies
     ``_convolve``, which groups its integer maps into rows (by n, or by
     (n, m)) and multiplies them through ``_packed_products`` (one product
-    per pair of packed runs) under the kind's ``_row_pairs`` rule.  Instances are immutable after construction
-    and safe to share; all operations return new series.
+    per pair of packed runs) under the kind's ``_row_pairs`` rule.
+    Instances are immutable after construction and safe to share; all
+    operations return new series.
     """
 
-    __slots__ = ("weight", "trunc", "_coeffs")
+    __slots__ = ("weight", "trunc", "_den", "_num")
     _TAGS: tuple[str, ...] = ("weight",)
     _RANGE_ERROR: str
     _ADD_ERROR = "cannot add weights {0} and {1}"
@@ -224,35 +250,53 @@ class _SparseSeries:
         trunc: int,
         coeffs: Mapping[Any, int | Fraction] | Iterable[tuple[Any, int | Fraction]] = (),
     ):
-        self._store((weight,), trunc, coeffs)
+        self._store((weight,), trunc, *_numerators(coeffs))
 
-    def _store(self, tags: tuple, trunc: int, coeffs) -> None:
-        """Set tags and truncation, then validate and keep the nonzero coefficients."""
+    @classmethod
+    def _from_integers(cls, tags: tuple, trunc: int, den: int, num: Mapping[Any, int]):
+        """The series of kind ``cls`` with values num[key] / den, built through ``_store``."""
+        series = cls.__new__(cls)
+        series._store(tags, trunc, den, num)
+        return series
+
+    def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[Any, int]) -> None:
+        """Set tags and truncation, then validate num / den and keep it in canonical form.
+
+        Every key must fit the truncation, zero values included; the values
+        must be ints (``gcd`` rejects anything else) and ``den`` positive.
+        Zeros are dropped and the common factor of den and the numerators
+        divided out.
+        """
         for name, value in zip((*self._TAGS, "trunc"), (*tags, trunc)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if trunc < 0:
             raise ValueError(f"truncation must be non-negative, got {trunc}")
+        if not isinstance(den, int) or den < 1:
+            raise InvariantError(f"denominator must be a positive int, got {den!r}")
         for name, value in zip(self._TAGS, tags):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "trunc", trunc)
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         fits = self._fits
         store = {}
-        for key, value in items:
+        for key, value in num.items():
             if not fits(key, trunc):
                 raise ValueError(self._RANGE_ERROR.format(key, trunc))
-            value = as_rational(value)
             if value:
                 store[key] = value
-        object.__setattr__(self, "_coeffs", store)
+        common = gcd(den, *store.values())
+        if common > 1:
+            den //= common
+            store = {key: value // common for key, value in store.items()}
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", store)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # rebuild through the constructor: the default slot restore would hit __setattr__
-        return type(self), (*self._tags(), self.trunc, self._coeffs)
+        return type(self), (*self._tags(), self.trunc, dict(self.items()))
 
     def _tags(self) -> tuple:
         return tuple(getattr(self, name) for name in self._TAGS)
@@ -262,35 +306,42 @@ class _SparseSeries:
         """The zero series with the given tags and truncation."""
         return cls(*tags_and_trunc)
 
-    def _like(self, trunc: int, coeffs, step: int = 0):
-        """A series of the same kind and tags, its weight advanced by ``step``."""
+    def _like(self, trunc: int, den: int, num: Mapping[Any, int], step: int = 0):
+        """num / den as a series of the same kind and tags, its weight advanced by ``step``."""
         weight, *rest = self._tags()
-        return type(self)(weight + step, *rest, trunc, coeffs)
+        return self._from_integers((weight + step, *rest), trunc, den, num)
 
-    def _joined(self, other, order: int, coeffs):
-        """An order-``order`` bilinear output: tags added, weight plus order, smaller truncation."""
+    def _joined(self, other, order: int, den: int, num: Mapping[Any, int]):
+        """num / den as an order-``order`` bilinear output: tags added, weight plus order, smaller truncation."""
         weight, *rest = (x + y for x, y in zip(self._tags(), other._tags()))
-        return type(self)(weight + order, *rest, min(self.trunc, other.trunc), coeffs)
+        return self._from_integers((weight + order, *rest), min(self.trunc, other.trunc), den, num)
 
     # -- queries -------------------------------------------------------------
 
     def __getitem__(self, key) -> Fraction:
-        return self._coeffs.get(key, _ZERO)
+        value = self._num.get(key)
+        return _ZERO if value is None else Fraction(value, self._den)
 
     def items(self) -> list:
         """Nonzero coefficients in ascending key order."""
-        return sorted(self._coeffs.items())
+        num, den = self._num, self._den
+        return [(key, Fraction(num[key], den)) for key in sorted(num)]
 
     def support(self) -> list:
-        return sorted(self._coeffs)
+        return sorted(self._num)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def first_difference(self, other):
-        """The least key at which the coefficients of self and other differ, or None."""
-        keys = {*self._coeffs, *other._coeffs}
-        return min((key for key in keys if self[key] != other[key]), default=None)
+        """The least key at which the coefficients of self and other differ, or None.
+
+        a / d_a and b / d_b differ exactly when a * d_b != b * d_a.
+        """
+        a, b = self._num, other._num
+        da, db = self._den, other._den
+        keys = a.keys() | b.keys()
+        return min((key for key in keys if a.get(key, 0) * db != b.get(key, 0) * da), default=None)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -298,55 +349,58 @@ class _SparseSeries:
         return (
             self._tags() == other._tags()
             and self.trunc == other.trunc
-            and self._coeffs == other._coeffs
+            and self._den == other._den
+            and self._num == other._num
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
         fields = [f"{name}={getattr(self, name)}" for name in self._TAGS]
-        fields += [f"trunc={self.trunc}", f"terms={len(self._coeffs)}"]
+        fields += [f"trunc={self.trunc}", f"terms={len(self._num)}"]
         return f"{type(self).__name__}({', '.join(fields)})"
 
     # -- restrict, merge and scale -------------------------------------------
 
     def _restricted(self, trunc: int) -> dict:
-        """A fresh dict of the coefficients whose keys fit ``trunc``."""
+        """A fresh dict of the numerators whose keys fit ``trunc`` (over ``_den``)."""
         if trunc >= self.trunc:
-            return dict(self._coeffs)
+            return dict(self._num)
         fits = self._fits
-        return {k: v for k, v in self._coeffs.items() if fits(k, trunc)}
+        return {k: v for k, v in self._num.items() if fits(k, trunc)}
 
     def _truncated(self, trunc: int):
         if trunc > self.trunc:
             raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
-        return self._like(trunc, self._restricted(trunc))
+        return self._like(trunc, self._den, self._restricted(trunc))
 
     def _sum(self, other):
-        """self + other on the smaller truncation; tags must match."""
+        """self + other on the smaller truncation over the lcm of the denominators; tags must match."""
         if type(other) is not type(self):
             return NotImplemented
         if self._tags() != other._tags():
             raise ValueError(self._ADD_ERROR.format(*self._tags(), *other._tags()))
         trunc = min(self.trunc, other.trunc)
-        out = self._restricted(trunc)
+        den = lcm(self._den, other._den)
+        out, scale = self._restricted(trunc), den // self._den
+        if scale > 1:
+            out = {k: scale * v for k, v in out.items()}
+        scale = den // other._den
         for k, v in other._restricted(trunc).items():
-            out[k] = out.get(k, _ZERO) + v
-        return self._like(trunc, out)
+            out[k] = out.get(k, 0) + scale * v
+        return self._like(trunc, den, out)
 
     def _product(self, other):
         """self * other at the smaller truncation with tags added: the kind's
-        ``_convolve`` runs on each operand's numerators over its common denominator."""
+        ``_convolve`` runs on the numerators, over the product of the denominators."""
         trunc = min(self.trunc, other.trunc)
-        den_a, a_int = _integer_form(self._coeffs)
-        den_b, b_int = _integer_form(other._coeffs)
-        den = den_a * den_b
-        products = self._convolve(a_int, b_int, trunc)
-        return self._joined(other, 0, {key: Fraction(total, den) for key, total in products if total})
+        products = self._convolve(self._num, other._num, trunc)
+        return self._joined(other, 0, self._den * other._den, dict(products))
 
     def _scaled(self, c: int | Fraction):
         c = as_rational(c)
-        return self._like(self.trunc, {k: c * v for k, v in self._coeffs.items()})
+        p = c.numerator
+        return self._like(self.trunc, self._den * c.denominator, {k: p * v for k, v in self._num.items()})
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -377,7 +431,7 @@ class JacobiSeries(_SparseSeries):
     ):
         if index < 0:
             raise ValueError(f"index must be non-negative, got {index}")
-        self._store((weight, index), trunc, coeffs)
+        self._store((weight, index), trunc, *_numerators(coeffs))
 
     @staticmethod
     def _fits(key: Key, trunc: int) -> bool:
@@ -418,7 +472,7 @@ class JacobiSeries(_SparseSeries):
 
     def zeta_window(self, n: int | None = None) -> tuple[int, int] | None:
         """Range (rmin, rmax) of stored r values, for one n or overall."""
-        rs = [r for (nn, r) in self._coeffs if n is None or nn == n]
+        rs = [r for (nn, r) in self._num if n is None or nn == n]
         if not rs:
             return None
         return min(rs), max(rs)
@@ -426,7 +480,7 @@ class JacobiSeries(_SparseSeries):
     def _outside_cone(self, strict: bool) -> Key | None:
         """Least stored key with r**2 > 4*n*index, or r**2 + 1 > 4*n*index if ``strict``; or None."""
         m = self.index
-        return min(((n, r) for n, r in self._coeffs if r * r + strict > 4 * n * m), default=None)
+        return min(((n, r) for n, r in self._num if r * r + strict > 4 * n * m), default=None)
 
     def has_holomorphic_support(self) -> bool:
         """True iff every nonzero c(n, r) satisfies r**2 <= 4*n*index."""
@@ -468,8 +522,8 @@ class EllipticSeries(_SparseSeries):
 
     def as_jacobi(self) -> JacobiSeries:
         """Embedding as an index-0 series with all mass at r = 0."""
-        return JacobiSeries(
-            self.weight, 0, self.trunc, {(n, 0): v for n, v in self._coeffs.items()}
+        return JacobiSeries._from_integers(
+            (self.weight, 0), self.trunc, self._den, {(n, 0): v for n, v in self._num.items()}
         )
 
     def __neg__(self) -> EllipticSeries:
@@ -481,7 +535,7 @@ class EllipticSeries(_SparseSeries):
     def __mul__(self, other):
         if isinstance(other, EllipticSeries):
             product = self.as_jacobi() * other.as_jacobi()
-            return self._joined(other, 0, {n: v for (n, _), v in product._coeffs.items()})
+            return self._joined(other, 0, product._den, {n: v for (n, _), v in product._num.items()})
         if isinstance(other, JacobiSeries):
             return self.as_jacobi() * other
         if isinstance(other, (int, Fraction)):
@@ -494,23 +548,23 @@ class EllipticSeries(_SparseSeries):
 
 def theta_q(f: JacobiSeries) -> JacobiSeries:
     """q d/dq: multiply c(n, r) by n.  Weight tag advances by 2."""
-    return f._like(f.trunc, {(n, r): n * v for (n, r), v in f._coeffs.items()}, 2)
+    return f._like(f.trunc, f._den, {(n, r): n * v for (n, r), v in f._num.items()}, 2)
 
 
 def theta_q_elliptic(f: EllipticSeries) -> EllipticSeries:
     """q d/dq on a univariate expansion."""
-    return f._like(f.trunc, {n: n * v for n, v in f._coeffs.items()}, 2)
+    return f._like(f.trunc, f._den, {n: n * v for n, v in f._num.items()}, 2)
 
 
 def d_z(f: JacobiSeries) -> JacobiSeries:
     """zeta d/dzeta: multiply c(n, r) by r.  Weight tag advances by 1."""
-    return f._like(f.trunc, {(n, r): r * v for (n, r), v in f._coeffs.items()}, 1)
+    return f._like(f.trunc, f._den, {(n, r): r * v for (n, r), v in f._num.items()}, 1)
 
 
 def heat(f: JacobiSeries) -> JacobiSeries:
     """Heat operator at the series' own index: multiply c(n, r) by 4*n*m - r**2."""
     m = f.index
-    return f._like(f.trunc, {(n, r): (4 * n * m - r * r) * v for (n, r), v in f._coeffs.items()}, 2)
+    return f._like(f.trunc, f._den, {(n, r): (4 * n * m - r * r) * v for (n, r), v in f._num.items()}, 2)
 
 
 def heat_power(f: JacobiSeries, p: int) -> JacobiSeries:
@@ -546,8 +600,9 @@ class CheckResult:
 
 def _parity_failure(f: JacobiSeries) -> Key | None:
     """The least stored key (n, r) with c(n, -r) != (-1)**weight * c(n, r), or None."""
-    mirror = {key: -v for key, v in f._coeffs.items()} if f.weight % 2 else f._coeffs
-    return min(((n, r) for (n, r), v in f._coeffs.items() if mirror.get((n, -r), _ZERO) != v), default=None)
+    num = f._num
+    mirror = {key: -v for key, v in num.items()} if f.weight % 2 else num
+    return min(((n, r) for (n, r), v in num.items() if mirror.get((n, -r), 0) != v), default=None)
 
 
 def check_parity(f: JacobiSeries) -> bool:
@@ -579,15 +634,16 @@ def check_disc_class_invariance(f: JacobiSeries) -> tuple[bool, DiscClassWitness
     m = f.index
     if m < 1:
         raise ValueError("disc-class invariance needs index >= 1")
+    num = f._num
     seen: set[Key] = set()
-    for key in sorted(f._coeffs):
+    for key in sorted(num):
         if key not in seen:
             first, *others = members = _class_members(key, m, f.trunc)
             seen.update(members)
-            value = f[first]
+            value = num.get(first, 0)
             for other in others:
-                if f[other] != value:
-                    return False, (first, value, other, f[other])
+                if num.get(other, 0) != value:
+                    return False, (first, f[first], other, f[other])
     return True, None
 
 

@@ -1,7 +1,8 @@
 """Degree-2 expansions, the determinant-type heat operator, and its brackets.
 
-A degree-2 expansion is a finite map (n, r, m) -> Fraction on the block
-0 <= n, m <= trunc with the transpose symmetry a(n, r, m) = a(m, r, n); its
+A degree-2 expansion is a finite map (n, r, m) -> rational on the block
+0 <= n, m <= trunc with the transpose symmetry a(n, r, m) = a(m, r, n),
+kept as integer numerators over one denominator like every series; its
 slice at fixed m is a Jacobi-type expansion of index m.  The operator
 ``delta_op`` multiplies a(n, r, m) by 4*n*m - r**2, which is the
 (2*pi*i)**-2 scaling of the determinant of the matrix of partial
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
 from .series import (
     _PRODUCT,
-    _ZERO,
     CheckResult,
     JacobiSeries,
     _integer_form,
@@ -51,25 +52,21 @@ class SymmetryError(ValueError):
 class SiegelSeries(_SparseSeries):
     """Truncated expansion a(n, r, m) q^n zeta^r qq^m, symmetric in (n, m).
 
-    Construction validates the transpose symmetry, so every series built by
-    the package operations satisfies it by induction.  Immutable.
+    Construction validates the transpose symmetry, on the public
+    constructor and on every series built from integers alike, so every
+    series built by the package operations satisfies it by induction.
+    Immutable.
     """
 
     __slots__ = ()
     _RANGE_ERROR = "key (n={0[0]}, m={0[2]}) outside block [0, {1}]^2"
 
-    def __init__(
-        self,
-        weight: int,
-        trunc: int,
-        coeffs: Mapping[TripleKey, int | Fraction] | Iterable[tuple[TripleKey, int | Fraction]] = (),
-    ):
-        super().__init__(weight, trunc, coeffs)
-        store = self._coeffs
-        for (n, r, m), value in store.items():
-            mirrored = store.get((m, r, n), _ZERO)
-            if mirrored != value:
-                raise SymmetryError((n, r, m), value, mirrored)
+    def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[TripleKey, int]) -> None:
+        super()._store(tags, trunc, den, num)
+        num = self._num
+        for (n, r, m), value in num.items():
+            if num.get((m, r, n), 0) != value:
+                raise SymmetryError((n, r, m), self[(n, r, m)], self[(m, r, n)])
 
     @staticmethod
     def _fits(key: TripleKey, trunc: int) -> bool:
@@ -108,19 +105,20 @@ class SiegelSeries(_SparseSeries):
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
         if not 0 <= m <= self.trunc:
             raise ValueError(f"slice index {m} outside [0, {self.trunc}]")
-        return JacobiSeries(
-            self.weight,
-            m,
+        return JacobiSeries._from_integers(
+            (self.weight, m),
             self.trunc,
-            {(n, r): v for (n, r, mm), v in self._coeffs.items() if mm == m},
+            self._den,
+            {(n, r): v for (n, r, mm), v in self._num.items() if mm == m},
         )
 
     def components(self) -> list[JacobiSeries]:
         """The slices f_0, ..., f_trunc, split from the store in one scan."""
         rows: list[dict] = [{} for _ in range(self.trunc + 1)]
-        for (n, r, m), value in self._coeffs.items():
+        for (n, r, m), value in self._num.items():
             rows[m][(n, r)] = value
-        return [JacobiSeries(self.weight, m, self.trunc, row) for m, row in enumerate(rows)]
+        weight, trunc, den = self.weight, self.trunc, self._den
+        return [JacobiSeries._from_integers((weight, m), trunc, den, row) for m, row in enumerate(rows)]
 
     def __neg__(self) -> SiegelSeries:
         return self._scaled(-1)
@@ -164,7 +162,7 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
     return SiegelSeries(weight, trunc, coeffs)
 
 
-def _delta(coeffs: Mapping[TripleKey, int | Fraction]) -> dict:
+def _delta(coeffs: Mapping[TripleKey, int]) -> dict:
     """The delta rule on a coefficient map: a(n, r, m) times 4*n*m - r**2, zeros dropped."""
     return {(n, r, m): d * v for (n, r, m), v in coeffs.items() if (d := 4 * n * m - r * r)}
 
@@ -175,7 +173,7 @@ def delta_op(F: SiegelSeries) -> SiegelSeries:
     On the index-m slice this is exactly the heat operator, so slicing and
     delta_op commute through :func:`rcforms.series.heat`.
     """
-    return F._like(F.trunc, _delta(F._coeffs), 2)
+    return F._like(F.trunc, F._den, _delta(F._num), 2)
 
 
 def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSeries:
@@ -186,21 +184,20 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     slice of the output is supported in the open cone r**2 < 4*n*m, so the
     m = 0 and n = 0 slices vanish identically.
 
-    The sum runs on integer numerators over one common denominator each for
-    F, G and the C(r, s, p) of :func:`rcforms.brackets.bracket_terms`.
-    Each coefficient carries delta^0..delta^l of itself as columns, so each
-    (n, m) row of an input packs once; the product of delta^r(F) and
-    delta^s(G) is one slot of the packed series product, and times C it
-    goes into the layer T_p with p = l - r - s.  The layers combine by
-    Horner's rule in delta: from T_l, apply delta and add T_p for
-    p = l - 1 down to 0.  Each output key is divided by the denominators
-    once.
+    The sum runs on integers: the stored numerators of F and G, and the
+    C(r, s, p) of :func:`rcforms.brackets.bracket_terms` over their common
+    denominator.  Each coefficient carries delta^0..delta^l of itself as
+    columns, so each (n, m) row of an input packs once; the product of
+    delta^r(F) and delta^s(G) is one slot of the packed series product, and
+    times C it goes into the layer T_p with p = l - r - s.  The layers
+    combine by Horner's rule in delta: from T_l, apply delta and add T_p
+    for p = l - 1 down to 0.  The sums go to the store over the product of
+    the three denominators, which reduces them once; no ``Fraction`` is
+    built.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     trunc = min(F.trunc, G.trunc)
-    den_f, f_int = _integer_form(F._restricted(trunc))
-    den_g, g_int = _integer_form(G._restricted(trunc))
     params = BracketParams(F.weight, G.weight, 0, 0, 2 * l)
     den_c, c_int = _integer_form({(t.r, t.s, t.p): t.c_value for t in bracket_terms(params) if t.c_value})
 
@@ -215,7 +212,8 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
         return rows
 
     slots = [[(r, s)] for r, s, _ in c_int]
-    sums = _packed_products(powers(f_int), powers(g_int), SiegelSeries._row_pairs, trunc, slots)
+    f_rows, g_rows = powers(F._restricted(trunc)), powers(G._restricted(trunc))
+    sums = _packed_products(f_rows, g_rows, SiegelSeries._row_pairs, trunc, slots)
     layers: list[dict[TripleKey, int]] = [{} for _ in range(l + 1)]
     weights = [(layers[p], c) for (_, _, p), c in c_int.items()]
     for (n, m), spans in sums.items():
@@ -229,8 +227,7 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
         acc = _delta(acc)
         for key, total in layer.items():
             acc[key] = acc.get(key, 0) + total
-    den = den_f * den_g * den_c
-    return F._joined(G, 2 * l, {key: Fraction(total, den) for key, total in acc.items() if total})
+    return F._joined(G, 2 * l, F._den * G._den * den_c, acc)
 
 
 def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSeries:
@@ -239,9 +236,9 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
     Slice mu of the output is the sum over m + m' = mu of the order-2l
     brackets of the slices f_m and g_m'; only complete slices mu <= trunc
     are emitted.  Each input is split into its nonempty slices with
-    m <= trunc and the brackets are summed into one coefficient map, so the
-    cost follows the stored coefficients, not the truncation.  Agrees
-    exactly with :func:`bracket_siegel_direct`.
+    m <= trunc and the brackets' numerators are summed into one map over the
+    lcm of their denominators, so the cost follows the stored coefficients,
+    not the truncation.  Agrees exactly with :func:`bracket_siegel_direct`.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
@@ -249,22 +246,30 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
 
     def nonzero_slices(series):
         rows: dict[int, dict] = {}
-        for (n, r, m), value in series._coeffs.items():
+        for (n, r, m), value in series._num.items():
             if m <= trunc:
                 rows.setdefault(m, {})[(n, r)] = value
         # one of F, G has truncation trunc, so every bracket below is cut there
-        return {m: JacobiSeries(series.weight, m, series.trunc, row) for m, row in rows.items()}
+        return {
+            m: JacobiSeries._from_integers((series.weight, m), series.trunc, series._den, row)
+            for m, row in rows.items()
+        }
 
     g_slices = nonzero_slices(G)
-    coeffs: dict[TripleKey, Fraction] = {}
-    for m, f in nonzero_slices(F).items():
-        for m2, g in g_slices.items():
-            if m + m2 > trunc:
-                continue
-            for (n, r), value in bracket_jacobi(f, g, 0, 2 * l)._coeffs.items():
-                key = (n, r, m + m2)
-                coeffs[key] = coeffs.get(key, _ZERO) + value
-    return F._joined(G, 2 * l, coeffs)
+    parts = [
+        (m + m2, bracket_jacobi(f, g, 0, 2 * l))
+        for m, f in nonzero_slices(F).items()
+        for m2, g in g_slices.items()
+        if m + m2 <= trunc
+    ]
+    den = lcm(*[part._den for _, part in parts])
+    coeffs: dict[TripleKey, int] = {}
+    for mu, part in parts:
+        scale = den // part._den
+        for (n, r), value in part._num.items():
+            key = (n, r, mu)
+            coeffs[key] = coeffs.get(key, 0) + scale * value
+    return F._joined(G, 2 * l, den, coeffs)
 
 
 @dataclass(frozen=True)

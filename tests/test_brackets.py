@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +281,57 @@ class TestRank:
                 expected = _exact_rank([[p[key] for key in keys] for p in parts])
                 assert bracket_rank_over_x(f, g, v) == expected, (f.weight, g.weight, v)
 
+    @staticmethod
+    def fraction_rank(rows):
+        """Reference: Gaussian elimination in plain Fraction arithmetic."""
+        rows = [[Q(a) for a in row] for row in rows if any(row)]
+        rank, col, ncols = 0, 0, len(rows[0]) if rows else 0
+        while rank < len(rows) and col < ncols:
+            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if pivot is None:
+                col += 1
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            for i in range(rank + 1, len(rows)):
+                factor = rows[i][col] / rows[rank][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+            rank += 1
+            col += 1
+        return rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_rank_matches_fraction_elimination(self, data):
+        # rows: combinations of a small basis (rank 0 included), with zero
+        # rows, repeated rows and zero columns mixed in, so the elimination
+        # skips columns and swaps rows
+        ncols = data.draw(st.integers(1, 7))
+        small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        basis = data.draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols), max_size=4))
+        for col in data.draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+            for row in basis:
+                row[col] = Q(0)
+        rows = [
+            [sum((c * b[j] for c, b in zip(weights, basis)), Q(0)) for j in range(ncols)]
+            for weights in data.draw(st.lists(st.lists(small, min_size=len(basis), max_size=len(basis)), max_size=6))
+        ]
+        rows += [[Q(0)] * ncols] * data.draw(st.integers(0, 2))
+        rows += [rows[i][:] for i in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))] if rows else []
+        rows = data.draw(st.permutations(rows))
+        rank = _exact_rank(rows)
+        assert rank == self.fraction_rank(rows) <= len(basis)
+        # rows cleared to ints (as bracket_rank_over_x passes them) keep the rank
+        cleared = []
+        for row in rows:
+            den = lcm(*(a.denominator for a in row))
+            cleared.append([int(a * den) for a in row])
+        assert _exact_rank(cleared) == rank
+
+    def test_exact_rank_of_zero_and_empty_matrices(self):
+        assert _exact_rank([]) == 0
+        assert _exact_rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert _exact_rank([[Q(1, 2), 1], [1, 2], [Q(-3, 7), Q(-6, 7)]]) == 1
+
 
 class TestRecursions:
     def test_weight_four_base_case(self):
@@ -469,8 +520,8 @@ class TestBracketAgainstOperatorForm:
         # rows of shifted spans: the key (3, 0) of the q^3 row collects 13 of
         # the 14 = min(#f, #g) pairs from two row pairs shifted apart, which
         # still fills the bound's top bit
-        f2 = JacobiSeries(4, 1, 3, {**f._coeffs, **{(2, r): sf * a for r in range(-2, 5)}})
-        g2 = JacobiSeries(6, 2, 3, {**g._coeffs, **{(2, r): sg * a for r in range(-3, 4)}})
+        f2 = JacobiSeries(4, 1, 3, {**dict(f.items()), **{(2, r): sf * a for r in range(-2, 5)}})
+        g2 = JacobiSeries(6, 2, 3, {**dict(g.items()), **{(2, r): sg * a for r in range(-3, 4)}})
         assert bracket_jacobi(f2, g2, 0, 0) == reference_bracket(f2, g2, 0, 0)
         # v = 1: f holds r1 = 3 on the rows 0..3 and g the rows 0..3 at
         # r2 = -3..3; the key (3, 0) collects 4 = min(#f, #g) pairs, each with

@@ -7,6 +7,7 @@ expansions, built from coordinate series and W(D8) orbits, are checked
 against counts over the enumerated vectors and against Eisenstein series.
 """
 
+import gc
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -87,6 +88,19 @@ class TestEnumeration:
         assert not E8.contains((Q(1, 2), 1, 0, 0, 0, 0, 0, 0))  # mixed parity
         assert not E8.contains((1, 1))  # wrong rank
         assert E8_E8.contains(tuple(E8_INDEX1_VECTOR) + tuple([0] * 8))
+
+    def test_enumeration_leaves_no_reference_cycle(self):
+        # the enumeration's recursion must not capture itself: a cycle would
+        # keep the returned list alive until the cyclic collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            vectors = E8.doubled_vectors(2)
+            assert len(vectors) == 2401
+            del vectors
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_float_coordinates_rejected(self):
         with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ import pytest
 
 from rcforms.series import (
     EllipticSeries,
+    InvariantError,
     JacobiSeries,
     _class_members,
     check_disc_class_invariance,
@@ -66,7 +67,7 @@ class TestConstruction:
             EllipticSeries(4, 2, {1: 1}),
             SiegelSeries(4, 2, {(1, 0, 1): 1}),
         ):
-            for name in ("weight", "index", "trunc", "_coeffs"):
+            for name in ("weight", "index", "trunc", "_den", "_num"):
                 with pytest.raises(AttributeError, match="immutable"):
                     setattr(f, name, 6)
 
@@ -77,6 +78,23 @@ class TestConstruction:
             EllipticSeries(4, 2, {-1: 0})
         with pytest.raises(ValueError, match="outside block"):
             SiegelSeries(4, 2, {(0, 0, 3): 0})
+
+    def test_integer_path_checks_keys_values_and_denominator(self):
+        # the store's integer constructor, behind every derived series,
+        # keeps the checks of the public one
+        with pytest.raises(ValueError, match="outside range"):
+            JacobiSeries._from_integers((4, 1), 2, 3, {(3, 0): 1})
+        with pytest.raises(ValueError, match="outside range"):
+            JacobiSeries._from_integers((4, 1), 2, 3, {(-1, 0): 0})
+        f = series(4, 1, 2, {(1, 0): Q(1, 2)})
+        with pytest.raises(ValueError, match="outside range"):
+            f._like(1, f._den, {(2, 0): 1})
+        with pytest.raises(TypeError):
+            f._like(2, f._den, {(1, 0): 0.5})
+        with pytest.raises(TypeError, match="weight must be an int"):
+            JacobiSeries._from_integers((4.0, 1), 2, 1, {})
+        with pytest.raises(InvariantError, match="denominator"):
+            f._like(2, 0, {(1, 0): 1})
 
     def test_unhashable(self):
         for f in (series(4, 1, 2, {}), EllipticSeries(4, 2), SiegelSeries(4, 2)):
@@ -102,7 +120,7 @@ class TestConstruction:
         ):
             g = clone(f)
             assert type(g) is type(f) and g == f and repr(g) == repr(f)
-            assert g._coeffs is not f._coeffs
+            assert g._num is not f._num
             with pytest.raises(AttributeError, match="immutable"):
                 g.trunc = 5
 

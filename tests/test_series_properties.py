@@ -1,7 +1,7 @@
 """Hypothesis properties: ring laws and operator identities on random series."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from rcforms.series import (
     theta_q,
     theta_q_elliptic,
 )
+from rcforms.seriesio import export_series
 from rcforms.siegel import SiegelSeries
 from row_shapes import sparse_rows, window
 
@@ -294,3 +295,63 @@ def test_products_of_entries_far_apart_in_r():
     combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     trunc, out = naive_product(F, G, combine, lambda k, t: k[0] <= t and k[2] <= t)
     assert F * G == SiegelSeries(10, trunc, out)
+
+
+# -- the canonical integer store ---------------------------------------------
+
+# denominators up to 60 give values whose denominators share some factors
+# and not others, so sums, products and cuts change the common denominator
+unlike_rationals = st.fractions(min_value=Fraction(-40), max_value=Fraction(40), max_denominator=60)
+
+
+def assert_canonical(f):
+    """gcd(_den, *_num) = 1 over nonzero int numerators; the zero series has _den = 1."""
+    assert isinstance(f._den, int) and f._den >= 1
+    assert all(type(v) is int and v for v in f._num.values())
+    assert gcd(f._den, *f._num.values()) == 1
+    assert f._den == 1 or not f.is_zero()
+
+
+def assert_same_store(a, b):
+    assert (a._den, a._num) == (b._den, b._num)
+    assert export_series(a) == export_series(b)
+
+
+@st.composite
+def unlike_jacobi_pairs(draw):
+    keys = st.tuples(st.integers(0, 3), st.integers(-3, 3))
+    make = lambda: draw(st.dictionaries(keys, unlike_rationals | st.just(Fraction(0)), max_size=8))
+    return make(), make()
+
+
+@given(unlike_jacobi_pairs(), unlike_rationals.filter(bool), st.integers(0, 3))
+def test_jacobi_store_is_canonical(coeffs, c, cut):
+    a, b = coeffs
+    f, g = JacobiSeries(4, 1, 3, a), JacobiSeries(4, 1, 3, b)
+    results = [
+        JacobiSeries(4, 1, 3, dict(f.items())),
+        (f * c) * (1 / c),
+        f + g - g,
+        -(-f),
+    ]
+    for h in results:
+        assert_canonical(h)
+        assert_same_store(h, f)
+    cut_f = f.truncated(cut)
+    assert_canonical(cut_f)
+    assert_same_store(cut_f, JacobiSeries(4, 1, cut, {k: v for k, v in a.items() if k[0] <= cut}))
+    for h in (f, g, f + g, f * g, f * 0, f - f, heat(f), f * c):
+        assert_canonical(h)
+    assert (f - f)._den == 1 and JacobiSeries.zero(4, 1, 3)._den == 1
+
+
+@given(st.dictionaries(siegel_keys(2, st.integers(-2, 2)), unlike_rationals, max_size=6))
+def test_siegel_store_is_canonical(upper):
+    F = symmetric_siegel(4, 2, upper)
+    assert_canonical(F)
+    assert_same_store(SiegelSeries(4, 2, dict(F.items())), F)
+    assert_same_store(-(-F), F)
+    for part in F.components():
+        assert_canonical(part)
+    for h in (F * F, F + F, F.truncated(1)):
+        assert_canonical(h)

@@ -24,6 +24,15 @@ class TestConstruction:
             SiegelSeries(4, 2, {(1, 0, 2): 1})
         assert info.value.key == (1, 0, 2)
 
+    def test_integer_path_rejects_asymmetric_map(self, siegel2):
+        # every derived series is built through the same validating store
+        with pytest.raises(SymmetryError) as info:
+            SiegelSeries._from_integers((4,), 2, 3, {(1, 0, 2): 1, (2, 0, 1): 2})
+        assert info.value.key == (1, 0, 2)
+        assert "a(1,0,2) = 1/3 but a(2,0,1) = 2/3" in str(info.value)
+        with pytest.raises(SymmetryError):
+            siegel2._like(siegel2.trunc, 1, {(0, 0, 1): 1})
+
     def test_symmetric_map_accepted(self):
         F = SiegelSeries(4, 2, {(1, 0, 2): 1, (2, 0, 1): 1})
         assert F[(1, 0, 2)] == F[(2, 0, 1)] == 1
