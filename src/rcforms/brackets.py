@@ -45,31 +45,18 @@ in the zeta-exponent).  It runs on integer numerators: the store's
 numerators a(n1, r1) of f over its one denominator, and the weight lists
 A*L, B*R and G over their common denominators (``_integer_form``).  Each
 entry a(n1, r1) of f carries one column per e = 0..t, a(n1, r1) * lam_e
-with lam_e taken at the key's D1, and g likewise with mu_e.  Each row is
-cut into runs at gaps of more than two r-slots, and each column of a run
-packs into one int
-F_{n1,e} = sum_{r1} a(n1, r1) * lam_e * 2**(b*(r1 - lo)), lo the run's
-least r1 (:func:`rcforms.series._packed_rows`).  The output row n sums
-F_{n1,e1} * G_{n-n1,e2} over n1, over the runs and over e1 + e2 = k into
-slot k, each product shifted to the least lo1 + lo2 of the products whose
-spans meet: a pair of runs costs (t+1)(t+2)/2 products, and the digit of
-slot k at r1 + r2 collects the summands with r + s = k.  For odd v the pair
-factor m1*r2 - m2*r1 splits into left columns weighted by -m2*r1 times
-plain right columns, plus plain left columns times right columns weighted
-by m1*r2: two products per (e1, e2).  Each sum is read back once per slot
-from its bytes (:func:`rcforms.series._row_products`); slot k is the sum
-for p = t - k, and G_p * D^p is applied by Horner's rule per key.  The
-integer totals go to the store over the product of the denominators, which
-reduces them once per output series; no ``Fraction`` is built.
-``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
-loop and applies its x-degree weights per key.  The digit width b, a whole
-number of bytes, holds every digit as a signed digit: a key collects at
-most min(#f, #g) pairs, and a pair adds at most t + 1 products of one left
-and one right entry to a slot, times |m1*r2 - m2*r1| for odd v
-(:func:`rcforms.series._digit_bits`, the rule the series products use too).
-Packing, products and read-back cover only the r-slots of runs and of
-their products, so the cost follows the stored coefficients however far
-apart in r they lie.
+with lam_e taken at the key's D1, and g likewise with mu_e.  Slot k of
+their packed product (:func:`rcforms.series._packed_products`, which
+packs, multiplies, reads back and chooses the digit width) pairs the
+columns with e1 + e2 = k, so its digit at (n, r) collects the summands with
+r + s = k: slot k is the sum for p = t - k, and G_p * D^p is applied by
+Horner's rule per key.  For odd v the pair factor m1*r2 - m2*r1 splits
+into left columns weighted by -m2*r1 times plain right columns, plus plain
+left columns times right columns weighted by m1*r2.  The integer totals go
+to the store over the product of the denominators, which reduces them once
+per output series; no ``Fraction`` is built.  ``bracket_jacobi_poly`` keeps
+every (r, s) in its own slot through the same pass and applies its
+x-degree weights per key.
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
@@ -86,16 +73,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
 
-from .series import (
-    InvariantError,
-    JacobiSeries,
-    Key,
-    _digit_bits,
-    _integer_form,
-    _packed_rows,
-    _row_products,
-    as_rational,
-)
+from .series import InvariantError, JacobiSeries, Key, _integer_form, _packed_products, as_rational
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
 
 THREE_HALVES = Fraction(3, 2)
@@ -245,25 +223,20 @@ def _bracket_pass(
     right: list[Fraction],
     cross: tuple[int, int] | None,
     slots: list[list[tuple[int, int]]],
-) -> tuple[int, dict[int, list[tuple[int, list[list[int]]]]]]:
-    """Packed sums over the coefficient pairs of f and g, by output q^n row and slot.
+) -> tuple[int, list[tuple[Key, int, tuple[int, ...]]]]:
+    """Packed sums over the coefficient pairs of f and g, by output key and slot.
 
-    Returns (den, rows) with rows[n] a list of (lo, columns) over disjoint
-    spans of r: columns[k][i] / den is, at the key (n, lo + i), the sum over
-    the pairs (n1 + n2, r1 + r2) = (n, lo + i) and over the (e1, e2) in
+    Returns (den, entries) with one (key, D, digits) per output key (n, r)
+    of the spans read back, D = 4*n*(m1 + m2) - r**2: digits[k] / den is the
+    sum over the pairs (n1 + n2, r1 + r2) = (n, r) and over the (e1, e2) in
     slots[k] of
 
         a * left[e1] * D1^e1 * b * right[e2] * D2^e2        (times c1*r1 + c2*r2 if cross = (c1, c2)),
 
-    with e1, e2 <= t = len(left) - 1; keys of a span whose sums are all
-    zero are listed too.  Each q^n row of f carries one column per e, and
-    with cross set the same columns times c1*r1 after them, and g likewise;
-    the rows are cut into runs and packed per column
-    (:func:`rcforms.series._packed_rows`).  A pair of runs costs one
-    product per (e1, e2) of the slots, two when cross is set (the weighted
-    left columns times the plain right ones, plus the plain left columns
-    times the weighted right ones), and each span of an output row is read
-    back once per slot (:func:`rcforms.series._row_products`).
+    with e1, e2 <= t = len(left) - 1; keys whose sums are all zero are
+    listed too.  Each coefficient of f carries one column per e, and with
+    cross set the same columns times c1*r1 after them, and g likewise;
+    :func:`rcforms.series._packed_products` multiplies them.
     """
     trunc = min(f.trunc, g.trunc)
     t = len(left) - 1
@@ -287,32 +260,19 @@ def _bracket_pass(
     c1, c2 = cross if cross is not None else (None, None)
     den_f, rows_f = rows(f, left, c1)
     den_g, rows_g = rows(g, right, c2)
-    den = den_f * den_g
-    if not rows_f or not rows_g:
-        return den, {}
-    entries_f = [entry for row in rows_f.values() for entry in row]
-    entries_g = [entry for row in rows_g.values() for entry in row]
-    # A pair adds to one slot at most len(slot) products of an f entry and a
-    # g entry, each times |c1*r1 + c2*r2| <= |c1|*max|r1| + |c2|*max|r2|
-    # with cross set; the rest of the digit bound is that of every packed
-    # product.  The plain columns are the first t + 1.
-    per_pair = max(map(len, slots))
-    if cross is not None:
-        per_pair *= abs(c1) * max([abs(r) for r, _ in entries_f]) + abs(c2) * max([abs(r) for r, _ in entries_g])
-    bits = _digit_bits(
-        max([abs(e) for _, values in entries_f for e in values[: t + 1]]),
-        max([abs(e) for _, values in entries_g for e in values[: t + 1]]),
-        len(entries_f),
-        len(entries_g),
-        per_pair,
-    )
     # slot k sums a[i*(t+1) + e1] * b[j*(t+1) + e2] over its (e1, e2) and
     # over the sides (i, j): plain times plain, or weighted left times plain
     # right plus plain left times weighted right
     sides = [(0, 0)] if cross is None else [(1, 0), (0, 1)]
     terms = [[(i * (t + 1) + e1, j * (t + 1) + e2) for i, j in sides for e1, e2 in slot] for slot in slots]
-    pairs = JacobiSeries._row_pairs(rows_f, rows_g, trunc)
-    return den, _row_products(_packed_rows(rows_f, bits), _packed_rows(rows_g, bits), pairs, bits, terms)
+    sums = _packed_products(rows_f, rows_g, JacobiSeries._row_pairs, trunc, terms)
+    index = f.index + g.index
+    return den_f * den_g, [
+        ((n, r), 4 * n * index - r * r, digits)
+        for n, spans in sums.items()
+        for lo, columns in spans
+        for r, digits in enumerate(zip(*columns), lo)
+    ]
 
 
 def bracket_jacobi(
@@ -330,22 +290,17 @@ def bracket_jacobi(
     cross = (-params.m2, params.m1) if params.parity else None
     t = params.half_order
     slots = [[(e, k - e) for e in range(k + 1)] for k in range(t + 1)]  # r + s = k
-    den, rows = _bracket_pass(f, g, list(map(mul, A, L)), list(map(mul, B, R)), cross, slots)
+    den, entries = _bracket_pass(f, g, list(map(mul, A, L)), list(map(mul, B, R)), cross, slots)
     den_G, g_int = _integer_form(dict(enumerate(G)))
     g_int = list(g_int.values())[::-1]  # G[t - k] meets the sum with r + s = k
-    den *= den_G
-    index = f.index + g.index
     coeffs = {}
-    for n, sums in rows.items():
-        for lo, columns in sums:
-            for r, digits in enumerate(zip(*columns), lo):
-                disc = 4 * n * index - r * r
-                total = 0
-                for weight, digit in zip(g_int, digits):  # Horner's rule in D
-                    total = total * disc + weight * digit
-                if total:
-                    coeffs[(n, r)] = total
-    return f._joined(g, v, den, coeffs)
+    for key, disc, digits in entries:
+        total = 0
+        for weight, digit in zip(g_int, digits):  # Horner's rule in D
+            total = total * disc + weight * digit
+        if total:
+            coeffs[key] = total
+    return f._joined(g, v, den * den_G, coeffs)
 
 
 def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[JacobiSeries]:
@@ -360,7 +315,7 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     m1, m2, t = params.m1, params.m2, params.half_order
     cross = (-m2, m1) if params.parity else None
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1 - r)]
-    den, rows = _bracket_pass(f, g, A, B, cross, [[pair] for pair in pairs])
+    den, entries = _bracket_pass(f, g, A, B, cross, [[pair] for pair in pairs])
     scaled = []
     for d in range(t + 1):
         # G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r
@@ -373,18 +328,14 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
         }
         den_w, w = _integer_form(row)
         scaled.append((den * den_w, list(w.values())))
-    index = f.index + g.index
     parts: list[dict[Key, int]] = [{} for _ in scaled]
-    for n, sums in rows.items():
-        for lo, columns in sums:
-            for r, digits in enumerate(zip(*columns), lo):
-                disc = 4 * n * index - r * r
-                powers = [disc**p for p in range(t + 1)]
-                values = [powers[t - sum(pair)] * digit for pair, digit in zip(pairs, digits)]
-                for part, (den_d, w) in zip(parts, scaled):
-                    total = sum(map(mul, w, values))
-                    if total:
-                        part[(n, r)] = total
+    for key, disc, digits in entries:
+        powers = [disc**p for p in range(t + 1)]
+        values = [powers[t - sum(pair)] * digit for pair, digit in zip(pairs, digits)]
+        for part, (_, w) in zip(parts, scaled):
+            total = sum(map(mul, w, values))
+            if total:
+                part[key] = total
     return [f._joined(g, v, den_d, coeffs) for coeffs, (den_d, _) in zip(parts, scaled)]
 
 

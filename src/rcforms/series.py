@@ -52,11 +52,12 @@ def as_rational(x: int | Fraction) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _integer_form(coeffs: Mapping[Any, Fraction]) -> tuple[int, dict]:
+def _integer_form(coeffs: Mapping[Any, int | Fraction]) -> tuple[int, dict]:
     """(d, {key: d * value}) with d the least common denominator of the values.
 
-    For the ``Fraction``-valued weight lists of the bracket loops, which
-    run on these integer numerators and divide by d once per output series.
+    The one denominator-clearing rule: for the constructors' input and for
+    the ``Fraction``-valued weight lists of the bracket loops, which run on
+    these integer numerators and divide by d once per output series.
     """
     den = lcm(*{v.denominator for v in coeffs.values()})
     return den, {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}
@@ -70,9 +71,7 @@ def _numerators(coeffs) -> tuple[int, dict]:
     values stay, so that ``_store`` checks their keys too.
     """
     items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-    values = {key: value if type(value) is int else as_rational(value) for key, value in items}
-    den = lcm(*{v.denominator for v in values.values()})
-    return den, {key: v.numerator * (den // v.denominator) for key, v in values.items()}
+    return _integer_form({key: value if type(value) is int else as_rational(value) for key, value in items})
 
 
 # -- packed rows (Kronecker substitution) -------------------------------------
@@ -86,21 +85,6 @@ def _numerators(coeffs) -> tuple[int, dict]:
 # shifted to their least lo1 + lo2, and each sum is read back once.  Runs
 # and sums cover only r-slots next to stored entries, so the cost follows
 # the stored entries, however far apart in r they lie.
-
-
-def _digit_bits(a_max: int, b_max: int, a_keys: int, b_keys: int, per_pair: int = 1) -> int:
-    """Digit width b, a whole number of bytes, that holds every output digit as a signed digit.
-
-    An output key meets each key of the left operand at most once (its
-    partner on the right is then fixed) and each key of the right operand
-    at most once, so it collects at most min(a_keys, b_keys) pairs.  A pair
-    adds to the digit at most ``per_pair`` products of a left and a right
-    entry, each at most a_max * b_max in absolute value.  So every digit is
-    at most bound = a_max * b_max * per_pair * min(a_keys, b_keys) in
-    absolute value, and bound < 2**(b - 1).
-    """
-    bound = a_max * b_max * per_pair * min(a_keys, b_keys)
-    return 8 * (bound.bit_length() // 8 + 1)
 
 
 def _packed_rows(rows: Mapping[Any, list], bits: int) -> dict:
@@ -175,10 +159,10 @@ def _read_sum(items: list[tuple], lo: int, hi: int, bits: int, slots: list) -> t
 def _unpack(total: int, count: int, bits: int) -> list[int]:
     """The signed digits d_0..d_{count-1} of total = sum d_i * 2**(bits*i), read in one pass.
 
-    Every digit must lie within the bound of :func:`_digit_bits`.  A bias of
-    2**(bits - 1) per digit lifts each digit into [0, 2**bits) without a
-    carry, so each bits-wide field of the biased total, taken from its
-    bytes, is a digit plus the bias.
+    Every digit must lie within the bound of :func:`_packed_products`.  A
+    bias of 2**(bits - 1) per digit lifts each digit into [0, 2**bits)
+    without a carry, so each bits-wide field of the biased total, taken
+    from its bytes, is a digit plus the bias.
     """
     width, half = bits // 8, 1 << (bits - 1)
     bias = _from_bytes((bytes(width - 1) + b"\x80") * count, "little")
@@ -195,20 +179,34 @@ def _packed_products(left: Mapping[Any, list], right: Mapping[Any, list], row_pa
     ``left`` and ``right`` map a row key to its (r, values) entries with
     int values, one per column; ``row_pairs(left_keys, right_keys, trunc)``
     lists the (row1, row2, output row) of every pair of rows inside the
-    truncation, and each slot lists the one (p, q) column pair it
-    multiplies.  One product per slot and pair of runs
+    truncation.  A slot lists one or more (p, q) column pairs, and its digit
+    at r sums left[p] * right[q] over its (p, q) and over the entry pairs
+    with r1 + r2 = r.  One product per (p, q) and pair of runs
     (:func:`_packed_rows`), read back by :func:`_row_products`.
+
+    This is the one digit bound of the package.  An output key meets each
+    left entry at most once (its partner on the right is then fixed) and
+    each right entry at most once, so it collects at most
+    min(#left entries, #right entries) pairs, and a pair adds to a slot at
+    most the sum over its (p, q) of max|left column p| * max|right column q|.
+    The digit width of b bits, a whole number of bytes, keeps the largest
+    slot's bound below 2**(b - 1), so every digit reads back as a signed
+    digit.
     """
     if not left or not right:
         return {}
-    bits = _digit_bits(
-        max([abs(v) for row in left.values() for _, values in row for v in values]),
-        max([abs(v) for row in right.values() for _, values in row for v in values]),
-        sum(map(len, left.values())),
-        sum(map(len, right.values())),
-    )
+    count_a, max_a = _column_bounds(left)
+    count_b, max_b = _column_bounds(right)
+    bound = min(count_a, count_b) * max(sum(max_a[p] * max_b[q] for p, q in slot) for slot in slots)
+    bits = 8 * (bound.bit_length() // 8 + 1)
     pairs = row_pairs(left, right, trunc)
     return _row_products(_packed_rows(left, bits), _packed_rows(right, bits), pairs, bits, slots)
+
+
+def _column_bounds(rows: Mapping[Any, list]) -> tuple[int, list[int]]:
+    """(number of entries, [max |value| of each column]) of a map of rows of (r, values) entries."""
+    entries = [values for row in rows.values() for _, values in row]
+    return len(entries), [max(map(abs, column)) for column in zip(*entries)]
 
 
 _PRODUCT = [[(0, 0)]]

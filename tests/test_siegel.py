@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rcforms import siegel, verify
+from rcforms.brackets import BracketParams, bracket_terms
 from rcforms.series import JacobiSeries, heat
 from rcforms.siegel import (
     SiegelSeries,
@@ -157,6 +158,27 @@ class TestBrackets:
             assert direct.trunc == 2
         if l:
             assert not direct.is_zero()
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("bits", [8, 16, 64])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+    def test_direct_route_at_a_whole_byte_bound(self, l, bits, signs):
+        # one entry each, both at delta = 4*1*1 - 1**2 = 3: the (2, 2) row
+        # collects one pair, and its slot (r, s) digit is a*3**r * b*3**s.
+        # For r + s = l that is the digit bound |a*b|*3**l itself, whose bit
+        # length is a multiple of 8, so a width one bit short of the signed
+        # bound cannot hold it
+        sa, sb = signs
+        a, b = sa * ((2**bits - 1) // 3 ** (l + 1)), sb * 3
+        assert (abs(a * b) * 3**l).bit_length() == bits
+        F = SiegelSeries(4, 2, {(1, 1, 1): a})
+        G = SiegelSeries(6, 2, {(1, -1, 1): b})
+        # the one output key is (2, 0, 2), where delta = 16; its value summed
+        # in Fractions from the coefficient family
+        terms = bracket_terms(BracketParams(4, 6, 0, 0, 2 * l))
+        value = sum(t.c_value * a * 3**t.r * b * 3**t.s * 16**t.p for t in terms)
+        assert value
+        assert bracket_siegel_direct(F, G, l) == SiegelSeries(10 + 2 * l, 2, {(2, 0, 2): value})
 
     def test_slice_route_cost_follows_nonzero_slices(self, monkeypatch):
         # a few records at trunc 200: one Jacobi bracket per pair of nonempty
