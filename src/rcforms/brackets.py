@@ -70,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .series import InvariantError, JacobiSeries, Key, _integer_form, _packed_products, as_rational
@@ -244,7 +244,7 @@ def _bracket_pass(
     def rows(series, weights, c):
         """(den, {n: [(r, values)]}): values[e] = w_e * a * disc^e for e = 0..t over
         integer numerators a and w_e, then with c set the same times c*r."""
-        den_w, w = _integer_form(dict(enumerate(weights)))
+        den_w, w = _integer_form(enumerate(weights))
         m, out = series.index, {}
         for (n, r), a in series._num.items():
             if n <= trunc:
@@ -291,7 +291,7 @@ def bracket_jacobi(
     t = params.half_order
     slots = [[(e, k - e) for e in range(k + 1)] for k in range(t + 1)]  # r + s = k
     den, entries = _bracket_pass(f, g, list(map(mul, A, L)), list(map(mul, B, R)), cross, slots)
-    den_G, g_int = _integer_form(dict(enumerate(G)))
+    den_G, g_int = _integer_form(enumerate(G))
     g_int = list(g_int.values())[::-1]  # G[t - k] meets the sum with r + s = k
     coeffs = {}
     for key, disc, digits in entries:
@@ -340,8 +340,8 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
 
 
 def _exact_rank(rows: list[list[int | Fraction]]) -> int:
-    """Rank over the rationals: each row cleared of its denominators once,
-    then fraction-free elimination on ints (Bareiss).
+    """Rank over the rationals: each row cleared of its denominators once
+    (``_integer_form``), then fraction-free elimination on ints (Bareiss).
 
     After k pivot steps every entry below the pivot rows is a (k+1)-minor of
     the cleared matrix, so each step is one exact integer division per
@@ -349,8 +349,7 @@ def _exact_rank(rows: list[list[int | Fraction]]) -> int:
     """
     matrix = []
     for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints = list(_integer_form(enumerate(row))[1].values())
         if any(ints):
             matrix.append(ints)
     rank, previous = 0, 1

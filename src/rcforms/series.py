@@ -52,26 +52,35 @@ def as_rational(x: int | Fraction) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _integer_form(coeffs: Mapping[Any, int | Fraction]) -> tuple[int, dict]:
-    """(d, {key: d * value}) with d the least common denominator of the values.
-
-    The one denominator-clearing rule: for the constructors' input and for
-    the ``Fraction``-valued weight lists of the bracket loops, which run on
-    these integer numerators and divide by d once per output series.
-    """
-    den = lcm(*{v.denominator for v in coeffs.values()})
-    return den, {k: v.numerator * (den // v.denominator) for k, v in coeffs.items()}
-
-
-def _numerators(coeffs) -> tuple[int, dict]:
+def _integer_form(coeffs) -> tuple[int, dict]:
     """(d, {key: d * value}) for a map or pairs key -> exact scalar, d the least common denominator.
 
-    The public constructors' input: ints pass as they are, anything else
-    goes through :func:`as_rational` (floats raise ``TypeError``), and zero
-    values stay, so that ``_store`` checks their keys too.
+    The one denominator-clearing rule, for the constructors' input, the
+    bracket loops' weight lists and the rank rows.  Unless every value is
+    an int or a ``Fraction``, all go through :func:`as_rational` (floats
+    raise ``TypeError``); zero values stay, so that ``_store`` checks their
+    keys too.
     """
-    items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-    return _integer_form({key: value if type(value) is int else as_rational(value) for key, value in items})
+    values = dict(coeffs)
+    if not {type(value) for value in values.values()} <= {int, Fraction}:
+        values = {key: as_rational(value) for key, value in values.items()}
+    den = lcm(*{v.denominator for v in values.values()})
+    return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+
+def _merged(parts: Iterable[tuple[int, Mapping[Any, int]]]) -> tuple[int, dict]:
+    """(d, the numerators over d of the sum of the (den, numerator map) parts), d the lcm of the dens.
+
+    The one rule that adds numerator maps: series sums, the slice brackets
+    of the degree-2 slice route and the slices of a degree-2 assembly.
+    """
+    parts = list(parts)
+    den, out = lcm(*[d for d, _ in parts]), {}
+    for d, num in parts:
+        scale = den // d
+        for key, value in num.items():
+            out[key] = out.get(key, 0) + scale * value
+    return den, out
 
 
 # -- packed rows (Kronecker substitution) -------------------------------------
@@ -248,7 +257,7 @@ class _SparseSeries:
         trunc: int,
         coeffs: Mapping[Any, int | Fraction] | Iterable[tuple[Any, int | Fraction]] = (),
     ):
-        self._store((weight,), trunc, *_numerators(coeffs))
+        self._store((weight,), trunc, *_integer_form(coeffs))
 
     @classmethod
     def _from_integers(cls, tags: tuple, trunc: int, den: int, num: Mapping[Any, int]):
@@ -360,10 +369,10 @@ class _SparseSeries:
 
     # -- restrict, merge and scale -------------------------------------------
 
-    def _restricted(self, trunc: int) -> dict:
-        """A fresh dict of the numerators whose keys fit ``trunc`` (over ``_den``)."""
+    def _restricted(self, trunc: int) -> Mapping[Any, int]:
+        """The numerators whose keys fit ``trunc`` (over ``_den``); read only, as it may be ``_num`` itself."""
         if trunc >= self.trunc:
-            return dict(self._num)
+            return self._num
         fits = self._fits
         return {k: v for k, v in self._num.items() if fits(k, trunc)}
 
@@ -379,14 +388,7 @@ class _SparseSeries:
         if self._tags() != other._tags():
             raise ValueError(self._ADD_ERROR.format(*self._tags(), *other._tags()))
         trunc = min(self.trunc, other.trunc)
-        den = lcm(self._den, other._den)
-        out, scale = self._restricted(trunc), den // self._den
-        if scale > 1:
-            out = {k: scale * v for k, v in out.items()}
-        scale = den // other._den
-        for k, v in other._restricted(trunc).items():
-            out[k] = out.get(k, 0) + scale * v
-        return self._like(trunc, den, out)
+        return self._like(trunc, *_merged((s._den, s._restricted(trunc)) for s in (self, other)))
 
     def _product(self, other):
         """self * other at the smaller truncation with tags added: the kind's
@@ -429,7 +431,7 @@ class JacobiSeries(_SparseSeries):
     ):
         if index < 0:
             raise ValueError(f"index must be non-negative, got {index}")
-        self._store((weight, index), trunc, *_numerators(coeffs))
+        self._store((weight, index), trunc, *_integer_form(coeffs))
 
     @staticmethod
     def _fits(key: Key, trunc: int) -> bool:

@@ -18,14 +18,15 @@ fill the line; empty lines are skipped.  The canonical layout is
 Coefficient records are sorted ascending lexicographically by key, omitted
 coefficients are zero, and every value is a reduced fraction printed as
 num/den with den >= 1.  Integers (header values, keys, numerators) match
-``0|-?[1-9][0-9]*`` and denominators ``[1-9][0-9]*``, ASCII digits only.
-Import enforces all of that, so every accepted file without comments or
-empty lines re-exports byte-identically.
+``0|-?[1-9][0-9]*`` and denominators ``[1-9][0-9]*``, ASCII digits only,
+of any length.  Import enforces all of that, so every accepted file without
+comments or empty lines re-exports byte-identically.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -49,8 +50,22 @@ class ParseError(ValueError):
         self.line = line
 
 
+# Ints go to and from text through Decimal, exact at any length: str(int) and
+# int(str) stop at the interpreter-wide int/str digit limit, left unchanged here.
+def _text(x: int) -> str:
+    return str(Decimal(x))
+
+
+def _int(text: str) -> int:
+    return int(Decimal(text))
+
+
+def _key_text(key: tuple[int, ...]) -> str:
+    return f"({', '.join(map(_text, key))})"
+
+
 def format_rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    return f"{_text(x.numerator)}/{_text(x.denominator)}"
 
 
 def parse_rational_token(token: str, line: int) -> Fraction:
@@ -60,7 +75,7 @@ def parse_rational_token(token: str, line: int) -> Fraction:
         raise ParseError(line, f"coefficient value must be num/den, got {token!r}")
     if not _DENOMINATOR.fullmatch(parts[1]):
         raise ParseError(line, f"denominator must be a positive integer, got {parts[1]!r}")
-    num, den = int(parts[0]), int(parts[1])
+    num, den = _int(parts[0]), _int(parts[1])
     if gcd(num, den) != 1:
         raise ParseError(line, f"fraction {token} is not reduced")
     if num == 0:
@@ -91,8 +106,8 @@ def export_series(obj: JacobiSeries | SiegelSeries) -> str:
     if kind is None:
         raise TypeError(f"cannot export {type(obj).__name__}")
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"kind {kind}"]
-    lines += [f"{tag} {getattr(obj, tag)}" for tag in KINDS[kind][1]]
-    lines += [f"coeff {' '.join(map(str, key))} {format_rational(v)}" for key, v in obj.items()]
+    lines += [f"{tag} {_text(getattr(obj, tag))}" for tag in KINDS[kind][1]]
+    lines += [f"coeff {' '.join(map(_text, key))} {format_rational(v)}" for key, v in obj.items()]
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -136,7 +151,7 @@ class _Reader:
 def _int_token(token: str, line: int, what: str) -> int:
     if not _INTEGER.fullmatch(token):
         raise ParseError(line, f"{what} must be an integer (0 or -?[1-9][0-9]*), got {token!r}")
-    return int(token)
+    return _int(token)
 
 
 def import_series(text: str) -> JacobiSeries | SiegelSeries:
@@ -158,7 +173,7 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
         line, tokens = reader.take(tag, 2)
         value = _int_token(tokens[1], line, tag)
         if value < 0 and tag != "weight":
-            raise ParseError(line, f"{tag} must be non-negative, got {value}")
+            raise ParseError(line, f"{tag} must be non-negative, got {tokens[1]}")
         header.append(value)
     trunc = header[-1]
 
@@ -174,9 +189,9 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
             raise ParseError(line, f"coeff record needs {key_width} key integers and a value")
         key = tuple(_int_token(t, line, "coefficient key") for t in tokens[1 : 1 + key_width])
         if not cls._fits(key, trunc):
-            raise ParseError(line, f"key {key} outside truncation {trunc}")
+            raise ParseError(line, f"key {_key_text(key)} outside truncation {_text(trunc)}")
         if last_key is not None and key <= last_key:
-            raise ParseError(line, f"records out of order: {key} after {last_key}")
+            raise ParseError(line, f"records out of order: {_key_text(key)} after {_key_text(last_key)}")
         last_key = key
         coeffs[key] = parse_rational_token(tokens[1 + key_width], line)
         reader.cursor += 1

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
@@ -30,6 +29,7 @@ from .series import (
     CheckResult,
     JacobiSeries,
     _integer_form,
+    _merged,
     _packed_products,
     _SparseSeries,
     form_witness,
@@ -101,24 +101,26 @@ class SiegelSeries(_SparseSeries):
             if n1 + n2 <= trunc and m1 + m2 <= trunc
         ]
 
+    def _slices(self, ms: range) -> dict[int, JacobiSeries]:
+        """{m: f_m} for the nonempty slices f_m(n, r) = a(n, r, m) with m in ``ms``, in one scan of the store,
+        so the cost follows the stored coefficients, not the truncation; each keeps the series' truncation."""
+        rows: dict[int, dict] = {}
+        for (n, r, m), value in self._num.items():
+            if m in ms:
+                rows.setdefault(m, {})[(n, r)] = value
+        weight, trunc, den = self.weight, self.trunc, self._den
+        return {m: JacobiSeries._from_integers((weight, m), trunc, den, row) for m, row in rows.items()}
+
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
         if not 0 <= m <= self.trunc:
             raise ValueError(f"slice index {m} outside [0, {self.trunc}]")
-        return JacobiSeries._from_integers(
-            (self.weight, m),
-            self.trunc,
-            self._den,
-            {(n, r): v for (n, r, mm), v in self._num.items() if mm == m},
-        )
+        return self._slices(range(m, m + 1)).get(m) or JacobiSeries.zero(self.weight, m, self.trunc)
 
     def components(self) -> list[JacobiSeries]:
-        """The slices f_0, ..., f_trunc, split from the store in one scan."""
-        rows: list[dict] = [{} for _ in range(self.trunc + 1)]
-        for (n, r, m), value in self._num.items():
-            rows[m][(n, r)] = value
-        weight, trunc, den = self.weight, self.trunc, self._den
-        return [JacobiSeries._from_integers((weight, m), trunc, den, row) for m, row in enumerate(rows)]
+        """The slices f_0, ..., f_trunc."""
+        slices = self._slices(range(self.trunc + 1))
+        return [slices.get(m) or JacobiSeries.zero(self.weight, m, self.trunc) for m in range(self.trunc + 1)]
 
     def __neg__(self) -> SiegelSeries:
         return self._scaled(-1)
@@ -141,14 +143,14 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
     """Assemble a degree-2 expansion from its Jacobi slices f_0, ..., f_T.
 
     Slice m must have index m, all slices the common weight, and truncation
-    at least T = len(components) - 1.  The transpose symmetry of the result
-    is validated, not assumed.
+    at least T = len(components) - 1; keys with n > T are dropped.  The
+    transpose symmetry of the result is validated, not assumed.
     """
     if not components:
         raise ValueError("need at least the m = 0 component")
     trunc = len(components) - 1
     weight = components[0].weight
-    coeffs: dict[TripleKey, Fraction] = {}
+    parts = []
     for m, part in enumerate(components):
         if part.index != m:
             raise ValueError(f"component {m} has index {part.index}, expected {m}")
@@ -156,10 +158,8 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
             raise ValueError(f"component {m} has weight {part.weight}, expected {weight}")
         if part.trunc < trunc:
             raise ValueError(f"component {m} truncated at {part.trunc} < {trunc}")
-        for (n, r), value in part.items():
-            if n <= trunc:
-                coeffs[(n, r, m)] = value
-    return SiegelSeries(weight, trunc, coeffs)
+        parts.append((part._den, {(n, r, m): v for (n, r), v in part._num.items() if n <= trunc}))
+    return SiegelSeries._from_integers((weight,), trunc, *_merged(parts))
 
 
 def _delta(coeffs: Mapping[TripleKey, int]) -> dict:
@@ -236,40 +236,23 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
     Slice mu of the output is the sum over m + m' = mu of the order-2l
     brackets of the slices f_m and g_m'; only complete slices mu <= trunc
     are emitted.  Each input is split into its nonempty slices with
-    m <= trunc and the brackets' numerators are summed into one map over the
-    lcm of their denominators, so the cost follows the stored coefficients,
-    not the truncation.  Agrees exactly with :func:`bracket_siegel_direct`.
+    m <= trunc and the brackets' numerators are added by the one merge rule
+    (``series._merged``), so the cost follows the stored coefficients, not
+    the truncation.  Agrees exactly with :func:`bracket_siegel_direct`.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     trunc = min(F.trunc, G.trunc)
-
-    def nonzero_slices(series):
-        rows: dict[int, dict] = {}
-        for (n, r, m), value in series._num.items():
-            if m <= trunc:
-                rows.setdefault(m, {})[(n, r)] = value
-        # one of F, G has truncation trunc, so every bracket below is cut there
-        return {
-            m: JacobiSeries._from_integers((series.weight, m), series.trunc, series._den, row)
-            for m, row in rows.items()
-        }
-
-    g_slices = nonzero_slices(G)
-    parts = [
+    g_slices = G._slices(range(trunc + 1))
+    # one of F, G has truncation trunc, so every slice bracket is cut there
+    parts = (
         (m + m2, bracket_jacobi(f, g, 0, 2 * l))
-        for m, f in nonzero_slices(F).items()
+        for m, f in F._slices(range(trunc + 1)).items()
         for m2, g in g_slices.items()
         if m + m2 <= trunc
-    ]
-    den = lcm(*[part._den for _, part in parts])
-    coeffs: dict[TripleKey, int] = {}
-    for mu, part in parts:
-        scale = den // part._den
-        for (n, r), value in part._num.items():
-            key = (n, r, mu)
-            coeffs[key] = coeffs.get(key, 0) + scale * value
-    return F._joined(G, 2 * l, den, coeffs)
+    )
+    sums = _merged((b._den, {(n, r, mu): v for (n, r), v in b._num.items()}) for mu, b in parts)
+    return F._joined(G, 2 * l, *sums)
 
 
 @dataclass(frozen=True)

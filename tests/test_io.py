@@ -99,6 +99,50 @@ class TestRoundTrip:
         assert read_series(target) == theta4
 
 
+@pytest.fixture
+def int_str_limit_at_floor():
+    """The interpreter's int/str digit limit lowered to its floor, restored afterwards;
+    fails if the code under test changed it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestIntegersOfAnyLength:
+    def test_long_values_and_keys_roundtrip(self, int_str_limit_at_floor):
+        # 5001-digit numerator, denominator and zeta-exponent: beyond the limit
+        num, den, far = 10**5000 + 1, 2**16610, 10**5000
+        f = JacobiSeries(4, 1, 2, {(1, 0): Q(num, den), (1, -far): -1})
+        text = export_series(f)
+        assert f"coeff 1 -1{'0' * 5000} -1/1\n" in text
+        assert import_series(text) == f
+        assert export_series(import_series(text)) == text
+
+    def test_long_token_errors_name_the_line(self, int_str_limit_at_floor):
+        head, big = "rcforms 1\nkind jacobi\nweight 4\nindex 1\ntrunc 2\n", "1" + "0" * 5000
+        with pytest.raises(ParseError, match="line 6: fraction .* is not reduced"):
+            import_series(f"{head}coeff 1 0 2{big}/2\nEND\n")
+        with pytest.raises(ParseError, match="line 6: key .* outside truncation 2"):
+            import_series(f"{head}coeff {big} 0 1/1\nEND\n")
+        with pytest.raises(ParseError, match="line 7: records out of order"):
+            import_series(f"{head}coeff 1 {big} 1/1\ncoeff 1 0 1/1\nEND\n")
+
+    def test_cli_bracket_of_long_coefficients(self, tmp_path, int_str_limit_at_floor):
+        # 2200-digit inputs: the order-0 bracket's coefficients have about 4400 digits
+        theta = jacobi_theta(E8, E8_INDEX1_VECTOR, 2) * (10**2200 + 1)
+        source, out = tmp_path / "theta.coef", tmp_path / "product.coef"
+        write_series(source, theta)
+        code = main(["bracket-jacobi", "--left", str(source), "--right", str(source), "--v", "0", "--out", str(out)])
+        assert code == 0
+        assert read_series(out) == theta * theta
+
+
 class TestRejections:
     def reject(self, text, match, line=None):
         with pytest.raises(ParseError, match=match) as info:

@@ -17,7 +17,7 @@ from rcforms.series import (
     theta_q_elliptic,
 )
 from rcforms.seriesio import export_series
-from rcforms.siegel import SiegelSeries
+from rcforms.siegel import SiegelSeries, siegel_from_components
 from row_shapes import sparse_rows, window
 
 rationals = st.fractions(
@@ -188,6 +188,17 @@ def symmetric_siegel(weight, trunc, coeffs):
     for (n, r, m), value in coeffs.items():
         symmetric[(n, r, m)] = symmetric[(m, r, n)] = value
     return SiegelSeries(weight, trunc, symmetric)
+
+
+@given(st.integers(0, 4), st.data())
+def test_siegel_components_round_trip(trunc, data):
+    coeffs = data.draw(st.dictionaries(siegel_keys(trunc, st.integers(-4, 4)), rationals, max_size=6))
+    empty = data.draw(st.integers(0, trunc))
+    # no key on the slices n = empty or m = empty, so slice `empty` stays empty
+    F = symmetric_siegel(4, trunc, {k: v for k, v in coeffs.items() if empty not in (k[0], k[2])})
+    parts = F.components()
+    assert parts[empty].is_zero()
+    assert siegel_from_components(parts) == F
 
 
 @settings(max_examples=150)

@@ -68,6 +68,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="truncated"):
             siegel_from_components(parts)
 
+    def test_components_merge_over_their_common_denominator(self):
+        # slices over different denominators (1, 10 and 105), two of them
+        # truncated beyond T = 2 and holding keys with n > T, which the
+        # assembly drops, so the result reduces to denominator 30
+        parts = [
+            JacobiSeries(4, 0, 2, {(0, 0): 1}),
+            JacobiSeries(4, 1, 5, {(1, 1): Q(1, 2), (2, 0): Q(1, 5), (4, 0): 7}),
+            JacobiSeries(4, 2, 3, {(2, 1): Q(1, 3), (1, 0): Q(1, 5), (3, -1): Q(2, 7)}),
+        ]
+        expected = SiegelSeries(4, 2, {
+            (0, 0, 0): Q(1), (1, 1, 1): Q(1, 2), (2, 1, 2): Q(1, 3), (2, 0, 1): Q(1, 5), (1, 0, 2): Q(1, 5),
+        })
+        assert siegel_from_components(parts) == expected
+
     def test_asymmetric_components_rejected(self):
         parts = [
             JacobiSeries.zero(4, 0, 1),
@@ -183,8 +197,7 @@ class TestBrackets:
     def test_slice_route_cost_follows_nonzero_slices(self, monkeypatch):
         # a few records at trunc 200: one Jacobi bracket per pair of nonempty
         # slices, not one per slice pair with m + m' <= 200
-        F = SiegelSeries(4, 200, {(1, 0, 1): 1, (1, 1, 2): 3, (2, 1, 1): 3, (5, -2, 5): 7})
-        G = SiegelSeries(6, 200, {(0, 0, 0): 1, (2, 1, 3): 2, (3, 1, 2): 2, (199, 0, 199): 1})
+        F, G = sparse_pair(200)
         calls = []
 
         def counted(f, g, x, v):
@@ -202,13 +215,29 @@ class TestBrackets:
     def test_slice_route_cost_follows_stored_coefficients(self):
         # a few records at trunc 10**6: the slice route must not work per slice up to the truncation
         trunc = 10**6
-        F = SiegelSeries(4, trunc, {(1, 0, 1): 1, (1, 1, 2): 3, (2, 1, 1): 3, (5, -2, 5): 7})
-        G = SiegelSeries(6, trunc, {(0, 0, 0): 1, (2, 1, 3): 2, (3, 1, 2): 2, (trunc - 1, 0, trunc - 1): 1})
+        F, G = sparse_pair(trunc)
         start = time.process_time()
         out = bracket_siegel_via_jacobi(F, G, 1)
         assert time.process_time() - start < 1.0
         assert out == bracket_siegel_direct(F, G, 1)
         assert out[(trunc, 0, trunc)] != 0
+
+    def test_slice_component_cost_follows_stored_coefficients(self):
+        # four records at trunc 10**6: a slice must not cost work per slice up to the truncation
+        trunc = 10**6
+        _, G = sparse_pair(trunc)
+        start = time.process_time()
+        slices = [G.slice_component(m) for m in (0, 3, trunc - 1, trunc)]
+        assert time.process_time() - start < 1.0
+        assert [dict(part.items()) for part in slices] == [{(0, 0): 1}, {(2, 1): 2}, {(trunc - 1, 0): 1}, {}]
+        assert [part.index for part in slices] == [0, 3, trunc - 1, trunc]
+
+
+def sparse_pair(trunc):
+    """Two symmetric series of four records each at truncation ``trunc`` (at least 6)."""
+    F = SiegelSeries(4, trunc, {(1, 0, 1): 1, (1, 1, 2): 3, (2, 1, 1): 3, (5, -2, 5): 7})
+    G = SiegelSeries(6, trunc, {(0, 0, 0): 1, (2, 1, 3): 2, (3, 1, 2): 2, (trunc - 1, 0, trunc - 1): 1})
+    return F, G
 
 
 class TestConsistencyReport:
