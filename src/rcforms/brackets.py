@@ -43,20 +43,25 @@ mu_s = B_s (1 + m1 x)^s D2^s,
 ``bracket_jacobi`` evaluates this on whole q^n rows (Kronecker substitution
 in the zeta-exponent).  It runs on integer numerators: the store's
 numerators a(n1, r1) of f over its one denominator, and the weight lists
-A*L, B*R and G over their common denominators (``_integer_form``).  Each
-entry a(n1, r1) of f carries one column per e = 0..t, a(n1, r1) * lam_e
-with lam_e taken at the key's D1, and g likewise with mu_e.  Slot k of
-their packed product (:func:`rcforms.series._packed_products`, which
-packs, multiplies, reads back and chooses the digit width) pairs the
-columns with e1 + e2 = k, so its digit at (n, r) collects the summands with
-r + s = k: slot k is the sum for p = t - k, and G_p * D^p is applied by
-Horner's rule per key.  For odd v the pair factor m1*r2 - m2*r1 splits
-into left columns weighted by -m2*r1 times plain right columns, plus plain
-left columns times right columns weighted by m1*r2.  The integer totals go
-to the store over the product of the denominators, which reduces them once
-per output series; no ``Fraction`` is built.  ``bracket_jacobi_poly`` keeps
-every (r, s) in its own slot through the same pass and applies its
-x-degree weights per key.
+built as ints from the start (no ``Fraction`` on the way).  With a side's
+shifted weight y/q, its list over q^t * t! is F(y, q, t - e) * q^e * t!/e!
+(F the falling numerator), and with x = a/b, L and R over b^t are
+(b - m2*a)^r b^(t-r) and (b + m1*a)^s b^(t-s).  A*L and B*R are divided
+once by the gcd of their denominator and entries, which leaves them over
+their least common denominators, so the packed digits are as narrow as the
+values allow.  Each entry a(n1, r1) of f carries one column per
+e = 0..t, a(n1, r1) * lam_e with lam_e taken at the key's D1, and g
+likewise with mu_e.  Slot k of their packed product
+(:func:`rcforms.series._packed_products`, which packs, multiplies, reads
+back and chooses the digit width) pairs the columns with e1 + e2 = k, so
+its digit at (n, r) collects the summands with r + s = k: slot k is the
+sum for p = t - k, and G_p * D^p is applied by Horner's rule per key.  For
+odd v the pair factor m1*r2 - m2*r1 splits into left columns weighted by
+-m2*r1 times plain right columns, plus plain left columns times right
+columns weighted by m1*r2.  The integer totals go to the store over the
+product of the denominators, which reduces them once per output series.
+``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
+pass and applies its x-degree weights, ints over G's denominator, per key.
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
@@ -70,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 
 from .series import InvariantError, JacobiSeries, Key, _integer_form, _packed_products, as_rational
@@ -190,37 +195,58 @@ def bracket_terms(params: BracketParams) -> list[BracketTerm]:
     return terms
 
 
-def _weight_factors(params: BracketParams) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """(A, B, G) with C(r, s, p) = A[r] * B[s] * G[p] whenever r + s + p = floor(v/2).
+def _weight_factors(params: BracketParams) -> tuple[tuple[int, list[int]], ...]:
+    """((den_A, A), (den_B, B), (den_G, G)) over ints, with
+    C(r, s, p) = A[r] * B[s] * G[p] / (den_A * den_B * den_G) whenever r + s + p = t = floor(v/2).
 
-    With t = r + s + p fixed, each falling factorial of :func:`coeff_C`
-    depends on one index only: A[r] = (alpha + t)_{t-r} / r!,
-    B[s] = (beta + t)_{t-s} / s! and G[p] = (-gamma - t)_{t-p} / p!.
+    With t fixed, each falling factorial of :func:`coeff_C` depends on one
+    index only: A[r] is (alpha + t)_{t-r} / r!, B[s] is (beta + t)_{t-s} / s!
+    and G[p] is (-gamma - t)_{t-p} / p!, each times its den.  A side whose
+    shifted weight (alpha + t, beta + t or -gamma - t) is y/q, not
+    necessarily reduced, has den q**t * t! and entry e equal to
+    F(y, q, t - e) * q**e * t!/e!, F the falling numerator
+    (:func:`_falling_numerator`).
     """
-    t = params.half_order
+    t, parity = params.half_order, params.parity
+    scale = factorial(t)
+    n1, d1, n2, d2 = params.k1.numerator, params.k1.denominator, params.k2.numerator, params.k2.denominator
+    shifted = (
+        (2 * n1 + (2 * t - 3) * d1, 2 * d1),
+        (2 * n2 + (2 * t - 3) * d2, 2 * d2),
+        (-2 * (n1 * d2 + n2 * d1) - (2 * (t + parity) - 3) * d1 * d2, 2 * d1 * d2),
+    )
+    return tuple(
+        (q**t * scale, [_falling_numerator(y, q, t - e) * q**e * (scale // factorial(e)) for e in range(t + 1)])
+        for y, q in shifted
+    )
 
-    def side(a: Fraction) -> list[Fraction]:
-        return [falling_factorial(a, t - e) / factorial(e) for e in range(t + 1)]
 
-    return side(params.alpha + t), side(params.beta + t), side(-(params.gamma + t))
+def _index_factors(params: BracketParams) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+    """((b**t, L), (b**t, R)) over ints with L[r] / b**t = (1 - m2 x)^r and R[s] / b**t = (1 + m1 x)^s.
 
+    With x = a/b and t = floor(v/2), L[r] = (b - m2 a)^r b^(t-r) and
+    R[s] = (b + m1 a)^s b^(t-s) for r, s <= t.
 
-def _index_factors(params: BracketParams) -> tuple[list[Fraction], list[Fraction]]:
-    """(L, R) with L[r] = (1 - m2 x)^r and R[s] = (1 + m1 x)^s for r, s <= floor(v/2).
-
-    coeff_D(r, s, i, j) = (-m2)^i L[r] * m1^j R[s]; the derivative factors
-    (-m2)^i and m1^j enter the bracket pass as its ``cross`` pair.
+    coeff_D(r, s, i, j) = (-m2)^i L[r] * m1^j R[s] / b**(2t); the derivative
+    factors (-m2)^i and m1^j enter the bracket pass as its ``cross`` pair.
     """
-    m1, m2, x = params.m1, params.m2, params.x
-    span = range(params.half_order + 1)
-    return [(1 - m2 * x) ** r for r in span], [(1 + m1 * x) ** s for s in span]
+    m1, m2, t = params.m1, params.m2, params.half_order
+    a, b = params.x.numerator, params.x.denominator
+    return tuple((b**t, [(b + c * a) ** e * b ** (t - e) for e in range(t + 1)]) for c in (-m2, m1))
+
+
+def _reduced(den: int, ints: list[int]) -> tuple[int, list[int]]:
+    """(den, ints) divided by gcd(den, *ints): the values ints[e] / den over their least
+    common denominator, the ints ``_integer_form`` gives for them."""
+    common = gcd(den, *ints)
+    return den // common, [value // common for value in ints]
 
 
 def _bracket_pass(
     f: JacobiSeries,
     g: JacobiSeries,
-    left: list[Fraction],
-    right: list[Fraction],
+    left: tuple[int, list[int]],
+    right: tuple[int, list[int]],
     cross: tuple[int, int] | None,
     slots: list[list[tuple[int, int]]],
 ) -> tuple[int, list[tuple[Key, int, tuple[int, ...]]]]:
@@ -239,17 +265,17 @@ def _bracket_pass(
     :func:`rcforms.series._packed_products` multiplies them.
     """
     trunc = min(f.trunc, g.trunc)
-    t = len(left) - 1
+    t = len(left[1]) - 1
 
     def rows(series, weights, c):
         """(den, {n: [(r, values)]}): values[e] = w_e * a * disc^e for e = 0..t over
         integer numerators a and w_e, then with c set the same times c*r."""
-        den_w, w = _integer_form(enumerate(weights))
+        den_w, w = weights
         m, out = series.index, {}
         for (n, r), a in series._num.items():
             if n <= trunc:
                 disc, values = 4 * n * m - r * r, []
-                for w_e in w.values():
+                for w_e in w:
                     values.append(w_e * a)
                     a *= disc
                 if c is not None:
@@ -285,14 +311,14 @@ def bracket_jacobi(
     product and v = 1 does not depend on x.
     """
     params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
-    A, B, G = _weight_factors(params)
-    L, R = _index_factors(params)
+    (den_A, A), (den_B, B), (den_G, G) = _weight_factors(params)
+    (den_L, L), (den_R, R) = _index_factors(params)
     cross = (-params.m2, params.m1) if params.parity else None
     t = params.half_order
     slots = [[(e, k - e) for e in range(k + 1)] for k in range(t + 1)]  # r + s = k
-    den, entries = _bracket_pass(f, g, list(map(mul, A, L)), list(map(mul, B, R)), cross, slots)
-    den_G, g_int = _integer_form(enumerate(G))
-    g_int = list(g_int.values())[::-1]  # G[t - k] meets the sum with r + s = k
+    left, right = _reduced(den_A * den_L, list(map(mul, A, L))), _reduced(den_B * den_R, list(map(mul, B, R)))
+    den, entries = _bracket_pass(f, g, left, right, cross, slots)
+    g_int = G[::-1]  # G[t - k] meets the sum with r + s = k
     coeffs = {}
     for key, disc, digits in entries:
         total = 0
@@ -311,23 +337,22 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     (1 + m1 x)^s (1 - m2 x)^r with r + s <= floor(v/2).
     """
     params = BracketParams(f.weight, g.weight, f.index, g.index, v)
-    A, B, G = _weight_factors(params)
+    A, B, (den_G, G) = _weight_factors(params)
     m1, m2, t = params.m1, params.m2, params.half_order
     cross = (-m2, m1) if params.parity else None
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1 - r)]
-    den, entries = _bracket_pass(f, g, A, B, cross, [[pair] for pair in pairs])
+    den, entries = _bracket_pass(f, g, _reduced(*A), _reduced(*B), cross, [[pair] for pair in pairs])
     scaled = []
     for d in range(t + 1):
-        # G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r
-        row = {
-            (r, s): G[t - r - s] * sum(
+        # G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r, over den_G
+        w = [
+            G[t - r - s] * sum(
                 comb(s, a) * m1**a * comb(r, d - a) * (-m2) ** (d - a)
                 for a in range(max(0, d - r), min(s, d) + 1)
             )
             for r, s in pairs
-        }
-        den_w, w = _integer_form(row)
-        scaled.append((den * den_w, list(w.values())))
+        ]
+        scaled.append((den * den_G, w))
     parts: list[dict[Key, int]] = [{} for _ in scaled]
     for key, disc, digits in entries:
         powers = [disc**p for p in range(t + 1)]
@@ -407,20 +432,25 @@ def check_recursions(k1, k2, l: int, c_fn=None) -> bool:
     detect any perturbation of a single value.  Each C(r, s, p) with
     r + s + p = l is evaluated once.  ``c_fn(r, s, p)`` may override the
     coefficient source (used by tests to inject perturbations).
+
+    The relations are tested on ints: the C family is cleared of its
+    denominators once (``_integer_form``), and with alpha = a/q_a,
+    beta = b/q_b and gamma = c/q_c the first relation is multiplied through
+    by q_a*q_c and the second by q_b*q_c.
     """
     if l < 1:
         raise ValueError(f"recursion check needs l >= 1, got {l}")
     params = BracketParams(as_rational(k1), as_rational(k2), 0, 0, 2 * l)
     if c_fn is None:
         c_fn = lambda r, s, p: coeff_C(r, s, p, params)
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
-    c = {(r, s, l - r - s): c_fn(r, s, l - r - s) for r in range(l + 1) for s in range(l + 1 - r)}
+    (a, qa), (b, qb), (c, qc) = ((y.numerator, y.denominator) for y in (params.alpha, params.beta, params.gamma))
+    _, C = _integer_form(((r, s, l - r - s), c_fn(r, s, l - r - s)) for r in range(l + 1) for s in range(l + 1 - r))
     for r in range(l):
         for s in range(l - r):
             p = l - 1 - r - s
-            mult = (p + 1) * (gamma + l + r + s) * c[r, s, p + 1]
-            if (r + 1) * (alpha + r + 1) * c[r + 1, s, p] + mult:
+            mult = (p + 1) * (c + (l + r + s) * qc) * C[r, s, p + 1]
+            if (r + 1) * (a + (r + 1) * qa) * qc * C[r + 1, s, p] + qa * mult:
                 return False
-            if (s + 1) * (beta + s + 1) * c[r, s + 1, p] + mult:
+            if (s + 1) * (b + (s + 1) * qb) * qc * C[r, s + 1, p] + qb * mult:
                 return False
     return True

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .brackets import THREE_HALVES, bracket_jacobi, falling_factorial
-from .series import JacobiSeries, as_rational, d_z, heat, heat_power
+from .series import JacobiSeries, _packed_products, _value_text, as_rational, d_z, heat, heat_power
 
 
 class CrosscheckError(ArithmeticError):
@@ -88,18 +88,50 @@ def jet_scale_w(jet: FormalJet, scale: int | Fraction) -> FormalJet:
     return FormalJet(jet.base_weight, jet.index, chis)
 
 
+def _jet_rows(chis: tuple[JacobiSeries, ...]) -> tuple[int, dict[int, list]]:
+    """(d, {n: [(r, values)]}): values[j] = d * chis[j](n, r), zero where chi_j has no
+    entry, d the least common multiple of the components' denominators."""
+    den = lcm(*(chi._den for chi in chis))
+    entries: dict[tuple[int, int], list[int]] = {}
+    for j, chi in enumerate(chis):
+        scale = den // chi._den
+        for key, value in chi._num.items():
+            entries.setdefault(key, [0] * len(chis))[j] = scale * value
+    rows: dict[int, list] = {}
+    for (n, r), values in entries.items():
+        rows.setdefault(n, []).append((r, values))
+    return den, rows
+
+
 def jet_mul(a: FormalJet, b: FormalJet) -> FormalJet:
-    """Cauchy product in w; weights and indices add."""
+    """Cauchy product in w; weights and indices add.
+
+    Component nu of the product is sum_{j <= nu} a.chis[j] * b.chis[nu - j],
+    for nu up to the smaller nu_max.  Each jet's components go over one
+    denominator as the value columns of its q^n rows, and one packed
+    product (:func:`rcforms.series._packed_products`) gives every
+    component: slot nu pairs column j of a with column nu - j of b.
+    """
     if a.trunc != b.trunc:
         raise ValueError(f"jet truncations differ: {a.trunc} vs {b.trunc}")
     nu_max = min(a.nu_max, b.nu_max)
-    chis = []
-    for nu in range(nu_max + 1):
-        acc = a.chis[0] * b.chis[nu]
-        for j in range(1, nu + 1):
-            acc = acc + a.chis[j] * b.chis[nu - j]
-        chis.append(acc)
-    return FormalJet(a.base_weight + b.base_weight, a.index + b.index, tuple(chis))
+    den_a, rows_a = _jet_rows(a.chis[: nu_max + 1])
+    den_b, rows_b = _jet_rows(b.chis[: nu_max + 1])
+    slots = [[(j, nu - j) for j in range(nu + 1)] for nu in range(nu_max + 1)]
+    sums = _packed_products(rows_a, rows_b, JacobiSeries._row_pairs, a.trunc, slots)
+    nums: list[dict] = [{} for _ in slots]
+    for n, spans in sums.items():
+        for lo, columns in spans:
+            for num, digits in zip(nums, columns):
+                for r, total in enumerate(digits, lo):
+                    if total:
+                        num[(n, r)] = total
+    weight, index = a.base_weight + b.base_weight, a.index + b.index
+    chis = tuple(
+        JacobiSeries._from_integers((weight + 2 * nu, index), a.trunc, den_a * den_b, num)
+        for nu, num in enumerate(nums)
+    )
+    return FormalJet(weight, index, chis)
 
 
 def jet_odd_combine(a: FormalJet, b: FormalJet, m1: int, m2: int) -> FormalJet:
@@ -159,12 +191,13 @@ def crosscheck_bracket(
     if zeta[first] == 0 or bracket[first] == 0:
         raise CrosscheckError(
             f"constructions are not proportional at {first}: "
-            f"jet side {zeta[first]}, bracket side {bracket[first]}"
+            f"jet side {_value_text(zeta[first])}, bracket side {_value_text(bracket[first])}"
         )
     lam = zeta[first] / bracket[first]
     key = zeta.first_difference(lam * bracket)
     if key is not None:
         raise CrosscheckError(
-            f"no consistent scalar: key {key} gives {zeta[key]} vs {lam} * {bracket[key]}"
+            f"no consistent scalar: key {key} gives {_value_text(zeta[key])} "
+            f"vs {_value_text(lam)} * {_value_text(bracket[key])}"
         )
     return lam

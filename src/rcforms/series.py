@@ -24,6 +24,7 @@ modularity claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Any, Iterable, Mapping
@@ -52,14 +53,29 @@ def as_rational(x: int | Fraction) -> Fraction:
 _ZERO = Fraction(0)
 
 
+# Ints go to text through Decimal, exact at any length: str(int) stops at the
+# interpreter-wide int/str digit limit, left unchanged here.
+def _text(x: int) -> str:
+    return str(Decimal(x))
+
+
+def _value_text(x: int | Fraction) -> str:
+    """An exact value as ``str`` writes a ``Fraction`` ("n" or "n/d"), at any length.
+
+    The one formatter of values in witness, error and check-detail text.
+    """
+    num, den = x.numerator, x.denominator
+    return _text(num) if den == 1 else f"{_text(num)}/{_text(den)}"
+
+
 def _integer_form(coeffs) -> tuple[int, dict]:
     """(d, {key: d * value}) for a map or pairs key -> exact scalar, d the least common denominator.
 
     The one denominator-clearing rule, for the constructors' input, the
-    bracket loops' weight lists and the rank rows.  Unless every value is
-    an int or a ``Fraction``, all go through :func:`as_rational` (floats
-    raise ``TypeError``); zero values stay, so that ``_store`` checks their
-    keys too.
+    C(r, s, p) families (the recursion check, the direct degree-2 bracket)
+    and the rank rows.  Unless every value is an int or a ``Fraction``, all
+    go through :func:`as_rational` (floats raise ``TypeError``); zero
+    values stay, so that ``_store`` checks their keys too.
     """
     values = dict(coeffs)
     if not {type(value) for value in values.values()} <= {int, Fraction}:
@@ -657,12 +673,13 @@ def form_witness(f: JacobiSeries, cusp: bool = False) -> str:
     parity.  Each condition is scanned once.
     """
     if (key := f._outside_cone(False)) is not None:
-        return f"holomorphic support: c{key} = {f[key]}"
+        return f"holomorphic support: c{key} = {_value_text(f[key])}"
     if cusp and (key := f._outside_cone(True)) is not None:
-        return f"cusp support: c{key} = {f[key]}"
+        return f"cusp support: c{key} = {_value_text(f[key])}"
     if f.index >= 1 and (pair := check_disc_class_invariance(f)[1]):
-        return "disc-class: c{} = {} vs c{} = {}".format(*pair)
+        first, a, other, b = pair
+        return f"disc-class: c{first} = {_value_text(a)} vs c{other} = {_value_text(b)}"
     if (key := _parity_failure(f)) is not None:
         n, r = key
-        return f"parity: c{key} = {f[key]} vs c{(n, -r)} = {f[(n, -r)]}"
+        return f"parity: c{key} = {_value_text(f[key])} vs c{(n, -r)} = {_value_text(f[(n, -r)])}"
     return ""

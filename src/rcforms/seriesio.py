@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .series import JacobiSeries
+from .series import JacobiSeries, _text
 from .siegel import SiegelSeries
 
 FORMAT_TAG = "rcforms"
@@ -50,12 +50,8 @@ class ParseError(ValueError):
         self.line = line
 
 
-# Ints go to and from text through Decimal, exact at any length: str(int) and
-# int(str) stop at the interpreter-wide int/str digit limit, left unchanged here.
-def _text(x: int) -> str:
-    return str(Decimal(x))
-
-
+# Ints come from text through Decimal, exact at any length, as they go to text
+# (series._text): int(str) stops at the interpreter-wide int/str digit limit.
 def _int(text: str) -> int:
     return int(Decimal(text))
 

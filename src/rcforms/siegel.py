@@ -32,6 +32,7 @@ from .series import (
     _merged,
     _packed_products,
     _SparseSeries,
+    _value_text,
     form_witness,
 )
 
@@ -44,7 +45,7 @@ class SymmetryError(ValueError):
     def __init__(self, key: TripleKey, value, mirrored):
         n, r, m = key
         super().__init__(
-            f"symmetry violation: a({n},{r},{m}) = {value} but a({m},{r},{n}) = {mirrored}"
+            f"symmetry violation: a({n},{r},{m}) = {_value_text(value)} but a({m},{r},{n}) = {_value_text(mirrored)}"
         )
         self.key = key
 

@@ -27,6 +27,7 @@ from .series import (
     EllipticSeries,
     InvariantError,
     JacobiSeries,
+    _value_text,
     form_witness,
     heat_power,
     theta_q_elliptic,
@@ -161,7 +162,7 @@ def check_generating_function_oracle(forms: FormSet) -> list[CheckResult]:
                     passed = False
                     measured.append(f"v={v},x={x}: {exc}")
                 else:
-                    measured.append(f"v={v},x={x}: lam={'indeterminate' if lam is None else lam}")
+                    measured.append(f"v={v},x={x}: lam={'indeterminate' if lam is None else _value_text(lam)}")
         out.append(
             CheckResult(f"jet oracle reproduces brackets {pair_name}", passed, "; ".join(measured))
         )
@@ -253,7 +254,7 @@ def _dual_path_witnesses(F: SiegelSeries, l: int, direct: SiegelSeries):
     via = bracket_siegel_via_jacobi(F, F, l)
     if direct != via:
         bad = direct.first_difference(via)
-        yield f"key {bad}: direct {direct[bad]} vs sliced {via[bad]}"
+        yield f"key {bad}: direct {_value_text(direct[bad])} vs sliced {_value_text(via[bad])}"
     elif direct.weight != 2 * F.weight + 2 * l:
         yield f"weight {direct.weight}"
     elif l > 0:

@@ -4,9 +4,11 @@ from math import comb, factorial, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcforms import brackets as brackets_module
 from rcforms.brackets import (
     _exact_rank,
     _index_factors,
+    _reduced,
     _weight_factors,
     BracketParams,
     bracket_jacobi,
@@ -19,7 +21,7 @@ from rcforms.brackets import (
     falling_factorial,
 )
 from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, standard_index_vector
-from rcforms.series import EllipticSeries, JacobiSeries, d_z, heat_power
+from rcforms.series import EllipticSeries, JacobiSeries, _integer_form, d_z, heat_power
 from rcforms.verify import FormSet
 from row_shapes import sparse_rows, window
 
@@ -110,23 +112,54 @@ FACTOR_WEIGHTS = [(4, 6), (6, 4), (Q(9, 2), Q(7, 3)), (Q(7, 3), 4), (6, Q(9, 2))
 VANISHING_WEIGHTS = [(Q(1, 2), 6), (4, Q(-1, 2)), (Q(-5, 4), Q(-5, 4))]
 
 
+def fraction_weight_lists(params):
+    """(A, B, G) as Fraction lists: A[e] = (alpha + t)_{t-e} / e! and likewise B, G."""
+    t = params.half_order
+
+    def side(a):
+        return [falling_factorial(a, t - e) / factorial(e) for e in range(t + 1)]
+
+    return side(params.alpha + t), side(params.beta + t), side(-(params.gamma + t))
+
+
+def fraction_index_lists(params):
+    """(L, R) as Fraction lists: L[r] = (1 - m2 x)^r and R[s] = (1 + m1 x)^s."""
+    span = range(params.half_order + 1)
+    return [(1 - params.m2 * params.x) ** r for r in span], [(1 + params.m1 * params.x) ** s for s in span]
+
+
+def cleared(values):
+    """_integer_form of a Fraction list, as (den, [ints])."""
+    den, ints = _integer_form(enumerate(values))
+    return den, list(ints.values())
+
+
 class TestFactorisedCoefficients:
-    """The bracket pass applies C and D as per-side factors; these tie the
-    factors back to coeff_C and coeff_D."""
+    """The bracket pass applies C and D as per-side integer factors over
+    their denominators; these tie the factors back to coeff_C and coeff_D
+    and to the Fraction lists they replace."""
 
     @pytest.mark.parametrize("k1,k2", FACTOR_WEIGHTS + VANISHING_WEIGHTS)
     def test_weight_factors_multiply_to_C(self, k1, k2):
         vanished = 0
         for v in range(13):
             params = BracketParams(k1, k2, 1, 2, v)
-            A, B, G = _weight_factors(params)
+            (den_A, A), (den_B, B), (den_G, G) = _weight_factors(params)
+            den = den_A * den_B * den_G
             t = v // 2
             for r in range(t + 1):
                 for s in range(t + 1 - r):
                     p = t - r - s
-                    assert A[r] * B[s] * G[p] == coeff_C(r, s, p, params), (v, r, s, p)
+                    assert Q(A[r] * B[s] * G[p], den) == coeff_C(r, s, p, params), (v, r, s, p)
                     vanished += coeff_C(r, s, p, params) == 0
         assert bool(vanished) == ((k1, k2) in VANISHING_WEIGHTS)
+
+    @pytest.mark.parametrize("k1,k2", FACTOR_WEIGHTS + VANISHING_WEIGHTS)
+    def test_weight_factors_reduce_to_the_integer_form(self, k1, k2):
+        for v in range(13):
+            params = BracketParams(k1, k2, 1, 2, v)
+            for side, fractions in zip(_weight_factors(params), fraction_weight_lists(params)):
+                assert _reduced(*side) == cleared(fractions), v
 
     @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 2), (3, 0), (0, 2), (2, 3)])
     def test_index_factors_multiply_to_D(self, m1, m2):
@@ -134,12 +167,54 @@ class TestFactorisedCoefficients:
         for x in xs:
             for v in range(9):
                 params = BracketParams(4, 6, m1, m2, v, x)
-                L, R = _index_factors(params)
+                (den_L, L), (den_R, R) = _index_factors(params)
+                fractions = fraction_index_lists(params)
+                assert [Q(value, den_L) for value in L] == fractions[0]
+                assert [Q(value, den_R) for value in R] == fractions[1]
                 t = v // 2
                 for r in range(t + 1):
                     for s in range(t + 1 - r):
                         for i, j in ((0, 0), (0, 1), (1, 0)):
-                            assert (-m2) ** i * L[r] * m1**j * R[s] == coeff_D(r, s, i, j, params)
+                            value = Q((-m2) ** i * L[r] * m1**j * R[s], den_L * den_R)
+                            assert value == coeff_D(r, s, i, j, params)
+
+    @pytest.mark.parametrize("k1,k2", [(4, 6), (10, 4), (-3, 1)])
+    @pytest.mark.parametrize("m1,m2,x", [(1, 2, Q(0)), (1, 1, Q(-1, 2)), (2, 3, Q(1, 3)), (3, 0, Q(-1, 3))])
+    def test_kernel_lists_equal_the_integer_form(self, monkeypatch, k1, k2, m1, m2, x):
+        """The lists A*L and B*R that bracket_jacobi hands to the kernel are the
+        ints _integer_form gives for the Fraction products, so the packed digit
+        widths are those of the values over their least common denominator."""
+        seen = []
+        kernel = brackets_module._bracket_pass
+
+        def spy(f, g, left, right, cross, slots):
+            seen.append((left, right))
+            return kernel(f, g, left, right, cross, slots)
+
+        monkeypatch.setattr(brackets_module, "_bracket_pass", spy)
+        f, g = JacobiSeries(k1, m1, 2, {(1, 0): 1}), JacobiSeries(k2, m2, 2, {(1, 1): 1, (2, 0): 3})
+        for v in range(13):
+            brackets_module.bracket_jacobi(f, g, x, v)
+            params = BracketParams(k1, k2, m1, m2, v, x)
+            sides = zip(fraction_weight_lists(params), fraction_index_lists(params))
+            expected = tuple(cleared([a * b for a, b in zip(w, i)]) for w, i in sides)
+            assert seen.pop() == expected, v
+
+
+def test_bracket_set_up_runs_on_ints(monkeypatch, theta4, theta4_index2):
+    """The Jacobi bracket and its x-polynomial build their weight lists without
+    falling_factorial or _integer_form; the outputs are unchanged."""
+    cases = [(v, x) for v in range(7) for x in (Q(0), Q(-1, 2), Q(2, 3))]
+    expected = [bracket_jacobi(theta4, theta4_index2, x, v) for v, x in cases]
+    polys = [bracket_jacobi_poly(theta4_index2, theta4, v) for v in range(7)]
+
+    def forbidden(*args):
+        raise RuntimeError("Fraction set-up called")
+
+    for name in ("falling_factorial", "_integer_form"):
+        monkeypatch.setattr(brackets_module, name, forbidden)
+    assert [brackets_module.bracket_jacobi(theta4, theta4_index2, x, v) for v, x in cases] == expected
+    assert [brackets_module.bracket_jacobi_poly(theta4_index2, theta4, v) for v in range(7)] == polys
 
 
 class TestBracketDegenerations:
@@ -360,6 +435,58 @@ class TestRecursions:
             return value + 1 if (r, s, p) == target else value
 
         assert not check_recursions(4, 6, 2, c_fn=perturbed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=Q(-12), max_value=Q(40), max_denominator=7),
+        st.fractions(min_value=Q(-12), max_value=Q(40), max_denominator=7),
+        st.integers(1, 6),
+    )
+    def test_integer_check_agrees_with_fractions(self, k1, k2, l):
+        """check_recursions on ints against the relations evaluated in Fractions,
+        on the true C family and with +1 at each (r, s, p) in turn."""
+        params = BracketParams(k1, k2, 0, 0, 2 * l)
+        alpha, beta, gamma = params.alpha, params.beta, params.gamma
+        triples = [(r, s, l - r - s) for r in range(l + 1) for s in range(l + 1 - r)]
+        exact = {key: coeff_C(*key, params) for key in triples}
+
+        def fraction_check(c):
+            return all(
+                (r + 1) * (alpha + r + 1) * c[r + 1, s, p] + (p + 1) * (gamma + l + r + s) * c[r, s, p + 1] == 0
+                and (s + 1) * (beta + s + 1) * c[r, s + 1, p] + (p + 1) * (gamma + l + r + s) * c[r, s, p + 1] == 0
+                for r in range(l)
+                for s in range(l - r)
+                for p in [l - 1 - r - s]
+            )
+
+        assert check_recursions(k1, k2, l) == fraction_check(exact) is True
+        # no factor (alpha + i), (beta + i) or (gamma + l + j) of the relations
+        # vanishes, so each value takes part in a relation with a nonzero weight
+        generic = all(alpha + i and beta + i for i in range(1, l + 1)) and all(gamma + l + j for j in range(l))
+        for target in triples:
+            c = {**exact, target: exact[target] + 1}
+            result = check_recursions(k1, k2, l, c_fn=lambda r, s, p: c[r, s, p])
+            assert result == fraction_check(c)
+            if generic:
+                assert not result, target
+
+    def test_no_fraction_built_after_the_coefficients(self, monkeypatch):
+        """Once the C family is read, the relations run on ints: Fraction
+        arithmetic raises from there on."""
+        params = BracketParams(Q(9, 2), Q(7, 3), 0, 0, 8)
+        values = {}
+
+        def c_fn(r, s, p):
+            values[r, s, p] = coeff_C(r, s, p, params)
+            if len(values) == 15:  # the last of the l = 4 family
+                for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__new__"):
+                    monkeypatch.setattr(Fraction, name, forbidden)
+            return values[r, s, p]
+
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("Fraction built")
+
+        assert brackets_module.check_recursions(Q(9, 2), Q(7, 3), 4, c_fn=c_fn)
 
 
 def loop_product(f, g):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from rcforms import brackets
 from rcforms.cli import main
 from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, siegel_theta
-from rcforms.series import JacobiSeries
+from rcforms.series import JacobiSeries, _value_text, form_witness
 from rcforms.seriesio import (
     ParseError,
     export_series,
@@ -19,7 +19,7 @@ from rcforms.seriesio import (
     read_series,
     write_series,
 )
-from rcforms.siegel import SiegelSeries, bracket_siegel_direct
+from rcforms.siegel import SiegelSeries, SymmetryError, bracket_siegel_direct
 
 Q = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -141,6 +141,53 @@ class TestIntegersOfAnyLength:
         code = main(["bracket-jacobi", "--left", str(source), "--right", str(source), "--v", "0", "--out", str(out)])
         assert code == 0
         assert read_series(out) == theta * theta
+
+
+@pytest.fixture(params=["default", 640])
+def int_str_limit(request):
+    """The interpreter's int/str digit limit as it is, then lowered to its floor; restored afterwards."""
+    if request.param == "default":
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestWitnessTextOfAnyLength:
+    """Witness and error text writes values through series._value_text, so a
+    value longer than the int/str digit limit still reaches its witness."""
+
+    BIG = "1" + "0" * 5000
+
+    def test_symmetry_error_on_import(self, int_str_limit):
+        text = f"rcforms 1\nkind siegel\nweight 4\ntrunc 2\ncoeff 1 0 2 {self.BIG}/1\nEND\n"
+        with pytest.raises(SymmetryError, match=f"a\\(1,0,2\\) = {self.BIG} but a\\(2,0,1\\) = 0$"):
+            import_series(text)
+
+    def test_cli_exits_with_the_witness(self, tmp_path, capsys, int_str_limit):
+        source = tmp_path / "asymmetric.coef"
+        source.write_bytes(f"rcforms 1\nkind siegel\nweight 4\ntrunc 2\ncoeff 1 0 2 {self.BIG}/1\nEND\n".encode())
+        out = tmp_path / "out.coef"
+        assert main(["bracket-siegel", "--left", str(source), "--right", str(source), "--l", "1", "--out", str(out)]) == 1
+        assert f"symmetry violation: a(1,0,2) = {self.BIG}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_form_witness(self, int_str_limit):
+        f = JacobiSeries(4, 1, 2, {(0, 2): 10**5000})
+        assert form_witness(f) == f"holomorphic support: c(0, 2) = {self.BIG}"
+        g = JacobiSeries(4, 1, 2, {(1, 0): Q(-1, 10**5000)})
+        assert form_witness(g) == f"disc-class: c(2, -2) = 0 vs c(1, 0) = -1/{self.BIG}"
+
+    @given(st.fractions())
+    def test_value_text_is_str_at_ordinary_sizes(self, x):
+        assert _value_text(x) == str(x)
+        assert _value_text(x.numerator) == str(x.numerator)
 
 
 class TestRejections:

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcforms.brackets import bracket_jacobi
 from rcforms.jets import (
@@ -18,6 +19,31 @@ from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta
 from rcforms.series import JacobiSeries, check_disc_class_invariance, heat
 
 Q = Fraction
+
+
+def cauchy_product(a, b):
+    """The Cauchy product of two jets by series products and sums, apart from the packed product."""
+    chis = []
+    for nu in range(min(a.nu_max, b.nu_max) + 1):
+        acc = a.chis[0] * b.chis[nu]
+        for j in range(1, nu + 1):
+            acc = acc + a.chis[j] * b.chis[nu - j]
+        chis.append(acc)
+    return FormalJet(a.base_weight + b.base_weight, a.index + b.index, tuple(chis))
+
+
+@st.composite
+def random_jets(draw, index, trunc):
+    """A jet of 1-4 components with random keys (r in -6..6) and rational values,
+    some components empty, the denominators drawn per value."""
+    weight = draw(st.integers(0, 12))
+    values = st.one_of(st.integers(-30, 30), st.fractions(min_value=-30, max_value=30, max_denominator=12))
+    keys = st.tuples(st.integers(0, trunc), st.integers(-6, 6))
+    chis = tuple(
+        JacobiSeries(weight + 2 * nu, index, trunc, draw(st.dictionaries(keys, values, max_size=6)))
+        for nu in range(draw(st.integers(1, 4)))
+    )
+    return FormalJet(weight, index, chis)
 
 
 class TestJetOfForm:
@@ -69,6 +95,28 @@ class TestJetProducts:
         a, b = jet_of_form(theta4, 2), jet_of_form(e4_theta4, 2)
         product = jet_mul(a, b)
         assert product.chis[1] == a.chis[0] * b.chis[1] + a.chis[1] * b.chis[0]
+
+    @pytest.mark.parametrize("case", ["denominators", "unequal orders", "unit", "zero scale", "zero jet"])
+    def test_packed_product_equals_cauchy_sums(self, case, theta4, theta4_index2, e4_theta4):
+        a, b = {
+            "denominators": (
+                jet_scale_w(jet_of_form(theta4, 3), Q(-2, 3)),
+                jet_scale_w(jet_of_form(e4_theta4, 3), Q(5, 7)),
+            ),
+            "unequal orders": (jet_of_form(theta4_index2, 1), jet_of_form(e4_theta4, 3)),
+            "unit": (jet_of_form(JacobiSeries.one(4), 3), jet_of_form(e4_theta4, 2)),
+            "zero scale": (jet_scale_w(jet_of_form(theta4, 2), 0), jet_of_form(theta4_index2, 2)),
+            "zero jet": (jet_of_form(theta4, 2), jet_of_form(JacobiSeries.zero(6, 2, 4), 2)),
+        }[case]
+        for left, right in ((a, b), (b, a)):
+            assert jet_mul(left, right) == cauchy_product(left, right)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_packed_product_on_random_jets(self, data):
+        index, trunc = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+        a, b = (data.draw(random_jets(index + shift, trunc)) for shift in (0, 1))
+        assert jet_mul(a, b) == cauchy_product(a, b)
 
     def test_trunc_mismatch_rejected(self, theta4):
         small = jet_of_form(theta4.truncated(2), 1)
