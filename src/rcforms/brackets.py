@@ -72,7 +72,7 @@ product behind the order-0 check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -100,25 +100,22 @@ def falling_factorial(x: int | Fraction, n: int) -> Fraction:
     return Fraction(_falling_numerator(x.numerator, x.denominator, n), x.denominator**n)
 
 
-@dataclass(frozen=True)
-class BracketParams:
+class BracketParams(namedtuple("BracketParams", "k1 k2 m1 m2 v x")):
     """Weights, indices, bracket order and the rational x parameter.
 
     Weights may be non-integer rationals so that the coefficient recursions
     can be probed at generic values; the series-level bracket itself only
-    ever sees integer weights.
+    ever sees integer weights.  ``alpha``, ``beta`` and ``gamma`` are
+    computed once per instance, in its ``__dict__``.
     """
 
-    k1: int | Fraction
-    k2: int | Fraction
-    m1: int
-    m2: int
-    v: int
-    x: Fraction = Fraction(0)
+    def __new__(cls, k1: int | Fraction, k2: int | Fraction, m1: int, m2: int, v: int, x: Fraction = Fraction(0)):
+        if v < 0:
+            raise ValueError(f"bracket order must be non-negative, got {v}")
+        return super().__new__(cls, k1, k2, m1, m2, v, x)
 
-    def __post_init__(self):
-        if self.v < 0:
-            raise ValueError(f"bracket order must be non-negative, got {self.v}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BracketParams is immutable: cannot set {name!r}")
 
     @property
     def half_order(self) -> int:
@@ -141,17 +138,10 @@ class BracketParams:
         return as_rational(self.k1) + as_rational(self.k2) - THREE_HALVES + self.parity
 
 
-@dataclass(frozen=True)
-class BracketTerm:
+class BracketTerm(namedtuple("BracketTerm", "r s p i j c_value d_value")):
     """One (r, s, p, i, j) summand with its evaluated scalar coefficients."""
 
-    r: int
-    s: int
-    p: int
-    i: int
-    j: int
-    c_value: Fraction
-    d_value: Fraction
+    __slots__ = ()
 
 
 def coeff_C(r: int, s: int, p: int, params: BracketParams) -> Fraction:

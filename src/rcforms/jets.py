@@ -16,7 +16,7 @@ indices and bracket order; it is measured, never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -28,29 +28,27 @@ class CrosscheckError(ArithmeticError):
     """The two bracket constructions failed to be proportional."""
 
 
-@dataclass(frozen=True)
-class FormalJet:
+class FormalJet(namedtuple("FormalJet", "base_weight index chis")):
     """Formal expansion sum chi_nu * w^nu with series coefficients.
 
     All components share the index and truncation; component nu carries
     weight tag base_weight + 2*nu.
     """
 
-    base_weight: int
-    index: int
-    chis: tuple[JacobiSeries, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for nu, chi in enumerate(self.chis):
-            if chi.index != self.index:
-                raise ValueError(f"component {nu} has index {chi.index}, expected {self.index}")
-            if chi.weight != self.base_weight + 2 * nu:
+    def __new__(cls, base_weight: int, index: int, chis: tuple[JacobiSeries, ...]):
+        for nu, chi in enumerate(chis):
+            if chi.index != index:
+                raise ValueError(f"component {nu} has index {chi.index}, expected {index}")
+            if chi.weight != base_weight + 2 * nu:
                 raise ValueError(
                     f"component {nu} has weight {chi.weight}, "
-                    f"expected {self.base_weight + 2 * nu}"
+                    f"expected {base_weight + 2 * nu}"
                 )
-            if chi.trunc != self.chis[0].trunc:
+            if chi.trunc != chis[0].trunc:
                 raise ValueError("jet components must share a truncation")
+        return super().__new__(cls, base_weight, index, chis)
 
     @property
     def nu_max(self) -> int:

@@ -30,12 +30,12 @@ vectors directly and compare against these constructions.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, prod
-from typing import Sequence
 
-from .series import EllipticSeries, InvariantError, JacobiSeries, as_rational
+from .series import EllipticSeries, InvariantError, JacobiSeries, _value_text, as_rational
 from .siegel import SiegelSeries
 
 DoubledVector = tuple[int, ...]
@@ -49,6 +49,11 @@ def _double(vector: Sequence[int | Fraction]) -> DoubledVector | None:
     """Twice the exact coordinates, or None off the half-integers; floats raise TypeError."""
     doubled = [2 * as_rational(x) for x in vector]
     return None if any(y.denominator != 1 for y in doubled) else tuple(map(int, doubled))
+
+
+def _vector_text(vector: Sequence[int | Fraction]) -> str:
+    """The exact coordinates as "(a, b, ...)", each written by ``_value_text``."""
+    return f"({', '.join(map(_value_text, vector))})"
 
 
 def _mul_counts(a: Counts, b: Counts, trunc: int) -> Counts:
@@ -302,10 +307,10 @@ def jacobi_theta(
         raise ValueError(f"truncation must be non-negative, got {trunc}")
     doubled_v = _double(vector)
     if doubled_v is None or not lattice.contains_doubled(doubled_v):
-        raise ValueError(f"vector {tuple(vector)} is not in lattice {lattice.name}")
+        raise ValueError(f"vector {_vector_text(vector)} is not in lattice {lattice.name}")
     index8 = sum(a * a for a in doubled_v)
     if index8 % 8:
-        raise InvariantError(f"lattice vector {tuple(vector)} has odd norm")
+        raise InvariantError(f"lattice vector {_vector_text(vector)} has odd norm")
     return JacobiSeries(lattice.rank // 2, index8 // 8, trunc, lattice.theta_counts(doubled_v, trunc))
 
 

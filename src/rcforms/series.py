@@ -23,11 +23,11 @@ modularity claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Any, Iterable, Mapping
 
 Key = tuple[int, int]
 
@@ -84,7 +84,7 @@ def _integer_form(coeffs) -> tuple[int, dict]:
     return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
 
 
-def _merged(parts: Iterable[tuple[int, Mapping[Any, int]]]) -> tuple[int, dict]:
+def _merged(parts: Iterable[tuple[int, Mapping[object, int]]]) -> tuple[int, dict]:
     """(d, the numerators over d of the sum of the (den, numerator map) parts), d the lcm of the dens.
 
     The one rule that adds numerator maps: series sums, the slice brackets
@@ -112,7 +112,7 @@ def _merged(parts: Iterable[tuple[int, Mapping[Any, int]]]) -> tuple[int, dict]:
 # the stored entries, however far apart in r they lie.
 
 
-def _packed_rows(rows: Mapping[Any, list], bits: int) -> dict:
+def _packed_rows(rows: Mapping[object, list], bits: int) -> dict:
     """{key: [(lo, hi, [packed column, ...]), ...]}: each row cut into runs and packed.
 
     A row is a list of (r, values) entries with distinct r and one int per
@@ -153,7 +153,7 @@ def _row_products(left: Mapping, right: Mapping, pairs: Iterable[tuple], bits: i
     spans of r, and every r-slot of a sum lies in the span of one of its
     run products.
     """
-    groups: dict[Any, list[tuple]] = {}
+    groups: dict[object, list[tuple]] = {}
     for row1, row2, row in pairs:
         items = groups.setdefault(row, [])
         for lo1, hi1, a in left[row1]:
@@ -198,7 +198,9 @@ def _unpack(total: int, count: int, bits: int) -> list[int]:
 _from_bytes = int.from_bytes
 
 
-def _packed_products(left: Mapping[Any, list], right: Mapping[Any, list], row_pairs, trunc: int, slots: list) -> dict:
+def _packed_products(
+    left: Mapping[object, list], right: Mapping[object, list], row_pairs, trunc: int, slots: list
+) -> dict:
     """{row: [(lo, [digits of each slot]), ...]}: products of two maps of rows, digit i at r = lo + i.
 
     ``left`` and ``right`` map a row key to its (r, values) entries with
@@ -228,7 +230,7 @@ def _packed_products(left: Mapping[Any, list], right: Mapping[Any, list], row_pa
     return _row_products(_packed_rows(left, bits), _packed_rows(right, bits), pairs, bits, slots)
 
 
-def _column_bounds(rows: Mapping[Any, list]) -> tuple[int, list[int]]:
+def _column_bounds(rows: Mapping[object, list]) -> tuple[int, list[int]]:
     """(number of entries, [max |value| of each column]) of a map of rows of (r, values) entries."""
     entries = [values for row in rows.values() for _, values in row]
     return len(entries), [max(map(abs, column)) for column in zip(*entries)]
@@ -271,18 +273,18 @@ class _SparseSeries:
         self,
         weight: int,
         trunc: int,
-        coeffs: Mapping[Any, int | Fraction] | Iterable[tuple[Any, int | Fraction]] = (),
+        coeffs: Mapping[object, int | Fraction] | Iterable[tuple[object, int | Fraction]] = (),
     ):
         self._store((weight,), trunc, *_integer_form(coeffs))
 
     @classmethod
-    def _from_integers(cls, tags: tuple, trunc: int, den: int, num: Mapping[Any, int]):
+    def _from_integers(cls, tags: tuple, trunc: int, den: int, num: Mapping[object, int]):
         """The series of kind ``cls`` with values num[key] / den, built through ``_store``."""
         series = cls.__new__(cls)
         series._store(tags, trunc, den, num)
         return series
 
-    def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[Any, int]) -> None:
+    def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[object, int]) -> None:
         """Set tags and truncation, then validate num / den and keep it in canonical form.
 
         Every key must fit the truncation, zero values included; the values
@@ -329,12 +331,12 @@ class _SparseSeries:
         """The zero series with the given tags and truncation."""
         return cls(*tags_and_trunc)
 
-    def _like(self, trunc: int, den: int, num: Mapping[Any, int], step: int = 0):
+    def _like(self, trunc: int, den: int, num: Mapping[object, int], step: int = 0):
         """num / den as a series of the same kind and tags, its weight advanced by ``step``."""
         weight, *rest = self._tags()
         return self._from_integers((weight + step, *rest), trunc, den, num)
 
-    def _joined(self, other, order: int, den: int, num: Mapping[Any, int]):
+    def _joined(self, other, order: int, den: int, num: Mapping[object, int]):
         """num / den as an order-``order`` bilinear output: tags added, weight plus order, smaller truncation."""
         weight, *rest = (x + y for x, y in zip(self._tags(), other._tags()))
         return self._from_integers((weight + order, *rest), min(self.trunc, other.trunc), den, num)
@@ -385,7 +387,7 @@ class _SparseSeries:
 
     # -- restrict, merge and scale -------------------------------------------
 
-    def _restricted(self, trunc: int) -> Mapping[Any, int]:
+    def _restricted(self, trunc: int) -> Mapping[object, int]:
         """The numerators whose keys fit ``trunc`` (over ``_den``); read only, as it may be ``_num`` itself."""
         if trunc >= self.trunc:
             return self._num
@@ -594,13 +596,10 @@ def heat_power(f: JacobiSeries, p: int) -> JacobiSeries:
 # -- coefficient-level form checks -------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
     """Outcome of one named check; ``detail`` holds a witness or a measurement."""
 
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
     @classmethod
     def first(cls, name: str, witnesses: Iterable[str]) -> CheckResult:

@@ -19,9 +19,9 @@ Jacobi brackets at x = 0 of the slices of F and G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .brackets import BracketParams, bracket_jacobi, bracket_terms
 from .series import (
@@ -256,9 +256,10 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
     return F._joined(G, 2 * l, *sums)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    checks: tuple[CheckResult, ...]
+class ConsistencyReport(namedtuple("ConsistencyReport", "checks")):
+    """The tuple of per-slice :class:`CheckResult` of one degree-2 expansion."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -552,6 +552,12 @@ class TestCli:
         assert f"does not contain a {expected} series" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vector_outside_the_lattice_exits_2_with_its_coordinates(self, tmp_path, capsys):
+        out = tmp_path / "o.coef"
+        assert self.run("theta-jacobi", "--vector", "1,0,0,0,0,0,0,0", "--trunc", "2", "--out", str(out)) == 2
+        assert "vector (1, 0, 0, 0, 0, 0, 0, 0) is not in lattice e8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_lattice_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o.coef"
         assert self.run("theta-jacobi", "--lattice", "d4", "--trunc", "2", "--out", str(out)) == 2

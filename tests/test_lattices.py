@@ -26,7 +26,7 @@ from rcforms.lattices import (
     siegel_theta,
     standard_index_vector,
 )
-from rcforms.series import check_disc_class_invariance, check_parity
+from rcforms.series import InvariantError, check_disc_class_invariance, check_parity
 from rcforms.siegel import check_siegel_consistency
 
 Q = Fraction
@@ -149,6 +149,14 @@ class TestJacobiTheta:
     def test_vector_outside_lattice_rejected(self):
         with pytest.raises(ValueError, match="not in lattice"):
             jacobi_theta(E8, (1, 0, 0, 0, 0, 0, 0, 0), 2)
+
+    def test_rejected_vector_is_written_in_exact_coordinates(self, monkeypatch):
+        half = (Fraction(1, 2), 0, 0, 0, 0, 0, 0, Fraction(-3, 2))
+        with pytest.raises(ValueError, match=r"^vector \(1/2, 0, 0, 0, 0, 0, 0, -3/2\) is not in lattice e8$"):
+            jacobi_theta(E8, half, 2)
+        monkeypatch.setattr(type(E8), "contains_doubled", lambda self, y: True)  # admits norm 5/2
+        with pytest.raises(InvariantError, match=r"^lattice vector \(1/2, 0, 0, 0, 0, 0, 0, -3/2\) has odd norm$"):
+            jacobi_theta(E8, half, 2)
 
     def test_product_lattice_theta_is_eisenstein_times_theta(self, theta4):
         # E8+E8 with the fixed vector in one factor: the free factor

@@ -2,10 +2,12 @@
 the shared form checks behind verify, and the verify report text."""
 
 import ast
+import copy
 import hashlib
 import json
 import importlib.util
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ import pytest
 
 from rcforms import (
     E8,
+    E8_INDEX1_VECTOR,
     EllipticSeries,
     InvariantError,
     JacobiSeries,
@@ -42,6 +45,15 @@ def test_import_does_not_load_numpy():
     result = run_python("-c", "import rcforms, sys; print('numpy' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_loads_only_the_stdlib_it_runs():
+    """The records are namedtuples and annotations name collections.abc, so the
+    dataclasses -> inspect chain and typing stay unloaded; -S keeps the host's
+    site hooks from loading them first and hiding a regression."""
+    result = run_python("-S", "-c", "import rcforms.cli, sys; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_package_has_no_assert_statements():
@@ -226,3 +238,96 @@ def test_independent_routes_do_not_use_the_bracket_kernel(monkeypatch):
     for helper in ("_weight_factors", "_index_factors"):
         assert not hasattr(jets, helper)
         assert helper not in Path(jets.__file__).read_text()
+
+
+def records():
+    """(first, a fresh equal copy, a different one) of each record type."""
+    theta = jacobi_theta(E8, E8_INDEX1_VECTOR, 2)
+    check = verify.CheckResult
+    builders = [
+        (lambda: check("check", False, "c(1, 0) = 1"), lambda: check("check", True)),
+        (lambda: brackets.BracketParams(4, 6, 1, 2, 3, Fraction(1, 3)), lambda: brackets.BracketParams(4, 6, 1, 2, 3)),
+        (lambda: brackets.BracketTerm(1, 0, 0, 0, 1, Fraction(5, 2), Fraction(-2)),
+         lambda: brackets.BracketTerm(1, 0, 0, 1, 0, Fraction(5, 2), Fraction(-2))),
+        (lambda: jets.jet_of_form(theta, 2), lambda: jets.jet_of_form(theta, 1)),
+        (lambda: siegel.ConsistencyReport((check("slice 1 form checks", True),)), lambda: siegel.ConsistencyReport(())),
+    ]
+    return [(build(), build(), other()) for build, other in builders]
+
+
+RECORDS = pytest.mark.parametrize(
+    "first,same,other", records(), ids=["CheckResult", "BracketParams", "BracketTerm", "FormalJet", "ConsistencyReport"]
+)
+
+
+class TestRecords:
+    """The five records keep their contract without dataclasses: equality,
+    repr, immutability, copy and pickle, and validation at construction."""
+
+    @RECORDS
+    def test_equality(self, first, same, other):
+        assert first == same and not first != same
+        assert first != other and not first == other
+
+    @RECORDS
+    def test_repr_names_the_type_and_fields(self, first, same, other):
+        text = repr(first)
+        assert text.startswith(f"{type(first).__name__}({first._fields[0]}=")
+        assert all(f"{name}=" in text for name in first._fields)
+
+    def test_repr_text(self):
+        assert repr(verify.CheckResult("check", True)) == "CheckResult(name='check', passed=True, detail='')"
+        assert repr(brackets.BracketParams(4, 6, 1, 2, 3)) == (
+            "BracketParams(k1=4, k2=6, m1=1, m2=2, v=3, x=Fraction(0, 1))"
+        )
+
+    @RECORDS
+    def test_attribute_assignment_raises(self, first, same, other):
+        for name in (*first._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(first, name, getattr(other, name, None))
+        assert first == same
+
+    @RECORDS
+    def test_copy_and_pickle_round_trips(self, first, same, other):
+        if isinstance(first, brackets.BracketParams):
+            first.gamma  # a cached value travels with the instance
+        for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+            assert type(twin) is type(first)
+            assert twin == same
+        assert pickle.loads(pickle.dumps(first, protocol=0)) == same
+
+    def test_defaults(self):
+        assert verify.CheckResult("check", True) == verify.CheckResult("check", True, "")
+        assert brackets.BracketParams(4, 6, 1, 2, 3).x == Fraction(0)
+
+    def test_negative_bracket_order_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            brackets.BracketParams(4, 6, 1, 1, -1)
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            brackets.BracketParams(4, 6, 1, 1, v=-1, x=Fraction(1, 2))
+
+    def test_jet_components_validated(self):
+        theta = jacobi_theta(E8, E8_INDEX1_VECTOR, 2)
+        chis = jets.jet_of_form(theta, 1).chis
+        with pytest.raises(ValueError, match="component 1 has weight 4, expected 6"):
+            jets.FormalJet(4, 1, (theta, theta))
+        with pytest.raises(ValueError, match="component 0 has index 1, expected 2"):
+            jets.FormalJet(4, 2, chis)
+        with pytest.raises(ValueError, match="share a truncation"):
+            jets.FormalJet(4, 1, (chis[0], chis[1].truncated(1)))
+
+    def test_weight_shifts_computed_once_per_instance(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return Fraction(x)
+
+        monkeypatch.setattr(brackets, "as_rational", counted)
+        params = brackets.BracketParams(Fraction(9, 2), 7, 1, 1, 3)
+        values = [(params.alpha, params.beta, params.gamma) for _ in range(3)]
+        assert values == [(Fraction(3), Fraction(11, 2), Fraction(11))] * 3
+        assert len(calls) == 4  # alpha: k1; beta: k2; gamma: k1, k2
+        fresh = brackets.BracketParams(Fraction(9, 2), 7, 1, 1, 3)
+        assert fresh.alpha == Fraction(3) and len(calls) == 5
