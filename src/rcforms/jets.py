@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .brackets import THREE_HALVES, bracket_jacobi, falling_factorial
-from .series import JacobiSeries, _packed_products, _value_text, as_rational, d_z, heat, heat_power
+from .series import JacobiSeries, _key_text, _packed_products, _text, _value_text, as_rational, d_z, heat, heat_power
 
 
 class CrosscheckError(ArithmeticError):
@@ -40,12 +40,9 @@ class FormalJet(namedtuple("FormalJet", "base_weight index chis")):
     def __new__(cls, base_weight: int, index: int, chis: tuple[JacobiSeries, ...]):
         for nu, chi in enumerate(chis):
             if chi.index != index:
-                raise ValueError(f"component {nu} has index {chi.index}, expected {index}")
-            if chi.weight != base_weight + 2 * nu:
-                raise ValueError(
-                    f"component {nu} has weight {chi.weight}, "
-                    f"expected {base_weight + 2 * nu}"
-                )
+                raise ValueError(f"component {nu} has index {_text(chi.index)}, expected {_text(index)}")
+            if chi.weight != (weight := base_weight + 2 * nu):
+                raise ValueError(f"component {nu} has weight {_text(chi.weight)}, expected {_text(weight)}")
             if chi.trunc != chis[0].trunc:
                 raise ValueError("jet components must share a truncation")
         return super().__new__(cls, base_weight, index, chis)
@@ -111,7 +108,7 @@ def jet_mul(a: FormalJet, b: FormalJet) -> FormalJet:
     component: slot nu pairs column j of a with column nu - j of b.
     """
     if a.trunc != b.trunc:
-        raise ValueError(f"jet truncations differ: {a.trunc} vs {b.trunc}")
+        raise ValueError(f"jet truncations differ: {_text(a.trunc)} vs {_text(b.trunc)}")
     nu_max = min(a.nu_max, b.nu_max)
     den_a, rows_a = _jet_rows(a.chis[: nu_max + 1])
     den_b, rows_b = _jet_rows(b.chis[: nu_max + 1])
@@ -188,14 +185,14 @@ def crosscheck_bracket(
     first = min({*zeta.support(), *bracket.support()})
     if zeta[first] == 0 or bracket[first] == 0:
         raise CrosscheckError(
-            f"constructions are not proportional at {first}: "
+            f"constructions are not proportional at {_key_text(first)}: "
             f"jet side {_value_text(zeta[first])}, bracket side {_value_text(bracket[first])}"
         )
     lam = zeta[first] / bracket[first]
     key = zeta.first_difference(lam * bracket)
     if key is not None:
         raise CrosscheckError(
-            f"no consistent scalar: key {key} gives {_value_text(zeta[key])} "
+            f"no consistent scalar: key {_key_text(key)} gives {_value_text(zeta[key])} "
             f"vs {_value_text(lam)} * {_value_text(bracket[key])}"
         )
     return lam

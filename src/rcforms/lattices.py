@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, prod
 
-from .series import EllipticSeries, InvariantError, JacobiSeries, _value_text, as_rational
+from .series import EllipticSeries, InvariantError, JacobiSeries, _key_text, _text, as_rational
 from .siegel import SiegelSeries
 
 DoubledVector = tuple[int, ...]
@@ -49,11 +49,6 @@ def _double(vector: Sequence[int | Fraction]) -> DoubledVector | None:
     """Twice the exact coordinates, or None off the half-integers; floats raise TypeError."""
     doubled = [2 * as_rational(x) for x in vector]
     return None if any(y.denominator != 1 for y in doubled) else tuple(map(int, doubled))
-
-
-def _vector_text(vector: Sequence[int | Fraction]) -> str:
-    """The exact coordinates as "(a, b, ...)", each written by ``_value_text``."""
-    return f"({', '.join(map(_value_text, vector))})"
 
 
 def _mul_counts(a: Counts, b: Counts, trunc: int) -> Counts:
@@ -109,10 +104,9 @@ def _extend_e8(out: list[DoubledVector], prefix: list[int], norm: int, budget: i
     depth = len(prefix)
     remaining = budget - norm
     if depth == 7:
-        # last coordinate is pinned mod 4 by the coordinate-sum rule
+        # last coordinate is pinned mod 4 by the coordinate-sum rule; the residue
+        # has the right parity, as seven coordinates of parity p sum to 7p = p (mod 2)
         residue = (-sum(prefix)) % 4
-        if residue % 2 != parity:
-            return
         limit = isqrt(remaining)
         y = -limit + ((residue + limit) % 4)
         while y <= limit:
@@ -129,28 +123,20 @@ def _extend_e8(out: list[DoubledVector], prefix: list[int], norm: int, budget: i
 
 
 class Lattice:
-    """Coordinate model of an even unimodular lattice (standard inner product)."""
+    """Coordinate model of an even unimodular lattice (standard inner product).
+
+    A lattice has a ``name`` and a ``rank`` and works on doubled vectors y = 2x:
+
+    - ``contains_doubled(y)``: whether y is a doubled lattice vector;
+    - ``doubled_vectors(max_half_norm)``: every y with x.x/2 <= max_half_norm, sorted;
+    - ``theta_counts(w, trunc)``: c(n, r) = #{x : x.x/2 = n <= trunc, x.v = r}
+      for the doubled lattice vector w = 2v;
+    - ``siegel_counts(trunc)``: a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}, n, m <= trunc;
+    - ``least_vector(half_norm)``: the lexicographically smallest doubled vector of half-norm ``half_norm``.
+    """
 
     name: str
     rank: int
-
-    def contains_doubled(self, y: DoubledVector) -> bool:
-        raise NotImplementedError
-
-    def doubled_vectors(self, max_half_norm: int) -> list[DoubledVector]:
-        raise NotImplementedError
-
-    def theta_counts(self, w: DoubledVector, trunc: int) -> Counts:
-        """c(n, r) = #{x : x.x/2 = n <= trunc, x.v = r} for the doubled lattice vector w = 2v."""
-        raise NotImplementedError
-
-    def siegel_counts(self, trunc: int) -> TripleCounts:
-        """a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}, n, m <= trunc."""
-        raise NotImplementedError
-
-    def least_vector(self, half_norm: int) -> DoubledVector:
-        """The lexicographically smallest doubled vector of half-norm ``half_norm``."""
-        raise NotImplementedError
 
     def contains(self, vector: Sequence[int | Fraction]) -> bool:
         """Membership of an exact coordinate vector."""
@@ -203,7 +189,8 @@ class _E8(Lattice):
                 continue
             if norm8 % 8 or dot4 % 4 or count % 2:
                 raise InvariantError(
-                    f"E8 theta at {w}: count {count} at doubled norm {norm8}, dot {dot4}"
+                    f"E8 theta at {_key_text(w)}: count {_text(count)} "
+                    f"at doubled norm {_text(norm8)}, dot {_text(dot4)}"
                 )
             counts[(norm8 // 8, dot4 // 4)] = count // 2
         return counts
@@ -304,20 +291,20 @@ def jacobi_theta(
     Weight rank/2, index v.v/2.  The fixed vector must lie in the lattice.
     """
     if trunc < 0:
-        raise ValueError(f"truncation must be non-negative, got {trunc}")
+        raise ValueError(f"truncation must be non-negative, got {_text(trunc)}")
     doubled_v = _double(vector)
     if doubled_v is None or not lattice.contains_doubled(doubled_v):
-        raise ValueError(f"vector {_vector_text(vector)} is not in lattice {lattice.name}")
+        raise ValueError(f"vector {_key_text(vector)} is not in lattice {lattice.name}")
     index8 = sum(a * a for a in doubled_v)
     if index8 % 8:
-        raise InvariantError(f"lattice vector {_vector_text(vector)} has odd norm")
+        raise InvariantError(f"lattice vector {_key_text(vector)} has odd norm")
     return JacobiSeries(lattice.rank // 2, index8 // 8, trunc, lattice.theta_counts(doubled_v, trunc))
 
 
 def siegel_theta(lattice: Lattice, trunc: int) -> SiegelSeries:
     """Degree-2 theta a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}."""
     if trunc < 0:
-        raise ValueError(f"truncation must be non-negative, got {trunc}")
+        raise ValueError(f"truncation must be non-negative, got {_text(trunc)}")
     return SiegelSeries(lattice.rank // 2, trunc, lattice.siegel_counts(trunc))
 
 

@@ -68,6 +68,12 @@ def _value_text(x: int | Fraction) -> str:
     return _text(num) if den == 1 else f"{_text(num)}/{_text(den)}"
 
 
+# The one writer of keys and coordinate vectors in text: "(a, b, ...)" of exact
+# values, or a bare int key (EllipticSeries) as the bare int.
+def _key_text(key) -> str:
+    return _text(key) if isinstance(key, int) else f"({', '.join(map(_value_text, key))})"
+
+
 def _integer_form(coeffs) -> tuple[int, dict]:
     """(d, {key: d * value}) for a map or pairs key -> exact scalar, d the least common denominator.
 
@@ -254,20 +260,17 @@ class _SparseSeries:
     ``_like`` steps the weight (the operators), ``_joined`` adds two series'
     tags plus a bilinear order on the smaller truncation (products, brackets)
     and ``first_difference`` compares two series.  Each kind supplies its key
-    rule: ``_fits`` tells whether a key lies inside a truncation and
-    ``_RANGE_ERROR`` (formatted with the key and the truncation) reports one
-    that does not; a kind multiplied by ``_product`` also supplies
-    ``_convolve``, which groups its integer maps into rows (by n, or by
-    (n, m)) and multiplies them through ``_packed_products`` (one product
-    per pair of packed runs) under the kind's ``_row_pairs`` rule.
+    rule, ``_fits``, which tells whether a key lies inside a truncation; a
+    kind multiplied by ``_product`` also supplies ``_convolve``, which groups
+    its integer maps into rows (by n, or by (n, m)) and multiplies them
+    through ``_packed_products`` (one product per pair of packed runs) under
+    the kind's ``_row_pairs`` rule.
     Instances are immutable after construction and safe to share; all
     operations return new series.
     """
 
     __slots__ = ("weight", "trunc", "_den", "_num")
     _TAGS: tuple[str, ...] = ("weight",)
-    _RANGE_ERROR: str
-    _ADD_ERROR = "cannot add weights {0} and {1}"
 
     def __init__(
         self,
@@ -296,7 +299,7 @@ class _SparseSeries:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if trunc < 0:
-            raise ValueError(f"truncation must be non-negative, got {trunc}")
+            raise ValueError(f"truncation must be non-negative, got {_text(trunc)}")
         if not isinstance(den, int) or den < 1:
             raise InvariantError(f"denominator must be a positive int, got {den!r}")
         for name, value in zip(self._TAGS, tags):
@@ -306,7 +309,7 @@ class _SparseSeries:
         store = {}
         for key, value in num.items():
             if not fits(key, trunc):
-                raise ValueError(self._RANGE_ERROR.format(key, trunc))
+                raise ValueError(f"coefficient key {_key_text(key)} outside truncation {_text(trunc)}")
             if value:
                 store[key] = value
         common = gcd(den, *store.values())
@@ -381,8 +384,8 @@ class _SparseSeries:
     __hash__ = None
 
     def __repr__(self) -> str:
-        fields = [f"{name}={getattr(self, name)}" for name in self._TAGS]
-        fields += [f"trunc={self.trunc}", f"terms={len(self._num)}"]
+        fields = [f"{name}={_text(getattr(self, name))}" for name in self._TAGS]
+        fields += [f"trunc={_text(self.trunc)}", f"terms={len(self._num)}"]
         return f"{type(self).__name__}({', '.join(fields)})"
 
     # -- restrict, merge and scale -------------------------------------------
@@ -396,7 +399,7 @@ class _SparseSeries:
 
     def _truncated(self, trunc: int):
         if trunc > self.trunc:
-            raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
+            raise ValueError(f"cannot extend truncation {_text(self.trunc)} to {_text(trunc)}")
         return self._like(trunc, self._den, self._restricted(trunc))
 
     def _sum(self, other):
@@ -404,7 +407,8 @@ class _SparseSeries:
         if type(other) is not type(self):
             return NotImplemented
         if self._tags() != other._tags():
-            raise ValueError(self._ADD_ERROR.format(*self._tags(), *other._tags()))
+            tags = "/".join(self._TAGS)
+            raise ValueError(f"cannot add series of {tags} {_key_text(self._tags())} and {_key_text(other._tags())}")
         trunc = min(self.trunc, other.trunc)
         return self._like(trunc, *_merged((s._den, s._restricted(trunc)) for s in (self, other)))
 
@@ -437,8 +441,6 @@ class JacobiSeries(_SparseSeries):
 
     __slots__ = ("index",)
     _TAGS = ("weight", "index")
-    _RANGE_ERROR = "coefficient key n={0[0]} outside range [0, {1}]"
-    _ADD_ERROR = "cannot add series of weight/index ({0},{1}) and ({2},{3})"
 
     def __init__(
         self,
@@ -447,9 +449,10 @@ class JacobiSeries(_SparseSeries):
         trunc: int,
         coeffs: Mapping[Key, int | Fraction] | Iterable[tuple[Key, int | Fraction]] = (),
     ):
-        if index < 0:
-            raise ValueError(f"index must be non-negative, got {index}")
         self._store((weight, index), trunc, *_integer_form(coeffs))
+        # after the store's checks, which make the index an int
+        if index < 0:
+            raise ValueError(f"index must be non-negative, got {_text(index)}")
 
     @staticmethod
     def _fits(key: Key, trunc: int) -> bool:
@@ -532,7 +535,6 @@ class EllipticSeries(_SparseSeries):
     """Univariate q-expansion sum_{0<=n<=trunc} c(n) q^n, exact coefficients."""
 
     __slots__ = ()
-    _RANGE_ERROR = "coefficient key n={0} outside range [0, {1}]"
 
     @staticmethod
     def _fits(n: int, trunc: int) -> bool:
@@ -672,13 +674,13 @@ def form_witness(f: JacobiSeries, cusp: bool = False) -> str:
     parity.  Each condition is scanned once.
     """
     if (key := f._outside_cone(False)) is not None:
-        return f"holomorphic support: c{key} = {_value_text(f[key])}"
+        return f"holomorphic support: c{_key_text(key)} = {_value_text(f[key])}"
     if cusp and (key := f._outside_cone(True)) is not None:
-        return f"cusp support: c{key} = {_value_text(f[key])}"
+        return f"cusp support: c{_key_text(key)} = {_value_text(f[key])}"
     if f.index >= 1 and (pair := check_disc_class_invariance(f)[1]):
         first, a, other, b = pair
-        return f"disc-class: c{first} = {_value_text(a)} vs c{other} = {_value_text(b)}"
+        return f"disc-class: c{_key_text(first)} = {_value_text(a)} vs c{_key_text(other)} = {_value_text(b)}"
     if (key := _parity_failure(f)) is not None:
-        n, r = key
-        return f"parity: c{key} = {_value_text(f[key])} vs c{(n, -r)} = {_value_text(f[(n, -r)])}"
+        mirror = (key[0], -key[1])
+        return f"parity: c{_key_text(key)} = {_value_text(f[key])} vs c{_key_text(mirror)} = {_value_text(f[mirror])}"
     return ""

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .series import JacobiSeries, _text
+from .series import JacobiSeries, _key_text, _text
 from .siegel import SiegelSeries
 
 FORMAT_TAG = "rcforms"
@@ -56,10 +56,6 @@ def _int(text: str) -> int:
     return int(Decimal(text))
 
 
-def _key_text(key: tuple[int, ...]) -> str:
-    return f"({', '.join(map(_text, key))})"
-
-
 def format_rational(x: Fraction) -> str:
     return f"{_text(x.numerator)}/{_text(x.denominator)}"
 
@@ -80,14 +76,17 @@ def parse_rational_token(token: str, line: int) -> Fraction:
 
 
 def parse_fraction_arg(text: str) -> Fraction:
-    """Exact fraction from a command-line string; decimal input is rejected."""
+    """Exact fraction from a command-line string; decimal input is rejected.
+
+    Its integers are read as a coefficient file's are, at any length."""
     text = text.strip().replace("−", "-")
     if not _FRACTION_ARG.fullmatch(text):
         raise ValueError(f"not an exact fraction: {text!r} (use forms like 3, -2, -1/2)")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    num, _, den = text.partition("/")
+    den = _int(den or "1")
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(_int(num), den)
 
 
 # kind -> (class, header tags in file order, key width)

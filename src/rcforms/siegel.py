@@ -32,6 +32,7 @@ from .series import (
     _merged,
     _packed_products,
     _SparseSeries,
+    _text,
     _value_text,
     form_witness,
 )
@@ -43,7 +44,7 @@ class SymmetryError(ValueError):
     """A degree-2 coefficient map violates a(n, r, m) = a(m, r, n)."""
 
     def __init__(self, key: TripleKey, value, mirrored):
-        n, r, m = key
+        n, r, m = map(_text, key)
         super().__init__(
             f"symmetry violation: a({n},{r},{m}) = {_value_text(value)} but a({m},{r},{n}) = {_value_text(mirrored)}"
         )
@@ -60,7 +61,6 @@ class SiegelSeries(_SparseSeries):
     """
 
     __slots__ = ()
-    _RANGE_ERROR = "key (n={0[0]}, m={0[2]}) outside block [0, {1}]^2"
 
     def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[TripleKey, int]) -> None:
         super()._store(tags, trunc, den, num)
@@ -115,7 +115,7 @@ class SiegelSeries(_SparseSeries):
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
         if not 0 <= m <= self.trunc:
-            raise ValueError(f"slice index {m} outside [0, {self.trunc}]")
+            raise ValueError(f"slice index {_text(m)} outside [0, {_text(self.trunc)}]")
         return self._slices(range(m, m + 1)).get(m) or JacobiSeries.zero(self.weight, m, self.trunc)
 
     def components(self) -> list[JacobiSeries]:
@@ -154,11 +154,11 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
     parts = []
     for m, part in enumerate(components):
         if part.index != m:
-            raise ValueError(f"component {m} has index {part.index}, expected {m}")
+            raise ValueError(f"component {m} has index {_text(part.index)}, expected {m}")
         if part.weight != weight:
-            raise ValueError(f"component {m} has weight {part.weight}, expected {weight}")
+            raise ValueError(f"component {m} has weight {_text(part.weight)}, expected {_text(weight)}")
         if part.trunc < trunc:
-            raise ValueError(f"component {m} truncated at {part.trunc} < {trunc}")
+            raise ValueError(f"component {m} truncated at {_text(part.trunc)} < {trunc}")
         parts.append((part._den, {(n, r, m): v for (n, r), v in part._num.items() if n <= trunc}))
     return SiegelSeries._from_integers((weight,), trunc, *_merged(parts))
 

@@ -27,6 +27,8 @@ from .series import (
     EllipticSeries,
     InvariantError,
     JacobiSeries,
+    _key_text,
+    _text,
     _value_text,
     form_witness,
     heat_power,
@@ -188,7 +190,7 @@ def check_heat_leibniz(forms: FormSet) -> list[CheckResult]:
             ]
             right = sum(terms[1:], terms[0])
             if left != right:
-                yield f"r={r}, first mismatch at {left.first_difference(right)}"
+                yield f"r={r}, first mismatch at {_key_text(left.first_difference(right))}"
 
     return [
         CheckResult.first(f"heat Leibniz expansion with {name} (r <= 3)", witnesses(f))
@@ -254,9 +256,9 @@ def _dual_path_witnesses(F: SiegelSeries, l: int, direct: SiegelSeries):
     via = bracket_siegel_via_jacobi(F, F, l)
     if direct != via:
         bad = direct.first_difference(via)
-        yield f"key {bad}: direct {_value_text(direct[bad])} vs sliced {_value_text(via[bad])}"
+        yield f"key {_key_text(bad)}: direct {_value_text(direct[bad])} vs sliced {_value_text(via[bad])}"
     elif direct.weight != 2 * F.weight + 2 * l:
-        yield f"weight {direct.weight}"
+        yield f"weight {_text(direct.weight)}"
     elif l > 0:
         for m, part in enumerate(direct.components()):
             if witness := form_witness(part, cusp=True):

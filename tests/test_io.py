@@ -184,6 +184,56 @@ class TestWitnessTextOfAnyLength:
         g = JacobiSeries(4, 1, 2, {(1, 0): Q(-1, 10**5000)})
         assert form_witness(g) == f"disc-class: c(2, -2) = 0 vs c(1, 0) = -1/{self.BIG}"
 
+    def asymmetric_long_key_file(self, path):
+        path.write_bytes(f"rcforms 1\nkind siegel\nweight 4\ntrunc 2\ncoeff 1 {self.BIG} 2 1/1\nEND\n".encode())
+        return path
+
+    def test_symmetry_error_names_a_long_key(self, tmp_path, int_str_limit):
+        source = self.asymmetric_long_key_file(tmp_path / "asymmetric.coef")
+        with pytest.raises(SymmetryError) as info:
+            read_series(source)
+        assert str(info.value) == f"symmetry violation: a(1,{self.BIG},2) = 1 but a(2,{self.BIG},1) = 0"
+        assert info.value.key == (1, 10**5000, 2)
+
+    def test_cli_exits_with_the_witness_of_a_long_key(self, tmp_path, capsys, int_str_limit):
+        source = self.asymmetric_long_key_file(tmp_path / "asymmetric.coef")
+        out = tmp_path / "out.coef"
+        assert main(["bracket-siegel", "--left", str(source), "--right", str(source), "--l", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"invariant violation: symmetry violation: a(1,{self.BIG},2) = 1 but a(2,{self.BIG},1) = 0\n"
+        assert not out.exists()
+
+    def test_form_witness_of_a_long_key(self, int_str_limit):
+        f = JacobiSeries(4, 1, 2, {(1, 10**5000): 1})
+        assert form_witness(f) == f"holomorphic support: c(1, {self.BIG}) = 1"
+
+    def test_range_error_names_a_long_key(self, int_str_limit):
+        with pytest.raises(ValueError) as info:
+            JacobiSeries(4, 1, 2, {(10**5000, 1): 1})
+        assert str(info.value) == f"coefficient key ({self.BIG}, 1) outside truncation 2"
+
+    def test_fraction_argument_of_any_length(self, int_str_limit):
+        assert parse_fraction_arg(f"1/{self.BIG}") == Q(1, 10**5000)
+        assert parse_fraction_arg(f" −{self.BIG}/2 ") == -(10**5000) // 2
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction_arg(f"{self.BIG}/0")
+
+    def test_cli_bracket_at_a_long_x(self, tmp_path, theta4, e4_theta4, int_str_limit):
+        left, right, out = tmp_path / "left.coef", tmp_path / "right.coef", tmp_path / "out.coef"
+        write_series(left, theta4)
+        write_series(right, e4_theta4)
+        argv = ["bracket-jacobi", "--left", str(left), "--right", str(right), f"--x=1/{self.BIG}", "--v", "2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        expected = brackets.bracket_jacobi(theta4, e4_theta4, Q(1, 10**5000), 2)
+        assert out.read_bytes() == export_series(expected).encode()
+
+    def test_cli_theta_at_a_long_vector(self, tmp_path, int_str_limit):
+        out = tmp_path / "theta.coef"
+        vector = f"{self.BIG},0,0,0,0,0,0,0"
+        assert main(["theta-jacobi", "--vector", vector, "--trunc", "1", "--out", str(out)]) == 0
+        expected = jacobi_theta(E8, (10**5000, 0, 0, 0, 0, 0, 0, 0), 1)
+        assert out.read_bytes() == export_series(expected).encode()
+
     @given(st.fractions())
     def test_value_text_is_str_at_ordinary_sizes(self, x):
         assert _value_text(x) == str(x)

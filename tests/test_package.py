@@ -31,6 +31,7 @@ from rcforms import (
     siegel_theta,
     verify,
 )
+from rcforms.lattices import bernoulli
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -97,6 +98,18 @@ def test_invariant_checks_survive_optimize_flag():
     result = run_python("-O", "-c", OPTIMIZED_SCRIPT)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["lattices", "brackets"]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: JacobiSeries(4, 1, -1), ValueError, "truncation must be non-negative"),
+    (lambda: SiegelSeries(4, -1), ValueError, "truncation must be non-negative"),
+    (lambda: E8.doubled_vectors(-1), ValueError, "half-norm bound must be non-negative"),
+    (lambda: bernoulli(-1), ValueError, "n >= 0"),
+    (lambda: EllipticSeries(4, 2, {0: 1}) * "x", TypeError, None),
+], ids=["jacobi-trunc", "siegel-trunc", "e8-half-norm", "bernoulli", "elliptic-times-str"])
+def test_input_validation(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_verify_reports_rank_invariant_as_failed_check(monkeypatch):

@@ -34,7 +34,7 @@ class TestConstruction:
         assert f.support() == [(2, 1)]
 
     def test_key_outside_truncation_rejected(self):
-        with pytest.raises(ValueError, match="outside range"):
+        with pytest.raises(ValueError, match="outside truncation"):
             series(4, 1, 2, {(3, 0): 1})
 
     def test_negative_index_rejected(self):
@@ -72,22 +72,22 @@ class TestConstruction:
                     setattr(f, name, 6)
 
     def test_zero_valued_key_outside_range_rejected(self):
-        with pytest.raises(ValueError, match="outside range"):
+        with pytest.raises(ValueError, match="outside truncation"):
             series(4, 1, 2, {(3, 0): 0})
-        with pytest.raises(ValueError, match="outside range"):
+        with pytest.raises(ValueError, match="outside truncation"):
             EllipticSeries(4, 2, {-1: 0})
-        with pytest.raises(ValueError, match="outside block"):
+        with pytest.raises(ValueError, match="outside truncation"):
             SiegelSeries(4, 2, {(0, 0, 3): 0})
 
     def test_integer_path_checks_keys_values_and_denominator(self):
         # the store's integer constructor, behind every derived series,
         # keeps the checks of the public one
-        with pytest.raises(ValueError, match="outside range"):
+        with pytest.raises(ValueError, match="outside truncation"):
             JacobiSeries._from_integers((4, 1), 2, 3, {(3, 0): 1})
-        with pytest.raises(ValueError, match="outside range"):
+        with pytest.raises(ValueError, match="outside truncation"):
             JacobiSeries._from_integers((4, 1), 2, 3, {(-1, 0): 0})
         f = series(4, 1, 2, {(1, 0): Q(1, 2)})
-        with pytest.raises(ValueError, match="outside range"):
+        with pytest.raises(ValueError, match="outside truncation"):
             f._like(1, f._den, {(2, 0): 1})
         with pytest.raises(TypeError):
             f._like(2, f._den, {(1, 0): 0.5})

@@ -39,7 +39,7 @@ class TestConstruction:
         assert F[(1, 0, 2)] == F[(2, 0, 1)] == 1
 
     def test_block_bounds(self):
-        with pytest.raises(ValueError, match="outside block"):
+        with pytest.raises(ValueError, match="outside truncation"):
             SiegelSeries(4, 2, {(3, 0, 0): 1})
 
     def test_zero_components_give_zero_series(self):
