@@ -62,6 +62,16 @@ columns weighted by m1*r2.  The integer totals go to the store over the
 product of the denominators, which reduces them once per output series.
 ``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
 pass and applies its x-degree weights, ints over G's denominator, per key.
+
+The pass (``_bracket_pass``, set up and finished by ``_bracket_sum``) takes
+its rows from the kind of its operands.  A Jacobi series is one slice, of
+m = its index, in q^n rows; a degree-2 series a(n, r, m) is its slices f_m,
+in (n, m) rows, paired by the degree-2 row rule.  A coefficient at (n, r)
+of slice m has D1 = 4*n*m - r**2, and an output row of m = mu has
+D = 4*n*mu - r**2.  At x = 0 and even order the index lists L and R are all
+1, so every slice pair shares the lists of the weights alone, and one pass
+over two degree-2 series sums the brackets of all slice pairs (f_m, g_m')
+into output slice m + m': the slice route of :mod:`rcforms.siegel`.
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
@@ -233,19 +243,26 @@ def _reduced(den: int, ints: list[int]) -> tuple[int, list[int]]:
 
 
 def _bracket_pass(
-    f: JacobiSeries,
-    g: JacobiSeries,
+    f,
+    g,
     left: tuple[int, list[int]],
     right: tuple[int, list[int]],
     cross: tuple[int, int] | None,
     slots: list[list[tuple[int, int]]],
-) -> tuple[int, list[tuple[Key, int, tuple[int, ...]]]]:
+) -> tuple[int, list[tuple[tuple, int, tuple[int, ...]]]]:
     """Packed sums over the coefficient pairs of f and g, by output key and slot.
 
-    Returns (den, entries) with one (key, D, digits) per output key (n, r)
-    of the spans read back, D = 4*n*(m1 + m2) - r**2: digits[k] / den is the
-    sum over the pairs (n1 + n2, r1 + r2) = (n, r) and over the (e1, e2) in
-    slots[k] of
+    f and g are two series of one kind, and the kind gives the row rule: a
+    Jacobi series is one slice of m = its index, kept in its q^n rows; a
+    degree-2 series is its slices m, kept in (n, m) rows.  The kind lists
+    its slices (``_kernel_slices``), names their rows (``_kernel_rows``),
+    pairs rows (``_row_pairs``) and names the output keys
+    (``_kernel_keys``).  A coefficient a at (n, r) of slice m has
+    D1 = 4*n*m - r**2, and b of g likewise D2.  Returns (den, entries) with
+    one (key, D, digits) per output key (n, r) of an output row of m = mu
+    (m1 + m2 for Jacobi series) in the spans read back, D = 4*n*mu - r**2:
+    digits[k] / den is the sum over the pairs of coefficients whose keys
+    add up to the output key and over the (e1, e2) in slots[k] of
 
         a * left[e1] * D1^e1 * b * right[e2] * D2^e2        (times c1*r1 + c2*r2 if cross = (c1, c2)),
 
@@ -258,19 +275,22 @@ def _bracket_pass(
     t = len(left[1]) - 1
 
     def rows(series, weights, c):
-        """(den, {n: [(r, values)]}): values[e] = w_e * a * disc^e for e = 0..t over
+        """(den, {row: [(r, values)]}): values[e] = w_e * a * disc^e for e = 0..t over
         integer numerators a and w_e, then with c set the same times c*r."""
         den_w, w = weights
-        m, out = series.index, {}
-        for (n, r), a in series._num.items():
-            if n <= trunc:
-                disc, values = 4 * n * m - r * r, []
-                for w_e in w:
-                    values.append(w_e * a)
-                    a *= disc
-                if c is not None:
-                    values += [c * r * value for value in values]
-                out.setdefault(n, []).append((r, values))
+        out = {}
+        for m, entries in series._kernel_slices(trunc).items():
+            rows_m = {}
+            for (n, r), a in entries.items():
+                if n <= trunc:
+                    disc, values = 4 * n * m - r * r, []
+                    for w_e in w:
+                        values.append(w_e * a)
+                        a *= disc
+                    if c is not None:
+                        values += [c * r * value for value in values]
+                    rows_m.setdefault(n, []).append((r, values))
+            out.update(series._kernel_rows(m, rows_m))
         return series._den * den_w, out
 
     c1, c2 = cross if cross is not None else (None, None)
@@ -281,26 +301,18 @@ def _bracket_pass(
     # right plus plain left times weighted right
     sides = [(0, 0)] if cross is None else [(1, 0), (0, 1)]
     terms = [[(i * (t + 1) + e1, j * (t + 1) + e2) for i, j in sides for e1, e2 in slot] for slot in slots]
-    sums = _packed_products(rows_f, rows_g, JacobiSeries._row_pairs, trunc, terms)
-    index = f.index + g.index
-    return den_f * den_g, [
-        ((n, r), 4 * n * index - r * r, digits)
-        for n, spans in sums.items()
-        for lo, columns in spans
-        for r, digits in enumerate(zip(*columns), lo)
-    ]
+    sums = _packed_products(rows_f, rows_g, f._row_pairs, trunc, terms)
+    return den_f * den_g, f._kernel_keys(g, sums)
 
 
-def bracket_jacobi(
-    f: JacobiSeries, g: JacobiSeries, x: int | Fraction, v: int
-) -> JacobiSeries:
-    """Order-v bracket of f and g at parameter x.
+def _bracket_sum(f, g, params: BracketParams) -> tuple[int, dict]:
+    """(den, numerators) of the order-v bracket of f and g at params.x, summed by one kernel pass.
 
-    Output weight is f.weight + g.weight + v, index f.index + g.index,
-    truncation the minimum of the inputs.  v = 0 reduces to the plain
-    product and v = 1 does not depend on x.
+    f and g are Jacobi series or degree-2 series (see :func:`_bracket_pass`);
+    ``params`` holds their weights and the order, and for Jacobi series the
+    indices.  Slot k of the pass is the sum with r + s = k, which meets
+    G[t - k], and G_p * D^p is applied by Horner's rule per key.
     """
-    params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
     (den_A, A), (den_B, B), (den_G, G) = _weight_factors(params)
     (den_L, L), (den_R, R) = _index_factors(params)
     cross = (-params.m2, params.m1) if params.parity else None
@@ -316,7 +328,20 @@ def bracket_jacobi(
             total = total * disc + weight * digit
         if total:
             coeffs[key] = total
-    return f._joined(g, v, den * den_G, coeffs)
+    return den * den_G, coeffs
+
+
+def bracket_jacobi(
+    f: JacobiSeries, g: JacobiSeries, x: int | Fraction, v: int
+) -> JacobiSeries:
+    """Order-v bracket of f and g at parameter x.
+
+    Output weight is f.weight + g.weight + v, index f.index + g.index,
+    truncation the minimum of the inputs.  v = 0 reduces to the plain
+    product and v = 1 does not depend on x.
+    """
+    params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
+    return f._joined(g, v, *_bracket_sum(f, g, params))
 
 
 def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[JacobiSeries]:

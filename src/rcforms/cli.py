@@ -116,7 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--mode", choices=("direct", "jacobi"), default="direct")
+    p.add_argument(
+        "--mode",
+        choices=("direct", "jacobi"),
+        default="direct",
+        help="direct: the delta-operator form; jacobi: the slices' Jacobi brackets at x=0, "
+        "summed by slice index (the independent check); both write the same file",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bracket_siegel)
 

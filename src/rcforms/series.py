@@ -93,8 +93,8 @@ def _integer_form(coeffs) -> tuple[int, dict]:
 def _merged(parts: Iterable[tuple[int, Mapping[object, int]]]) -> tuple[int, dict]:
     """(d, the numerators over d of the sum of the (den, numerator map) parts), d the lcm of the dens.
 
-    The one rule that adds numerator maps: series sums, the slice brackets
-    of the degree-2 slice route and the slices of a degree-2 assembly.
+    The one rule that adds numerator maps: series sums and the slices of a
+    degree-2 assembly.
     """
     parts = list(parts)
     den, out = lcm(*[d for d, _ in parts]), {}
@@ -481,6 +481,28 @@ class JacobiSeries(_SparseSeries):
     def _row_pairs(left: Iterable[int], right: Iterable[int], trunc: int) -> list[tuple[int, int, int]]:
         """(n1, n2, n1 + n2) for the q^n rows n1 of the left and n2 of the right operand with n1 + n2 <= trunc."""
         return [(n1, n2, n1 + n2) for n1 in left for n2 in right if n1 + n2 <= trunc]
+
+    # -- the bracket kernel's row rule (see rcforms.brackets._bracket_pass) --
+
+    def _kernel_slices(self, trunc: int) -> dict[int, Mapping[Key, int]]:
+        """{index: the numerators}: the series is one slice, of its own index, which
+        may exceed ``trunc`` (an index sum has no bound)."""
+        return {self.index: self._num}
+
+    @staticmethod
+    def _kernel_rows(m: int, rows: dict[int, list]) -> dict[int, list]:
+        """The q^n rows of the one slice, keyed by n."""
+        return rows
+
+    def _kernel_keys(self, other: JacobiSeries, rows: Mapping[int, list]) -> list:
+        """((n, r), 4*n*mu - r**2, digits) for the read-back q^n rows of a bracket with other, mu the index sum."""
+        mu = self.index + other.index
+        return [
+            ((n, r), 4 * n * mu - r * r, digits)
+            for n, spans in rows.items()
+            for lo, columns in spans
+            for r, digits in enumerate(zip(*columns), lo)
+        ]
 
     # -- construction helpers ------------------------------------------------
 

@@ -14,7 +14,11 @@ agree exactly.  The direct route keeps the operator form
 sum C(r, s, p) delta^p(delta^r(F) * delta^s(G)) on integer numerators: it
 groups the products by p into layers T_p and applies delta by Horner's rule,
 T_0 + delta(T_1 + delta(T_2 + ...)).  The slice route sums the order-2l
-Jacobi brackets at x = 0 of the slices of F and G.
+Jacobi brackets at x = 0 of the slices of F and G, slice m + m' of the
+output collecting the pairs (f_m, g_m').  It runs as one pass of the Jacobi
+bracket kernel of :mod:`rcforms.brackets` over the (n, m) rows of F and G:
+at x = 0 and even order every slice pair shares the kernel's weight lists,
+and a slice coefficient's heat value 4*n*m - r**2 is its delta value.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .brackets import BracketParams, bracket_jacobi, bracket_terms
+from .brackets import BracketParams, _bracket_sum, bracket_terms
+# not called here any more; perfbench's tracer rebinds bracket_jacobi in this module by name
+from .brackets import bracket_jacobi  # noqa: F401
 from .series import (
     _PRODUCT,
     CheckResult,
     JacobiSeries,
+    Key,
     _integer_form,
     _merged,
     _packed_products,
@@ -102,15 +109,41 @@ class SiegelSeries(_SparseSeries):
             if n1 + n2 <= trunc and m1 + m2 <= trunc
         ]
 
-    def _slices(self, ms: range) -> dict[int, JacobiSeries]:
-        """{m: f_m} for the nonempty slices f_m(n, r) = a(n, r, m) with m in ``ms``, in one scan of the store,
-        so the cost follows the stored coefficients, not the truncation; each keeps the series' truncation."""
-        rows: dict[int, dict] = {}
+    # -- the bracket kernel's row rule (see rcforms.brackets._bracket_pass) --
+
+    def _kernel_slices(self, trunc: int) -> dict[int, dict[Key, int]]:
+        """{m: the numerators of slice m} for the nonempty slices with m <= trunc."""
+        return self._slice_numerators(range(trunc + 1))
+
+    @staticmethod
+    def _kernel_rows(m: int, rows: dict[int, list]) -> dict[tuple[int, int], list]:
+        """The q^n rows of slice m, keyed by (n, m)."""
+        return {(n, m): row for n, row in rows.items()}
+
+    @staticmethod
+    def _kernel_keys(other: SiegelSeries, rows: Mapping[tuple[int, int], list]) -> list:
+        """((n, r, mu), 4*n*mu - r**2, digits) for the read-back (n, mu) rows of a bracket."""
+        return [
+            ((n, r, mu), 4 * n * mu - r * r, digits)
+            for (n, mu), spans in rows.items()
+            for lo, columns in spans
+            for r, digits in enumerate(zip(*columns), lo)
+        ]
+
+    def _slice_numerators(self, ms: range) -> dict[int, dict[Key, int]]:
+        """{m: {(n, r): numerator of a(n, r, m)}} for the nonempty slices with m in ``ms``, in one
+        scan of the store, so the cost follows the stored coefficients, not the truncation."""
+        rows: dict[int, dict[Key, int]] = {}
         for (n, r, m), value in self._num.items():
             if m in ms:
                 rows.setdefault(m, {})[(n, r)] = value
+        return rows
+
+    def _slices(self, ms: range) -> dict[int, JacobiSeries]:
+        """{m: f_m} for the nonempty slices f_m(n, r) = a(n, r, m) with m in ``ms``, each at the series' truncation."""
         weight, trunc, den = self.weight, self.trunc, self._den
-        return {m: JacobiSeries._from_integers((weight, m), trunc, den, row) for m, row in rows.items()}
+        slices = self._slice_numerators(ms)
+        return {m: JacobiSeries._from_integers((weight, m), trunc, den, row) for m, row in slices.items()}
 
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
@@ -235,25 +268,24 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
     """Order-l bracket assembled slice by slice from Jacobi brackets at x = 0.
 
     Slice mu of the output is the sum over m + m' = mu of the order-2l
-    brackets of the slices f_m and g_m'; only complete slices mu <= trunc
-    are emitted.  Each input is split into its nonempty slices with
-    m <= trunc and the brackets' numerators are added by the one merge rule
-    (``series._merged``), so the cost follows the stored coefficients, not
-    the truncation.  Agrees exactly with :func:`bracket_siegel_direct`.
+    Jacobi brackets at x = 0 of the slices f_m and g_m'; only complete
+    slices mu <= trunc are emitted.  At x = 0 and even order the index
+    factors (1 - m'x)^r and (1 + mx)^s are all 1, so every slice pair
+    shares the Jacobi kernel's weight lists A, B and G, which depend only
+    on the weights; a slice coefficient's heat value 4*n*m - r**2 is its
+    degree-2 delta value, and output slice mu has D = 4*n*mu - r**2.  So the
+    whole sum is one pass of the Jacobi bracket kernel over the (n, m) rows
+    of F and G, paired by ``SiegelSeries._row_pairs``, followed by the same
+    Horner rule in D (:func:`rcforms.brackets._bracket_sum`).  Its cost
+    follows the stored coefficients, not the truncation, and it never
+    touches the C(r, s, p) family or the delta rule of the direct route.
+    Agrees exactly with :func:`bracket_siegel_direct`.
     """
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
-    trunc = min(F.trunc, G.trunc)
-    g_slices = G._slices(range(trunc + 1))
-    # one of F, G has truncation trunc, so every slice bracket is cut there
-    parts = (
-        (m + m2, bracket_jacobi(f, g, 0, 2 * l))
-        for m, f in F._slices(range(trunc + 1)).items()
-        for m2, g in g_slices.items()
-        if m + m2 <= trunc
-    )
-    sums = _merged((b._den, {(n, r, mu): v for (n, r), v in b._num.items()}) for mu, b in parts)
-    return F._joined(G, 2 * l, *sums)
+    # indices 0: at x = 0 the kernel's index lists are all 1 whatever the slices' indices
+    params = BracketParams(F.weight, G.weight, 0, 0, 2 * l)
+    return F._joined(G, 2 * l, *_bracket_sum(F, G, params))
 
 
 class ConsistencyReport(namedtuple("ConsistencyReport", "checks")):

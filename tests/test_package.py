@@ -253,6 +253,29 @@ def test_independent_routes_do_not_use_the_bracket_kernel(monkeypatch):
         assert helper not in Path(jets.__file__).read_text()
 
 
+def test_slice_route_does_not_use_the_direct_route(monkeypatch):
+    """The slice route checks the direct degree-2 bracket, so it reaches
+    neither the C(r, s, p) family of the direct route nor its delta rule."""
+    F = siegel_theta(E8, 2)
+    pairs = [(F, F), (F, F * F)]
+    direct = [siegel.bracket_siegel_direct(a, b, l) for a, b in pairs for l in range(4)]
+
+    def forbidden(*args):
+        raise RuntimeError("direct-route helper called")
+
+    for module, name in (
+        (brackets, "bracket_terms"),
+        (brackets, "coeff_C"),
+        (siegel, "bracket_terms"),
+        (siegel, "_delta"),
+        (siegel, "delta_op"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(RuntimeError, match="direct-route helper"):
+        siegel.bracket_siegel_direct(F, F, 1)
+    assert [siegel.bracket_siegel_via_jacobi(a, b, l) for a, b in pairs for l in range(4)] == direct
+
+
 def records():
     """(first, a fresh equal copy, a different one) of each record type."""
     theta = jacobi_theta(E8, E8_INDEX1_VECTOR, 2)

@@ -17,7 +17,7 @@ from rcforms.series import (
     theta_q_elliptic,
 )
 from rcforms.seriesio import export_series
-from rcforms.siegel import SiegelSeries, siegel_from_components
+from rcforms.siegel import SiegelSeries, bracket_siegel_direct, bracket_siegel_via_jacobi, siegel_from_components
 from row_shapes import sparse_rows, window
 
 rationals = st.fractions(
@@ -199,6 +199,40 @@ def test_siegel_components_round_trip(trunc, data):
     parts = F.components()
     assert parts[empty].is_zero()
     assert siegel_from_components(parts) == F
+
+
+@st.composite
+def siegel_bracket_operands(draw):
+    """Two sparse symmetric degree-2 series with their own weights and
+    truncations (0..4), values with denominators, and one slice of each
+    left empty (no key with n or m equal to it), index 0 included."""
+    out = []
+    for _ in range(2):
+        trunc = draw(st.integers(0, 4))
+        coeffs = draw(st.dictionaries(siegel_keys(trunc, st.integers(-4, 4)), rationals, max_size=8))
+        empty = draw(st.integers(0, trunc))
+        kept = {key: value for key, value in coeffs.items() if empty not in (key[0], key[2])}
+        out.append(symmetric_siegel(draw(st.integers(0, 10)), trunc, kept))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(siegel_bracket_operands(), st.integers(0, 4))
+def test_slice_route_is_the_sum_of_slice_brackets(operands, l):
+    F, G = operands
+    out = bracket_siegel_via_jacobi(F, G, l)
+    assert out == bracket_siegel_direct(F, G, l)
+    # the route's definition: slice mu of the output is the sum over
+    # m + m' = mu of the order-2l Jacobi brackets at x = 0 of f_m and g_m'
+    trunc = min(F.trunc, G.trunc)
+    f, g = F.components(), G.components()
+    slices = []
+    for mu in range(trunc + 1):
+        total = JacobiSeries.zero(F.weight + G.weight + 2 * l, mu, trunc)
+        for m in range(mu + 1):
+            total = total + bracket_jacobi(f[m], g[mu - m], 0, 2 * l)
+        slices.append(total)
+    assert out == siegel_from_components(slices)
 
 
 @settings(max_examples=150)

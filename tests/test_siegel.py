@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rcforms import siegel, verify
+from rcforms import brackets, siegel, verify
 from rcforms.brackets import BracketParams, bracket_terms
 from rcforms.series import JacobiSeries, heat
 from rcforms.siegel import (
@@ -195,20 +195,27 @@ class TestBrackets:
         assert bracket_siegel_direct(F, G, l) == SiegelSeries(10 + 2 * l, 2, {(2, 0, 2): value})
 
     def test_slice_route_cost_follows_nonzero_slices(self, monkeypatch):
-        # a few records at trunc 200: one Jacobi bracket per pair of nonempty
-        # slices, not one per slice pair with m + m' <= 200
+        # a few records at trunc 200: one bracket-kernel pass per call of the
+        # slice route, over the stored (n, m) rows only, not over every slice
+        # pair with m + m' <= 200
         F, G = sparse_pair(200)
-        calls = []
+        calls, packed = [], []
 
-        def counted(f, g, x, v):
-            calls.append((f.index, g.index))
-            return real(f, g, x, v)
+        def kernel_spy(f, g, *args):
+            calls.append((f, g))
+            return kernel(f, g, *args)
 
-        real = siegel.bracket_jacobi
-        monkeypatch.setattr(siegel, "bracket_jacobi", counted)
+        def packing_spy(left, right, *args):
+            packed.append((sorted(left), sorted(right)))
+            return packing(left, right, *args)
+
+        kernel, packing = brackets._bracket_pass, brackets._packed_products
+        monkeypatch.setattr(brackets, "_bracket_pass", kernel_spy)
+        monkeypatch.setattr(brackets, "_packed_products", packing_spy)
         out = bracket_siegel_via_jacobi(F, G, 1)
-        # nonempty slices: F at m = 1, 2, 5; G at m = 0, 2, 3, 199
-        assert sorted(calls) == [(m, m2) for m in (1, 2, 5) for m2 in (0, 2, 3, 199) if m + m2 <= 200]
+        assert len(calls) == 1 and calls[0][0] is F and calls[0][1] is G
+        # stored rows: F at (1, 1), (1, 2), (2, 1), (5, 5); G at (0, 0), (2, 3), (3, 2), (199, 199)
+        assert packed == [([(1, 1), (1, 2), (2, 1), (5, 5)], [(0, 0), (2, 3), (3, 2), (199, 199)])]
         assert out == bracket_siegel_direct(F, G, 1)
         assert not out.is_zero()
 
