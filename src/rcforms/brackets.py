@@ -63,15 +63,17 @@ product of the denominators, which reduces them once per output series.
 ``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
 pass and applies its x-degree weights, ints over G's denominator, per key.
 
-The pass (``_bracket_pass``, set up and finished by ``_bracket_sum``) takes
-its rows from the kind of its operands.  A Jacobi series is one slice, of
-m = its index, in q^n rows; a degree-2 series a(n, r, m) is its slices f_m,
-in (n, m) rows, paired by the degree-2 row rule.  A coefficient at (n, r)
-of slice m has D1 = 4*n*m - r**2, and an output row of m = mu has
-D = 4*n*mu - r**2.  At x = 0 and even order the index lists L and R are all
-1, so every slice pair shares the lists of the weights alone, and one pass
-over two degree-2 series sums the brackets of all slice pairs (f_m, g_m')
-into output slice m + m': the slice route of :mod:`rcforms.siegel`.
+The pass (``_bracket_pass``, set up and finished by ``_bracket_sum``) sees
+its operands through two views of their kind.  The input view lists each
+stored coefficient inside the truncation as (row, r, D1, numerator): a
+Jacobi series has m = its index and q^n rows, a degree-2 series a(n, r, m)
+has (n, m) rows, paired by the degree-2 row rule, and D1 = 4*n*m - r**2
+either way.  The output view names the keys of the read-back rows, where
+a row of m = mu has D = 4*n*mu - r**2.  At x = 0 and even order the index
+lists L and R are all 1, so every slice pair shares the lists of the
+weights alone, and one pass over two degree-2 series sums the brackets of
+all slice pairs (f_m, g_m') into output slice m + m': the slice route of
+:mod:`rcforms.siegel`.
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
@@ -252,13 +254,13 @@ def _bracket_pass(
 ) -> tuple[int, list[tuple[tuple, int, tuple[int, ...]]]]:
     """Packed sums over the coefficient pairs of f and g, by output key and slot.
 
-    f and g are two series of one kind, and the kind gives the row rule: a
-    Jacobi series is one slice of m = its index, kept in its q^n rows; a
-    degree-2 series is its slices m, kept in (n, m) rows.  The kind lists
-    its slices (``_kernel_slices``), names their rows (``_kernel_rows``),
-    pairs rows (``_row_pairs``) and names the output keys
-    (``_kernel_keys``).  A coefficient a at (n, r) of slice m has
-    D1 = 4*n*m - r**2, and b of g likewise D2.  Returns (den, entries) with
+    f and g are two series of one kind, which gives two views and the row
+    rule.  The input view ``_kernel_entries(trunc)`` lists each stored
+    coefficient a that fits the truncation as (row, r, D1, a), with
+    D1 = 4*n*m - r**2 and the row n for a Jacobi series (m its index) or
+    (n, m) for a degree-2 series; the coefficients b of g likewise carry D2.
+    ``_row_pairs`` pairs rows, and the output view ``_kernel_keys`` names
+    the output keys.  Returns (den, entries) with
     one (key, D, digits) per output key (n, r) of an output row of m = mu
     (m1 + m2 for Jacobi series) in the spans read back, D = 4*n*mu - r**2:
     digits[k] / den is the sum over the pairs of coefficients whose keys
@@ -279,18 +281,14 @@ def _bracket_pass(
         integer numerators a and w_e, then with c set the same times c*r."""
         den_w, w = weights
         out = {}
-        for m, entries in series._kernel_slices(trunc).items():
-            rows_m = {}
-            for (n, r), a in entries.items():
-                if n <= trunc:
-                    disc, values = 4 * n * m - r * r, []
-                    for w_e in w:
-                        values.append(w_e * a)
-                        a *= disc
-                    if c is not None:
-                        values += [c * r * value for value in values]
-                    rows_m.setdefault(n, []).append((r, values))
-            out.update(series._kernel_rows(m, rows_m))
+        for row, r, disc, a in series._kernel_entries(trunc):
+            values = []
+            for w_e in w:
+                values.append(w_e * a)
+                a *= disc
+            if c is not None:
+                values += [c * r * value for value in values]
+            out.setdefault(row, []).append((r, values))
         return series._den * den_w, out
 
     c1, c2 = cross if cross is not None else (None, None)

@@ -258,7 +258,7 @@ class _ProductLattice(Lattice):
         split = self._left.rank
         left = self._left.theta_counts(w[:split], trunc)
         right = self._right.theta_counts(w[split:], trunc)
-        return dict(JacobiSeries._convolve(left, right, trunc))
+        return JacobiSeries._convolve(left, right, trunc)
 
     def least_vector(self, half_norm: int) -> DoubledVector:
         # the left part decides the order; every half-norm occurs in each factor
@@ -268,7 +268,7 @@ class _ProductLattice(Lattice):
     def siegel_counts(self, trunc: int) -> TripleCounts:
         left = self._left.siegel_counts(trunc)
         right = self._right.siegel_counts(trunc)
-        return dict(SiegelSeries._convolve(left, right, trunc))
+        return SiegelSeries._convolve(left, right, trunc)
 
 
 E8 = _E8()

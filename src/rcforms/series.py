@@ -260,11 +260,13 @@ class _SparseSeries:
     ``_like`` steps the weight (the operators), ``_joined`` adds two series'
     tags plus a bilinear order on the smaller truncation (products, brackets)
     and ``first_difference`` compares two series.  Each kind supplies its key
-    rule, ``_fits``, which tells whether a key lies inside a truncation; a
-    kind multiplied by ``_product`` also supplies ``_convolve``, which groups
-    its integer maps into rows (by n, or by (n, m)) and multiplies them
-    through ``_packed_products`` (one product per pair of packed runs) under
-    the kind's ``_row_pairs`` rule.
+    rule, ``_fits``, which tells whether a key lies inside a truncation, and
+    ``_restricted`` is the one place that cuts an operand to a truncation; a
+    kind multiplied by ``_product`` also supplies ``_convolve``, which takes
+    two integer maps whose keys already fit the truncation, groups them into
+    rows (by n, or by (n, m)) and multiplies them through
+    ``_packed_products`` (one product per pair of packed runs) under the
+    kind's ``_row_pairs`` rule.
     Instances are immutable after construction and safe to share; all
     operations return new series.
     """
@@ -413,11 +415,11 @@ class _SparseSeries:
         return self._like(trunc, *_merged((s._den, s._restricted(trunc)) for s in (self, other)))
 
     def _product(self, other):
-        """self * other at the smaller truncation with tags added: the kind's
-        ``_convolve`` runs on the numerators, over the product of the denominators."""
+        """self * other at the smaller truncation with tags added: the kind's ``_convolve``
+        runs on the numerators cut to it, over the product of the denominators."""
         trunc = min(self.trunc, other.trunc)
-        products = self._convolve(self._num, other._num, trunc)
-        return self._joined(other, 0, self._den * other._den, dict(products))
+        products = self._convolve(self._restricted(trunc), other._restricted(trunc), trunc)
+        return self._joined(other, 0, self._den * other._den, products)
 
     def _scaled(self, c: int | Fraction):
         c = as_rational(c)
@@ -460,39 +462,34 @@ class JacobiSeries(_SparseSeries):
         return 0 <= n <= trunc
 
     @staticmethod
-    def _convolve(a_int: Mapping[Key, int], b_int: Mapping[Key, int], trunc: int):
-        """(key, total) pairs of the product of two integer maps, one packed product per pair of q^n row runs."""
+    def _convolve(a_int: Mapping[Key, int], b_int: Mapping[Key, int], trunc: int) -> dict[Key, int]:
+        """{key: total} of the product of two integer maps whose keys fit ``trunc``,
+        one packed product per pair of q^n row runs."""
         left: dict[int, list[tuple[int, tuple[int]]]] = {}
         right: dict[int, list[tuple[int, tuple[int]]]] = {}
         for rows, coeffs in ((left, a_int), (right, b_int)):
             for (n, r), value in coeffs.items():
-                if n <= trunc:
-                    rows.setdefault(n, []).append((r, (value,)))
+                rows.setdefault(n, []).append((r, (value,)))
         rows = _packed_products(left, right, JacobiSeries._row_pairs, trunc, _PRODUCT)
-        return (
-            ((n, r), total)
+        return {
+            (n, r): total
             for n, sums in rows.items()
             for lo, (digits,) in sums
             for r, total in enumerate(digits, lo)
             if total
-        )
+        }
 
     @staticmethod
     def _row_pairs(left: Iterable[int], right: Iterable[int], trunc: int) -> list[tuple[int, int, int]]:
         """(n1, n2, n1 + n2) for the q^n rows n1 of the left and n2 of the right operand with n1 + n2 <= trunc."""
         return [(n1, n2, n1 + n2) for n1 in left for n2 in right if n1 + n2 <= trunc]
 
-    # -- the bracket kernel's row rule (see rcforms.brackets._bracket_pass) --
+    # -- the bracket kernel's views (see rcforms.brackets._bracket_pass) -----
 
-    def _kernel_slices(self, trunc: int) -> dict[int, Mapping[Key, int]]:
-        """{index: the numerators}: the series is one slice, of its own index, which
-        may exceed ``trunc`` (an index sum has no bound)."""
-        return {self.index: self._num}
-
-    @staticmethod
-    def _kernel_rows(m: int, rows: dict[int, list]) -> dict[int, list]:
-        """The q^n rows of the one slice, keyed by n."""
-        return rows
+    def _kernel_entries(self, trunc: int) -> list[tuple[int, int, int, int]]:
+        """(n, r, 4*n*m - r**2, numerator) for the stored keys (n, r) that fit ``trunc``, m the index."""
+        m = self.index
+        return [(n, r, 4 * n * m - r * r, a) for (n, r), a in self._restricted(trunc).items()]
 
     def _kernel_keys(self, other: JacobiSeries, rows: Mapping[int, list]) -> list:
         """((n, r), 4*n*mu - r**2, digits) for the read-back q^n rows of a bracket with other, mu the index sum."""

@@ -82,22 +82,22 @@ class SiegelSeries(_SparseSeries):
         return 0 <= n <= trunc and 0 <= m <= trunc
 
     @staticmethod
-    def _convolve(a_int: Mapping[TripleKey, int], b_int: Mapping[TripleKey, int], trunc: int):
-        """(key, total) pairs of the product of two integer maps, one packed product per pair of (n, m) row runs."""
+    def _convolve(a_int: Mapping[TripleKey, int], b_int: Mapping[TripleKey, int], trunc: int) -> dict[TripleKey, int]:
+        """{key: total} of the product of two integer maps whose keys fit ``trunc``,
+        one packed product per pair of (n, m) row runs."""
         left: dict[tuple[int, int], list[tuple[int, tuple[int]]]] = {}
         right: dict[tuple[int, int], list[tuple[int, tuple[int]]]] = {}
         for blocks, coeffs in ((left, a_int), (right, b_int)):
             for (n, r, m), value in coeffs.items():
-                if n <= trunc and m <= trunc:
-                    blocks.setdefault((n, m), []).append((r, (value,)))
+                blocks.setdefault((n, m), []).append((r, (value,)))
         rows = _packed_products(left, right, SiegelSeries._row_pairs, trunc, _PRODUCT)
-        return (
-            ((n, r, m), total)
+        return {
+            (n, r, m): total
             for (n, m), sums in rows.items()
             for lo, (digits,) in sums
             for r, total in enumerate(digits, lo)
             if total
-        )
+        }
 
     @staticmethod
     def _row_pairs(left: Iterable[tuple[int, int]], right: Iterable[tuple[int, int]], trunc: int) -> list[tuple]:
@@ -109,16 +109,11 @@ class SiegelSeries(_SparseSeries):
             if n1 + n2 <= trunc and m1 + m2 <= trunc
         ]
 
-    # -- the bracket kernel's row rule (see rcforms.brackets._bracket_pass) --
+    # -- the bracket kernel's views (see rcforms.brackets._bracket_pass) -----
 
-    def _kernel_slices(self, trunc: int) -> dict[int, dict[Key, int]]:
-        """{m: the numerators of slice m} for the nonempty slices with m <= trunc."""
-        return self._slice_numerators(range(trunc + 1))
-
-    @staticmethod
-    def _kernel_rows(m: int, rows: dict[int, list]) -> dict[tuple[int, int], list]:
-        """The q^n rows of slice m, keyed by (n, m)."""
-        return {(n, m): row for n, row in rows.items()}
+    def _kernel_entries(self, trunc: int) -> list[tuple[tuple[int, int], int, int, int]]:
+        """((n, m), r, 4*n*m - r**2, numerator) for the stored keys (n, r, m) that fit ``trunc``."""
+        return [((n, m), r, 4 * n * m - r * r, a) for (n, r, m), a in self._restricted(trunc).items()]
 
     @staticmethod
     def _kernel_keys(other: SiegelSeries, rows: Mapping[tuple[int, int], list]) -> list:
@@ -130,31 +125,26 @@ class SiegelSeries(_SparseSeries):
             for r, digits in enumerate(zip(*columns), lo)
         ]
 
-    def _slice_numerators(self, ms: range) -> dict[int, dict[Key, int]]:
-        """{m: {(n, r): numerator of a(n, r, m)}} for the nonempty slices with m in ``ms``, in one
-        scan of the store, so the cost follows the stored coefficients, not the truncation."""
-        rows: dict[int, dict[Key, int]] = {}
+    def _slices(self, ms: range) -> list[JacobiSeries]:
+        """[f_m for m in ms], f_m(n, r) = a(n, r, m) at the series' truncation and zero where
+        nothing is stored, from one scan of the store, so the cost follows the stored
+        coefficients and ``ms``, not the truncation."""
+        rows: dict[int, dict[Key, int]] = {m: {} for m in ms}
         for (n, r, m), value in self._num.items():
-            if m in ms:
-                rows.setdefault(m, {})[(n, r)] = value
-        return rows
-
-    def _slices(self, ms: range) -> dict[int, JacobiSeries]:
-        """{m: f_m} for the nonempty slices f_m(n, r) = a(n, r, m) with m in ``ms``, each at the series' truncation."""
+            if m in rows:
+                rows[m][(n, r)] = value
         weight, trunc, den = self.weight, self.trunc, self._den
-        slices = self._slice_numerators(ms)
-        return {m: JacobiSeries._from_integers((weight, m), trunc, den, row) for m, row in slices.items()}
+        return [JacobiSeries._from_integers((weight, m), trunc, den, row) for m, row in rows.items()]
 
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
         if not 0 <= m <= self.trunc:
             raise ValueError(f"slice index {_text(m)} outside [0, {_text(self.trunc)}]")
-        return self._slices(range(m, m + 1)).get(m) or JacobiSeries.zero(self.weight, m, self.trunc)
+        return self._slices(range(m, m + 1))[0]
 
     def components(self) -> list[JacobiSeries]:
         """The slices f_0, ..., f_trunc."""
-        slices = self._slices(range(self.trunc + 1))
-        return [slices.get(m) or JacobiSeries.zero(self.weight, m, self.trunc) for m in range(self.trunc + 1)]
+        return self._slices(range(self.trunc + 1))
 
     def __neg__(self) -> SiegelSeries:
         return self._scaled(-1)
@@ -177,8 +167,9 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
     """Assemble a degree-2 expansion from its Jacobi slices f_0, ..., f_T.
 
     Slice m must have index m, all slices the common weight, and truncation
-    at least T = len(components) - 1; keys with n > T are dropped.  The
-    transpose symmetry of the result is validated, not assumed.
+    at least T = len(components) - 1; each slice is cut to T by the store,
+    which drops keys with n > T.  The transpose symmetry of the result is
+    validated, not assumed.
     """
     if not components:
         raise ValueError("need at least the m = 0 component")
@@ -192,7 +183,7 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
             raise ValueError(f"component {m} has weight {_text(part.weight)}, expected {_text(weight)}")
         if part.trunc < trunc:
             raise ValueError(f"component {m} truncated at {_text(part.trunc)} < {trunc}")
-        parts.append((part._den, {(n, r, m): v for (n, r), v in part._num.items() if n <= trunc}))
+        parts.append((part._den, {(n, r, m): v for (n, r), v in part._restricted(trunc).items()}))
     return SiegelSeries._from_integers((weight,), trunc, *_merged(parts))
 
 

@@ -6,7 +6,7 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcforms.brackets import bracket_jacobi
+from rcforms.brackets import bracket_jacobi, bracket_jacobi_poly, bracket_rank_over_x
 from rcforms.series import (
     EllipticSeries,
     JacobiSeries,
@@ -110,6 +110,24 @@ def test_truncation_monotonicity_of_bracket(f, g, v, x):
     big = bracket_jacobi(f, g, x, v)
     small = bracket_jacobi(f.truncated(cut), g.truncated(cut), x, v)
     assert big.truncated(cut) == small
+
+
+def cut_to_common(f, g):
+    """f and g cut to their common truncation, the smaller one."""
+    trunc = min(f.trunc, g.trunc)
+    return f.truncated(trunc), g.truncated(trunc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    jacobi_series(weight=st.integers(2, 8)),
+    jacobi_series(weight=st.integers(2, 8)),
+    st.integers(0, 4),
+)
+def test_jacobi_routines_equal_themselves_on_operands_cut_to_the_common_truncation(f, g, v):
+    small = cut_to_common(f, g)
+    assert bracket_jacobi_poly(f, g, v) == bracket_jacobi_poly(*small, v)
+    assert bracket_rank_over_x(f, g, v) == bracket_rank_over_x(*small, v)
 
 
 @settings(max_examples=30, deadline=None)
@@ -233,6 +251,16 @@ def test_slice_route_is_the_sum_of_slice_brackets(operands, l):
             total = total + bracket_jacobi(f[m], g[mu - m], 0, 2 * l)
         slices.append(total)
     assert out == siegel_from_components(slices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(siegel_bracket_operands(), st.integers(0, 3))
+def test_siegel_routines_equal_themselves_on_operands_cut_to_the_common_truncation(operands, l):
+    F, G = operands
+    small = cut_to_common(F, G)
+    assert F * G == small[0] * small[1]
+    assert bracket_siegel_direct(F, G, l) == bracket_siegel_direct(*small, l)
+    assert bracket_siegel_via_jacobi(F, G, l) == bracket_siegel_via_jacobi(*small, l)
 
 
 @settings(max_examples=150)

@@ -1,10 +1,12 @@
 import time
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
 import pytest
 
-from rcforms import brackets, siegel, verify
-from rcforms.brackets import BracketParams, bracket_terms
+from rcforms import brackets, series, siegel, verify
+from rcforms.brackets import BracketParams, bracket_jacobi, bracket_jacobi_poly, bracket_terms
 from rcforms.series import JacobiSeries, heat
 from rcforms.siegel import (
     SiegelSeries,
@@ -218,6 +220,47 @@ class TestBrackets:
         assert packed == [([(1, 1), (1, 2), (2, 1), (5, 5)], [(0, 0), (2, 3), (3, 2), (199, 199)])]
         assert out == bracket_siegel_direct(F, G, 1)
         assert not out.is_zero()
+
+    def test_every_packing_caller_packs_only_rows_inside_the_smaller_truncation(self, monkeypatch):
+        # a row beyond the smaller truncation never pairs, so no output shows
+        # a lost cut: only the packed rows, and with them the digit width,
+        # would grow.  Each caller of _packed_products is spied on under the
+        # name it calls
+        packed = []
+
+        def spy(module):
+            packing = module._packed_products
+
+            def packing_spy(left, right, *args):
+                packed.append((module.__name__, sorted(left), sorted(right)))
+                return packing(left, right, *args)
+
+            monkeypatch.setattr(module, "_packed_products", packing_spy)
+
+        for module in (series, siegel, brackets):
+            spy(module)
+        F = SiegelSeries(4, 4, {(1, 0, 1): 1, (2, 1, 0): 2, (0, 1, 2): 2, (3, 0, 1): 1, (1, 0, 3): 1, (4, -1, 4): 5})
+        G = SiegelSeries(6, 2, {(0, 0, 0): 1, (1, 1, 1): 3, (2, 0, 1): 2, (1, 0, 2): 2})
+        f = JacobiSeries(4, 1, 12, {(0, 0): 1, (5, 1): 2, (8, -2): 3, (9, 2): 3, (12, 3): 1})
+        g = JacobiSeries(6, 2, 8, {(0, 0): 1, (3, 1): 2, (8, -1): 1})
+        cases = [
+            (F, G, [(0, 2), (1, 1), (2, 0)], [(0, 0), (1, 1), (1, 2), (2, 1)], [
+                (partial(bracket_siegel_via_jacobi, l=1), brackets),
+                (partial(bracket_siegel_direct, l=1), siegel),
+                (mul, siegel),
+            ]),
+            (f, g, [0, 5, 8], [0, 3, 8], [
+                (partial(bracket_jacobi, x=Q(1, 3), v=3), brackets),
+                (partial(bracket_jacobi_poly, v=2), brackets),
+                (mul, series),
+            ]),
+        ]
+        for a, b, rows_a, rows_b, routines in cases:
+            for routine, module in routines:
+                for left, right, rows in ((a, b, (rows_a, rows_b)), (b, a, (rows_b, rows_a))):
+                    packed.clear()
+                    routine(left, right)
+                    assert packed == [(module.__name__, *rows)]
 
     def test_slice_route_cost_follows_stored_coefficients(self):
         # a few records at trunc 10**6: the slice route must not work per slice up to the truncation
