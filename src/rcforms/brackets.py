@@ -43,8 +43,9 @@ mu_s = B_s (1 + m1 x)^s D2^s,
 ``bracket_jacobi`` evaluates this on whole q^n rows (Kronecker substitution
 in the zeta-exponent).  It runs on integer numerators: the store's
 numerators a(n1, r1) of f over its one denominator, and the weight lists
-built as ints from the start (no ``Fraction`` on the way).  With a side's
-shifted weight y/q, its list over q^t * t! is F(y, q, t - e) * q^e * t!/e!
+built as ints (no ``Fraction`` per entry).  With a side's shifted weight
+y/q (alpha + t, beta + t or -gamma - t, taken from :class:`BracketParams`),
+its list over q^t * t! is F(y, q, t - e) * q^e * t!/e!
 (F the falling numerator), and with x = a/b, L and R over b^t are
 (b - m2*a)^r b^(t-r) and (b + m1*a)^s b^(t-s).  A*L and B*R are divided
 once by the gcd of their denominator and entries, which leaves them over
@@ -197,29 +198,29 @@ def bracket_terms(params: BracketParams) -> list[BracketTerm]:
     return terms
 
 
+def _check_operands(name: str, kind: type, f, g) -> None:
+    """Raise ``TypeError`` unless both operands of the bracket function ``name`` are of ``kind``."""
+    if not (isinstance(f, kind) and isinstance(g, kind)):
+        raise TypeError(f"{name} needs two {kind.__name__} operands, got {type(f).__name__} and {type(g).__name__}")
+
+
 def _weight_factors(params: BracketParams) -> tuple[tuple[int, list[int]], ...]:
     """((den_A, A), (den_B, B), (den_G, G)) over ints, with
     C(r, s, p) = A[r] * B[s] * G[p] / (den_A * den_B * den_G) whenever r + s + p = t = floor(v/2).
 
     With t fixed, each falling factorial of :func:`coeff_C` depends on one
     index only: A[r] is (alpha + t)_{t-r} / r!, B[s] is (beta + t)_{t-s} / s!
-    and G[p] is (-gamma - t)_{t-p} / p!, each times its den.  A side whose
-    shifted weight (alpha + t, beta + t or -gamma - t) is y/q, not
-    necessarily reduced, has den q**t * t! and entry e equal to
-    F(y, q, t - e) * q**e * t!/e!, F the falling numerator
-    (:func:`_falling_numerator`).
+    and G[p] is (-gamma - t)_{t-p} / p!, each times its den.  The shifted
+    weights alpha + t, beta + t and -gamma - t come from ``params``, the one
+    definition of alpha, beta and gamma.  A side whose shifted weight is
+    y/q has den q**t * t! and entry e equal to F(y, q, t - e) * q**e * t!/e!,
+    F the falling numerator (:func:`_falling_numerator`).
     """
-    t, parity = params.half_order, params.parity
+    t = params.half_order
     scale = factorial(t)
-    n1, d1, n2, d2 = params.k1.numerator, params.k1.denominator, params.k2.numerator, params.k2.denominator
-    shifted = (
-        (2 * n1 + (2 * t - 3) * d1, 2 * d1),
-        (2 * n2 + (2 * t - 3) * d2, 2 * d2),
-        (-2 * (n1 * d2 + n2 * d1) - (2 * (t + parity) - 3) * d1 * d2, 2 * d1 * d2),
-    )
     return tuple(
         (q**t * scale, [_falling_numerator(y, q, t - e) * q**e * (scale // factorial(e)) for e in range(t + 1)])
-        for y, q in shifted
+        for y, q in ((w.numerator, w.denominator) for w in (params.alpha + t, params.beta + t, -params.gamma - t))
     )
 
 
@@ -338,6 +339,7 @@ def bracket_jacobi(
     truncation the minimum of the inputs.  v = 0 reduces to the plain
     product and v = 1 does not depend on x.
     """
+    _check_operands("bracket_jacobi", JacobiSeries, f, g)
     params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
     return f._joined(g, v, *_bracket_sum(f, g, params))
 
@@ -349,6 +351,7 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     the x-degree is bounded by floor(v/2) because each summand contributes
     (1 + m1 x)^s (1 - m2 x)^r with r + s <= floor(v/2).
     """
+    _check_operands("bracket_jacobi_poly", JacobiSeries, f, g)
     params = BracketParams(f.weight, g.weight, f.index, g.index, v)
     A, B, (den_G, G) = _weight_factors(params)
     m1, m2, t = params.m1, params.m2, params.half_order
@@ -422,6 +425,7 @@ def bracket_rank_over_x(f: JacobiSeries, g: JacobiSeries, v: int) -> int:
     each bracket's coefficients times its denominator, which span a space
     of the same dimension.
     """
+    _check_operands("bracket_rank_over_x", JacobiSeries, f, g)
     vf = v // 2
     brackets = [bracket_jacobi(f, g, x, v) for x in range(vf + 2)]
     keys = sorted(set().union(*(b._num for b in brackets)))

@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
-from .brackets import THREE_HALVES, bracket_jacobi, falling_factorial
+from .brackets import THREE_HALVES, _check_operands, bracket_jacobi, falling_factorial
 from .series import JacobiSeries, _key_text, _packed_products, _text, _value_text, as_rational, d_z, heat, heat_power
 
 
@@ -38,6 +38,8 @@ class FormalJet(namedtuple("FormalJet", "base_weight index chis")):
     __slots__ = ()
 
     def __new__(cls, base_weight: int, index: int, chis: tuple[JacobiSeries, ...]):
+        if not chis:
+            raise ValueError("a jet needs at least its component 0")
         for nu, chi in enumerate(chis):
             if chi.index != index:
                 raise ValueError(f"component {nu} has index {_text(chi.index)}, expected {_text(index)}")
@@ -105,7 +107,8 @@ def jet_mul(a: FormalJet, b: FormalJet) -> FormalJet:
     for nu up to the smaller nu_max.  Each jet's components go over one
     denominator as the value columns of its q^n rows, and one packed
     product (:func:`rcforms.series._packed_products`) gives every
-    component: slot nu pairs column j of a with column nu - j of b.
+    component: slot nu pairs column j of a with column nu - j of b, and
+    ``_joined`` gives it the tags of a.chis[0] * b.chis[nu].
     """
     if a.trunc != b.trunc:
         raise ValueError(f"jet truncations differ: {_text(a.trunc)} vs {_text(b.trunc)}")
@@ -121,16 +124,13 @@ def jet_mul(a: FormalJet, b: FormalJet) -> FormalJet:
                 for r, total in enumerate(digits, lo):
                     if total:
                         num[(n, r)] = total
-    weight, index = a.base_weight + b.base_weight, a.index + b.index
-    chis = tuple(
-        JacobiSeries._from_integers((weight + 2 * nu, index), a.trunc, den_a * den_b, num)
-        for nu, num in enumerate(nums)
-    )
-    return FormalJet(weight, index, chis)
+    chis = tuple(a.chis[0]._joined(b.chis[nu], 0, den_a * den_b, num) for nu, num in enumerate(nums))
+    return FormalJet(a.base_weight + b.base_weight, a.index + b.index, chis)
 
 
-def jet_odd_combine(a: FormalJet, b: FormalJet, m1: int, m2: int) -> FormalJet:
-    """Antisymmetrised product m2*(d_z a)*b - m1*a*(d_z b); weight adds plus 1."""
+def jet_odd_combine(a: FormalJet, b: FormalJet) -> FormalJet:
+    """Antisymmetrised product m2*(d_z a)*b - m1*a*(d_z b), m1 = a.index, m2 = b.index; weight adds plus 1."""
+    m1, m2 = a.index, b.index
     da = FormalJet(a.base_weight + 1, a.index, tuple(m2 * d_z(chi) for chi in a.chis))
     db = FormalJet(b.base_weight + 1, b.index, tuple(m1 * d_z(chi) for chi in b.chis))
     left, right = jet_mul(da, b), jet_mul(a, db)
@@ -166,6 +166,7 @@ def crosscheck_bracket(
     (1 + m1*x) with g's jet; this is the pairing under which the jet
     projection reproduces the bracket at the same parameter x.
     """
+    _check_operands("crosscheck_bracket", JacobiSeries, f, g)
     if v < 0:
         raise ValueError(f"bracket order must be non-negative, got {v}")
     x = as_rational(x)
@@ -177,7 +178,7 @@ def crosscheck_bracket(
     if v % 2 == 0:
         combined = jet_mul(a, b)
     else:
-        combined = jet_odd_combine(a, b, f.index, g.index)
+        combined = jet_odd_combine(a, b)
     zeta = zeta_nu(combined, nu)
     bracket = bracket_jacobi(f, g, x, v)
     if zeta.is_zero() and bracket.is_zero():

@@ -266,7 +266,10 @@ class _SparseSeries:
     two integer maps whose keys already fit the truncation, groups them into
     rows (by n, or by (n, m)) and multiplies them through
     ``_packed_products`` (one product per pair of packed runs) under the
-    kind's ``_row_pairs`` rule.
+    kind's ``_row_pairs`` rule.  The store owns the ring operations:
+    ``-``, ``+`` (same kind and tags), ``*`` (same kind by ``_product``,
+    an int or ``Fraction`` by ``_scaled``, anything else
+    ``NotImplemented``) and ``truncated``.
     Instances are immutable after construction and safe to share; all
     operations return new series.
     """
@@ -399,11 +402,6 @@ class _SparseSeries:
         fits = self._fits
         return {k: v for k, v in self._num.items() if fits(k, trunc)}
 
-    def _truncated(self, trunc: int):
-        if trunc > self.trunc:
-            raise ValueError(f"cannot extend truncation {_text(self.trunc)} to {_text(trunc)}")
-        return self._like(trunc, self._den, self._restricted(trunc))
-
     def _sum(self, other):
         """self + other on the smaller truncation over the lcm of the denominators; tags must match."""
         if type(other) is not type(self):
@@ -425,6 +423,28 @@ class _SparseSeries:
         c = as_rational(c)
         p = c.numerator
         return self._like(self.trunc, self._den * c.denominator, {k: p * v for k, v in self._num.items()})
+
+    # -- ring operations: each kind binds these by name in its class body,
+    # where perfbench's tracer finds them (it wraps the methods in vars(kind))
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def __add__(self, other):
+        return self._sum(other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        return NotImplemented
+
+    def truncated(self, trunc: int):
+        """Restriction to the keys that fit ``trunc`` (trunc may only shrink)."""
+        if trunc > self.trunc:
+            raise ValueError(f"cannot extend truncation {_text(self.trunc)} to {_text(trunc)}")
+        return self._like(trunc, self._den, self._restricted(trunc))
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -530,24 +550,9 @@ class JacobiSeries(_SparseSeries):
         """True iff every nonzero c(n, r) satisfies r**2 < 4*n*index."""
         return self._outside_cone(True) is None
 
-    # -- ring operations -----------------------------------------------------
-
-    def __neg__(self) -> JacobiSeries:
-        return self._scaled(-1)
-
-    def __add__(self, other: JacobiSeries) -> JacobiSeries:
-        return self._sum(other)
-
-    def __mul__(self, other):
-        if isinstance(other, JacobiSeries):
-            return self._product(other)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
-
-    def truncated(self, trunc: int) -> JacobiSeries:
-        """Restriction to q^n terms with n <= trunc (trunc may only shrink)."""
-        return self._truncated(trunc)
+    __neg__, __add__, __mul__, truncated = (
+        _SparseSeries.__neg__, _SparseSeries.__add__, _SparseSeries.__mul__, _SparseSeries.truncated
+    )
 
 
 class EllipticSeries(_SparseSeries):
@@ -565,11 +570,7 @@ class EllipticSeries(_SparseSeries):
             (self.weight, 0), self.trunc, self._den, {(n, 0): v for n, v in self._num.items()}
         )
 
-    def __neg__(self) -> EllipticSeries:
-        return self._scaled(-1)
-
-    def __add__(self, other: EllipticSeries) -> EllipticSeries:
-        return self._sum(other)
+    __neg__, __add__ = _SparseSeries.__neg__, _SparseSeries.__add__
 
     def __mul__(self, other):
         if isinstance(other, EllipticSeries):

@@ -89,19 +89,19 @@ def parse_fraction_arg(text: str) -> Fraction:
     return Fraction(_int(num), den)
 
 
-# kind -> (class, header tags in file order, key width)
+# kind -> (class, key width); the header tags are the class's _TAGS, then trunc
 KINDS = {
-    "jacobi": (JacobiSeries, ("weight", "index", "trunc"), 2),
-    "siegel": (SiegelSeries, ("weight", "trunc"), 3),
+    "jacobi": (JacobiSeries, 2),
+    "siegel": (SiegelSeries, 3),
 }
 
 
 def export_series(obj: JacobiSeries | SiegelSeries) -> str:
-    kind = next((name for name, (cls, _, _) in KINDS.items() if isinstance(obj, cls)), None)
+    kind = next((name for name, (cls, _) in KINDS.items() if isinstance(obj, cls)), None)
     if kind is None:
         raise TypeError(f"cannot export {type(obj).__name__}")
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"kind {kind}"]
-    lines += [f"{tag} {_text(getattr(obj, tag))}" for tag in KINDS[kind][1]]
+    lines += [f"{tag} {_text(getattr(obj, tag))}" for tag in (*obj._TAGS, "trunc")]
     lines += [f"coeff {' '.join(map(_text, key))} {format_rational(v)}" for key, v in obj.items()]
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -162,9 +162,9 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
     line, tokens = reader.take("kind", 2)
     if tokens[1] not in KINDS:
         raise ParseError(line, f"unknown kind {tokens[1]!r}")
-    cls, tags, key_width = KINDS[tokens[1]]
+    cls, key_width = KINDS[tokens[1]]
     header = []
-    for tag in tags:
+    for tag in (*cls._TAGS, "trunc"):
         line, tokens = reader.take(tag, 2)
         value = _int_token(tokens[1], line, tag)
         if value < 0 and tag != "weight":

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 
-from .brackets import BracketParams, _bracket_sum, bracket_terms
+from .brackets import BracketParams, _bracket_sum, _check_operands, bracket_terms
 # not called here any more; perfbench's tracer rebinds bracket_jacobi in this module by name
 from .brackets import bracket_jacobi  # noqa: F401
 from .series import (
@@ -146,21 +145,9 @@ class SiegelSeries(_SparseSeries):
         """The slices f_0, ..., f_trunc."""
         return self._slices(range(self.trunc + 1))
 
-    def __neg__(self) -> SiegelSeries:
-        return self._scaled(-1)
-
-    def __add__(self, other: SiegelSeries) -> SiegelSeries:
-        return self._sum(other)
-
-    def __mul__(self, other):
-        if isinstance(other, SiegelSeries):
-            return self._product(other)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
-
-    def truncated(self, trunc: int) -> SiegelSeries:
-        return self._truncated(trunc)
+    __neg__, __add__, __mul__, truncated = (
+        _SparseSeries.__neg__, _SparseSeries.__add__, _SparseSeries.__mul__, _SparseSeries.truncated
+    )
 
 
 def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
@@ -220,6 +207,7 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     the three denominators, which reduces them once; no ``Fraction`` is
     built.
     """
+    _check_operands("bracket_siegel_direct", SiegelSeries, F, G)
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     trunc = min(F.trunc, G.trunc)
@@ -272,6 +260,7 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
     touches the C(r, s, p) family or the delta rule of the direct route.
     Agrees exactly with :func:`bracket_siegel_direct`.
     """
+    _check_operands("bracket_siegel_via_jacobi", SiegelSeries, F, G)
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     # indices 0: at x = 0 the kernel's index lists are all 1 whatever the slices' indices

@@ -243,9 +243,11 @@ def check_bracket_rank(forms: FormSet) -> list[CheckResult]:
             out.append(CheckResult(f"x-span rank at order {v}", False, str(exc)))
             continue
         detail = f"measured rank {rank}, bound {bound}"
-        if rank != bound:
+        if rank == 0:
+            detail += f" (every bracket vanishes at truncation {_text(forms.trunc)}: nothing measured)"
+        elif rank != bound:
             detail += " (below bound: small-weight degeneration)"
-        out.append(CheckResult(f"x-span rank at order {v}", rank <= bound, detail))
+        out.append(CheckResult(f"x-span rank at order {v}", 0 < rank <= bound, detail))
     return out
 
 

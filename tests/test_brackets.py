@@ -20,8 +20,10 @@ from rcforms.brackets import (
     coeff_D,
     falling_factorial,
 )
+from rcforms.jets import crosscheck_bracket
 from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, standard_index_vector
 from rcforms.series import EllipticSeries, JacobiSeries, _integer_form, d_z, heat_power
+from rcforms.siegel import SiegelSeries, bracket_siegel_direct, bracket_siegel_via_jacobi
 from rcforms.verify import FormSet
 from row_shapes import sparse_rows, window
 
@@ -681,3 +683,33 @@ class TestBracketAgainstOperatorForm:
             for x in (Q(0), Q(-1), Q(1, 2), Q(-1, 3)):
                 assert bracket_jacobi(f, g, x, v) == reference_bracket(f, g, x, v)
             assert bracket_jacobi_poly(f, g, v) == reference_poly(f, g, v)
+
+
+WRONG_KIND = [
+    # (call on a Jacobi theta f and a degree-2 theta F, its TypeError message)
+    (lambda f, F: bracket_siegel_via_jacobi(f, f, 1),
+     "bracket_siegel_via_jacobi needs two SiegelSeries operands, got JacobiSeries and JacobiSeries"),
+    (lambda f, F: bracket_siegel_via_jacobi(F, f, 1),
+     "bracket_siegel_via_jacobi needs two SiegelSeries operands, got SiegelSeries and JacobiSeries"),
+    (lambda f, F: bracket_siegel_direct(F, f, 1),
+     "bracket_siegel_direct needs two SiegelSeries operands, got SiegelSeries and JacobiSeries"),
+    (lambda f, F: bracket_jacobi(F, F, 0, 2),
+     "bracket_jacobi needs two JacobiSeries operands, got SiegelSeries and SiegelSeries"),
+    (lambda f, F: bracket_jacobi_poly(f, F, 2),
+     "bracket_jacobi_poly needs two JacobiSeries operands, got JacobiSeries and SiegelSeries"),
+    (lambda f, F: bracket_rank_over_x(F, F, 2),
+     "bracket_rank_over_x needs two JacobiSeries operands, got SiegelSeries and SiegelSeries"),
+    (lambda f, F: crosscheck_bracket(F, f, 0, 2),
+     "crosscheck_bracket needs two JacobiSeries operands, got SiegelSeries and JacobiSeries"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    WRONG_KIND,
+    ids=["via_jacobi_jj", "via_jacobi_sj", "direct_sj", "jacobi_ss", "poly_js", "rank_ss", "crosscheck_sj"],
+)
+def test_operands_of_the_wrong_kind_are_rejected(theta4, siegel2, call, message):
+    with pytest.raises(TypeError) as info:
+        call(theta4, siegel2)
+    assert str(info.value) == message

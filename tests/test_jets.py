@@ -125,7 +125,7 @@ class TestJetProducts:
 
     def test_odd_combine_antisymmetry(self, theta4):
         jet = jet_of_form(theta4, 2)
-        combined = jet_odd_combine(jet, jet, 1, 1)
+        combined = jet_odd_combine(jet, jet)
         assert all(chi.is_zero() for chi in combined.chis)
         assert combined.base_weight == 9
 

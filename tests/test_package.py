@@ -215,7 +215,7 @@ def independent_routes():
     out = [siegel.bracket_siegel_direct(F, F, l) for l in range(3)]
     a = jets.jet_scale_w(jets.jet_of_form(f, 2), 1 - g.index * Fraction(1, 3))
     b = jets.jet_scale_w(jets.jet_of_form(g, 2), 1 + f.index * Fraction(1, 3))
-    out += [jets.zeta_nu(jets.jet_mul(a, b), 2), jets.zeta_nu(jets.jet_odd_combine(a, b, f.index, g.index), 2)]
+    out += [jets.zeta_nu(jets.jet_mul(a, b), 2), jets.zeta_nu(jets.jet_odd_combine(a, b), 2)]
     out.append(f * g)
     return out
 
@@ -352,6 +352,8 @@ class TestRecords:
             jets.FormalJet(4, 2, chis)
         with pytest.raises(ValueError, match="share a truncation"):
             jets.FormalJet(4, 1, (chis[0], chis[1].truncated(1)))
+        with pytest.raises(ValueError, match="at least its component 0"):
+            jets.FormalJet(4, 1, ())
 
     def test_weight_shifts_computed_once_per_instance(self, monkeypatch):
         calls = []

@@ -377,3 +377,14 @@ class TestEllipticSeries:
             e.as_jacobi() - e
         with pytest.raises(TypeError):
             SiegelSeries(0, 1, {(0, 0, 0): 1}) * e.as_jacobi()
+        F = SiegelSeries(2, 1, {(0, 0, 0): 1, (1, 0, 0): 3, (0, 0, 1): 3, (1, 1, 1): Fraction(1, 2)})
+        j = JacobiSeries(2, 1, 2, {(0, 0): 1, (1, 1): Fraction(2, 3), (1, -1): Fraction(2, 3)})
+        with pytest.raises(TypeError):
+            j * F
+        with pytest.raises(TypeError):
+            F + j
+        e = EllipticSeries(4, 2, {0: 1, 1: 5, 2: Fraction(-1, 7)})
+        assert type(e * j) is JacobiSeries and e * j == j * e
+        for G in (-F, F.truncated(1), F.truncated(0)):
+            assert type(G) is SiegelSeries and G.weight == 2
+        assert (-F)[(1, 1, 1)] == Fraction(-1, 2) and F.truncated(0).items() == [((0, 0, 0), 1)]

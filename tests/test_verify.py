@@ -106,6 +106,24 @@ class TestRecursions:
         assert (detect.passed, detect.detail) == (False, "perturbation at (0, 1, 1) undetected")
 
 
+def test_rank_zero_fails_as_nothing_measured():
+    """At trunc 0 every bracket of order >= 2 vanishes: a rank of 0 measures
+    nothing and fails; at trunc 1 a rank below the bound still passes."""
+    lines = verify.check_bracket_rank(verify.FormSet(0))
+    assert [line.passed for line in lines] == [False] * 4
+    for line, bound in zip(lines, (2, 2, 3, 3)):
+        assert line.detail == (
+            f"measured rank 0, bound {bound} (every bracket vanishes at truncation 0: nothing measured)"
+        )
+    lines = verify.check_bracket_rank(verify.FormSet(1))
+    assert [(line.passed, line.detail) for line in lines] == [
+        (True, "measured rank 2, bound 2"),
+        (True, "measured rank 1, bound 2 (below bound: small-weight degeneration)"),
+        (True, "measured rank 3, bound 3"),
+        (True, "measured rank 1, bound 3 (below bound: small-weight degeneration)"),
+    ]
+
+
 def test_dual_path_names_the_least_differing_key(small, monkeypatch):
     def shifted(F, G, l):
         out = bracket_siegel_via_jacobi(F, G, l)
