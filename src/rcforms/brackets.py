@@ -44,7 +44,7 @@ mu_s = B_s (1 + m1 x)^s D2^s,
 in the zeta-exponent).  It runs on integer numerators: the store's
 numerators a(n1, r1) of f over its one denominator, and the weight lists
 built as ints (no ``Fraction`` per entry).  With a side's shifted weight
-y/q (alpha + t, beta + t or -gamma - t, taken from :class:`BracketParams`),
+y/q (alpha + t, beta + t or -gamma - t, from ``BracketParams.shifted(t)``),
 its list over q^t * t! is F(y, q, t - e) * q^e * t!/e!
 (F the falling numerator), and with x = a/b, L and R over b^t are
 (b - m2*a)^r b^(t-r) and (b + m1*a)^s b^(t-s).  A*L and B*R are divided
@@ -78,23 +78,20 @@ all slice pairs (f_m, g_m') into output slice m + m': the slice route of
 The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
-(delta in place of heat, on integer numerators, the p-layers combined by
-Horner's rule in delta, C taken from :func:`bracket_terms`), and the series
+(delta in place of heat, on integer numerators, each output key summed once
+over C(r, s, p) * D^p, C taken from :func:`bracket_terms`), and the series
 product behind the order-0 check.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import mul
 
 from .series import InvariantError, JacobiSeries, Key, _integer_form, _packed_products, as_rational
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
-
-THREE_HALVES = Fraction(3, 2)
 
 
 def _falling_numerator(p: int, q: int, n: int) -> int:
@@ -113,22 +110,30 @@ def falling_factorial(x: int | Fraction, n: int) -> Fraction:
     return Fraction(_falling_numerator(x.numerator, x.denominator, n), x.denominator**n)
 
 
+def _check_order(value, name: str = "bracket order") -> None:
+    """Raise ``TypeError`` unless the order ``value`` is an int; a ``bool`` is not one, as for series tags."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 class BracketParams(namedtuple("BracketParams", "k1 k2 m1 m2 v x")):
     """Weights, indices, bracket order and the rational x parameter.
 
     Weights may be non-integer rationals so that the coefficient recursions
     can be probed at generic values; the series-level bracket itself only
-    ever sees integer weights.  ``alpha``, ``beta`` and ``gamma`` are
-    computed once per instance, in its ``__dict__``.
+    ever sees integer weights.  :meth:`shifted` is the one definition of
+    alpha, beta and gamma.
     """
 
+    __slots__ = ()
+
     def __new__(cls, k1: int | Fraction, k2: int | Fraction, m1: int, m2: int, v: int, x: Fraction = Fraction(0)):
+        _check_order(v)
         if v < 0:
             raise ValueError(f"bracket order must be non-negative, got {v}")
+        if not (isinstance(k1, (int, Fraction)) and isinstance(k2, (int, Fraction))):
+            raise TypeError(f"bracket weights must be int or Fraction, got {type(k1).__name__} and {type(k2).__name__}")
         return super().__new__(cls, k1, k2, m1, m2, v, x)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BracketParams is immutable: cannot set {name!r}")
 
     @property
     def half_order(self) -> int:
@@ -138,17 +143,12 @@ class BracketParams(namedtuple("BracketParams", "k1 k2 m1 m2 v x")):
     def parity(self) -> int:
         return self.v - 2 * (self.v // 2)
 
-    @cached_property
-    def alpha(self) -> Fraction:
-        return as_rational(self.k1) - THREE_HALVES
-
-    @cached_property
-    def beta(self) -> Fraction:
-        return as_rational(self.k2) - THREE_HALVES
-
-    @cached_property
-    def gamma(self) -> Fraction:
-        return as_rational(self.k1) + as_rational(self.k2) - THREE_HALVES + self.parity
+    def shifted(self, t: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+        """alpha + t, beta + t and -gamma - t as int pairs (y, q), value y/q, q > 0, not reduced:
+        alpha = k1 - 3/2, beta = k2 - 3/2 and gamma = k1 + k2 - 3/2 + (v mod 2)."""
+        n1, d1, n2, d2 = self.k1.numerator, self.k1.denominator, self.k2.numerator, self.k2.denominator
+        c = (3 - 2 * (t + self.parity)) * d1 * d2 - 2 * (n1 * d2 + n2 * d1)
+        return (2 * n1 + (2 * t - 3) * d1, 2 * d1), (2 * n2 + (2 * t - 3) * d2, 2 * d2), (c, 2 * d1 * d2)
 
 
 class BracketTerm(namedtuple("BracketTerm", "r s p i j c_value d_value")):
@@ -162,16 +162,11 @@ def coeff_C(r: int, s: int, p: int, params: BracketParams) -> Fraction:
 
         (alpha + t)_{s+p} (beta + t)_{r+p} (-gamma - t)_{r+s} / (r! s! p!),   t = r + s + p,
 
-    built as one ``Fraction`` from the int Pochhammer numerators and denominators.
+    built as one ``Fraction`` from the int Pochhammer numerators and denominators
+    of the shifted weights (:meth:`BracketParams.shifted`).
     """
-    t = r + s + p
-    a, b, c = params.alpha, params.beta, params.gamma
-    qa, qb, qc = a.denominator, b.denominator, c.denominator
-    numerator = (
-        _falling_numerator(a.numerator + t * qa, qa, s + p)
-        * _falling_numerator(b.numerator + t * qb, qb, r + p)
-        * _falling_numerator(-c.numerator - t * qc, qc, r + s)
-    )
+    (a, qa), (b, qb), (c, qc) = params.shifted(r + s + p)
+    numerator = _falling_numerator(a, qa, s + p) * _falling_numerator(b, qb, r + p) * _falling_numerator(c, qc, r + s)
     denominator = qa ** (s + p) * qb ** (r + p) * qc ** (r + s) * factorial(r) * factorial(s) * factorial(p)
     return Fraction(numerator, denominator)
 
@@ -211,16 +206,16 @@ def _weight_factors(params: BracketParams) -> tuple[tuple[int, list[int]], ...]:
     With t fixed, each falling factorial of :func:`coeff_C` depends on one
     index only: A[r] is (alpha + t)_{t-r} / r!, B[s] is (beta + t)_{t-s} / s!
     and G[p] is (-gamma - t)_{t-p} / p!, each times its den.  The shifted
-    weights alpha + t, beta + t and -gamma - t come from ``params``, the one
-    definition of alpha, beta and gamma.  A side whose shifted weight is
-    y/q has den q**t * t! and entry e equal to F(y, q, t - e) * q**e * t!/e!,
-    F the falling numerator (:func:`_falling_numerator`).
+    weights alpha + t, beta + t and -gamma - t are the int pairs of
+    ``params.shifted(t)``.  A side whose shifted weight is y/q has den
+    q**t * t! and entry e equal to F(y, q, t - e) * q**e * t!/e!, F the
+    falling numerator (:func:`_falling_numerator`); a den need not be least.
     """
     t = params.half_order
     scale = factorial(t)
     return tuple(
         (q**t * scale, [_falling_numerator(y, q, t - e) * q**e * (scale // factorial(e)) for e in range(t + 1)])
-        for y, q in ((w.numerator, w.denominator) for w in (params.alpha + t, params.beta + t, -params.gamma - t))
+        for y, q in params.shifted(t)
     )
 
 
@@ -358,26 +353,27 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     cross = (-m2, m1) if params.parity else None
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1 - r)]
     den, entries = _bracket_pass(f, g, _reduced(*A), _reduced(*B), cross, [[pair] for pair in pairs])
-    scaled = []
-    for d in range(t + 1):
-        # G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r, over den_G
-        w = [
+    # per x-degree d: G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r, over den_G
+    weights = [
+        [
             G[t - r - s] * sum(
                 comb(s, a) * m1**a * comb(r, d - a) * (-m2) ** (d - a)
                 for a in range(max(0, d - r), min(s, d) + 1)
             )
             for r, s in pairs
         ]
-        scaled.append((den * den_G, w))
-    parts: list[dict[Key, int]] = [{} for _ in scaled]
+        for d in range(t + 1)
+    ]
+    parts: list[dict[Key, int]] = [{} for _ in weights]
     for key, disc, digits in entries:
         powers = [disc**p for p in range(t + 1)]
         values = [powers[t - sum(pair)] * digit for pair, digit in zip(pairs, digits)]
-        for part, (_, w) in zip(parts, scaled):
+        for part, w in zip(parts, weights):
             total = sum(map(mul, w, values))
             if total:
                 part[key] = total
-    return [f._joined(g, v, den_d, coeffs) for coeffs, (den_d, _) in zip(parts, scaled)]
+    den *= den_G
+    return [f._joined(g, v, den, coeffs) for coeffs in parts]
 
 
 def _exact_rank(rows: list[list[int | Fraction]]) -> int:
@@ -426,6 +422,7 @@ def bracket_rank_over_x(f: JacobiSeries, g: JacobiSeries, v: int) -> int:
     of the same dimension.
     """
     _check_operands("bracket_rank_over_x", JacobiSeries, f, g)
+    _check_order(v)
     vf = v // 2
     brackets = [bracket_jacobi(f, g, x, v) for x in range(vf + 2)]
     keys = sorted(set().union(*(b._num for b in brackets)))
@@ -451,21 +448,22 @@ def check_recursions(k1, k2, l: int, c_fn=None) -> bool:
     coefficient source (used by tests to inject perturbations).
 
     The relations are tested on ints: the C family is cleared of its
-    denominators once (``_integer_form``), and with alpha = a/q_a,
-    beta = b/q_b and gamma = c/q_c the first relation is multiplied through
-    by q_a*q_c and the second by q_b*q_c.
+    denominators once (``_integer_form``), and with alpha = a/q_a, beta =
+    b/q_b and -gamma = c/q_c (``params.shifted(0)``) the first relation is
+    multiplied through by q_a*q_c and the second by q_b*q_c.
     """
+    _check_order(l, "recursion order l")
     if l < 1:
         raise ValueError(f"recursion check needs l >= 1, got {l}")
-    params = BracketParams(as_rational(k1), as_rational(k2), 0, 0, 2 * l)
+    params = BracketParams(k1, k2, 0, 0, 2 * l)
     if c_fn is None:
         c_fn = lambda r, s, p: coeff_C(r, s, p, params)
-    (a, qa), (b, qb), (c, qc) = ((y.numerator, y.denominator) for y in (params.alpha, params.beta, params.gamma))
+    (a, qa), (b, qb), (c, qc) = params.shifted(0)  # alpha, beta and -gamma
     _, C = _integer_form(((r, s, l - r - s), c_fn(r, s, l - r - s)) for r in range(l + 1) for s in range(l + 1 - r))
     for r in range(l):
         for s in range(l - r):
             p = l - 1 - r - s
-            mult = (p + 1) * (c + (l + r + s) * qc) * C[r, s, p + 1]
+            mult = (p + 1) * ((l + r + s) * qc - c) * C[r, s, p + 1]
             if (r + 1) * (a + (r + 1) * qa) * qc * C[r + 1, s, p] + qa * mult:
                 return False
             if (s + 1) * (b + (s + 1) * qb) * qc * C[r, s + 1, p] + qb * mult:

@@ -20,8 +20,11 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
-from .brackets import THREE_HALVES, _check_operands, bracket_jacobi, falling_factorial
+from .brackets import _check_operands, _check_order, bracket_jacobi, falling_factorial
 from .series import JacobiSeries, _key_text, _packed_products, _text, _value_text, as_rational, d_z, heat, heat_power
+
+# the jets' own weight shift K - 3/2 + nu, independent of the bracket kernel's
+THREE_HALVES = Fraction(3, 2)
 
 
 class CrosscheckError(ArithmeticError):
@@ -167,6 +170,7 @@ def crosscheck_bracket(
     projection reproduces the bracket at the same parameter x.
     """
     _check_operands("crosscheck_bracket", JacobiSeries, f, g)
+    _check_order(v)
     if v < 0:
         raise ValueError(f"bracket order must be non-negative, got {v}")
     x = as_rational(x)

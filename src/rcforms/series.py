@@ -530,13 +530,6 @@ class JacobiSeries(_SparseSeries):
 
     # -- queries -------------------------------------------------------------
 
-    def zeta_window(self, n: int | None = None) -> tuple[int, int] | None:
-        """Range (rmin, rmax) of stored r values, for one n or overall."""
-        rs = [r for (nn, r) in self._num if n is None or nn == n]
-        if not rs:
-            return None
-        return min(rs), max(rs)
-
     def _outside_cone(self, strict: bool) -> Key | None:
         """Least stored key with r**2 > 4*n*index, or r**2 + 1 > 4*n*index if ``strict``; or None."""
         m = self.index

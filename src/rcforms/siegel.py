@@ -11,10 +11,10 @@ index-m heat operator of :mod:`rcforms.series`.
 
 The order-l bracket is computed along two independent routes that must
 agree exactly.  The direct route keeps the operator form
-sum C(r, s, p) delta^p(delta^r(F) * delta^s(G)) on integer numerators: it
-groups the products by p into layers T_p and applies delta by Horner's rule,
-T_0 + delta(T_1 + delta(T_2 + ...)).  The slice route sums the order-2l
-Jacobi brackets at x = 0 of the slices of F and G, slice m + m' of the
+sum C(r, s, p) delta^p(delta^r(F) * delta^s(G)) on integer numerators;
+delta^p multiplies a key by D^p, D = 4*n*m - r**2, so it sums each output
+key once, by Horner's rule in D.  The slice route sums the order-2l Jacobi
+brackets at x = 0 of the slices of F and G, slice m + m' of the
 output collecting the pairs (f_m, g_m').  It runs as one pass of the Jacobi
 bracket kernel of :mod:`rcforms.brackets` over the (n, m) rows of F and G:
 at x = 0 and even order every slice pair shares the kernel's weight lists,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from .brackets import BracketParams, _bracket_sum, _check_operands, bracket_terms
+from .brackets import BracketParams, _bracket_sum, _check_operands, _check_order, bracket_terms
 # not called here any more; perfbench's tracer rebinds bracket_jacobi in this module by name
 from .brackets import bracket_jacobi  # noqa: F401
 from .series import (
@@ -174,18 +174,14 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
     return SiegelSeries._from_integers((weight,), trunc, *_merged(parts))
 
 
-def _delta(coeffs: Mapping[TripleKey, int]) -> dict:
-    """The delta rule on a coefficient map: a(n, r, m) times 4*n*m - r**2, zeros dropped."""
-    return {(n, r, m): d * v for (n, r, m), v in coeffs.items() if (d := 4 * n * m - r * r)}
-
-
 def delta_op(F: SiegelSeries) -> SiegelSeries:
     """Multiply a(n, r, m) by 4*n*m - r**2; weight tag advances by 2.
 
     On the index-m slice this is exactly the heat operator, so slicing and
     delta_op commute through :func:`rcforms.series.heat`.
     """
-    return F._like(F.trunc, F._den, _delta(F._num), 2)
+    num = {(n, r, m): d * a for (n, r, m), a in F._num.items() if (d := 4 * n * m - r * r)}
+    return F._like(F.trunc, F._den, num, 2)
 
 
 def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSeries:
@@ -200,14 +196,14 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     C(r, s, p) of :func:`rcforms.brackets.bracket_terms` over their common
     denominator.  Each coefficient carries delta^0..delta^l of itself as
     columns, so each (n, m) row of an input packs once; the product of
-    delta^r(F) and delta^s(G) is one slot of the packed series product, and
-    times C it goes into the layer T_p with p = l - r - s.  The layers
-    combine by Horner's rule in delta: from T_l, apply delta and add T_p
-    for p = l - 1 down to 0.  The sums go to the store over the product of
-    the three denominators, which reduces them once; no ``Fraction`` is
-    built.
+    delta^r(F) and delta^s(G) is one slot of the packed series product.
+    Each output key is summed once, as sum C(r, s, p) * D^p times its slot
+    (r, s) with D = 4*n*m - r**2, by Horner's rule in D.  The sums go to the
+    store over the product of the three denominators, which reduces them
+    once; no ``Fraction`` is built.
     """
     _check_operands("bracket_siegel_direct", SiegelSeries, F, G)
+    _check_order(l)
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     trunc = min(F.trunc, G.trunc)
@@ -227,20 +223,18 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     slots = [[(r, s)] for r, s, _ in c_int]
     f_rows, g_rows = powers(F._restricted(trunc)), powers(G._restricted(trunc))
     sums = _packed_products(f_rows, g_rows, SiegelSeries._row_pairs, trunc, slots)
-    layers: list[dict[TripleKey, int]] = [{} for _ in range(l + 1)]
-    weights = [(layers[p], c) for (_, _, p), c in c_int.items()]
+    # Horner's rule in D: the slots' (index, C) grouped by p, from p = l down to 0
+    layers = [[(k, c) for k, ((_, _, p), c) in enumerate(c_int.items()) if p == q] for q in range(l, -1, -1)]
+    coeffs = {}
     for (n, m), spans in sums.items():
         for lo, columns in spans:
-            for (layer, c), digits in zip(weights, columns):
-                for r, total in enumerate(digits, lo):
-                    if total:
-                        layer[(n, r, m)] = layer.get((n, r, m), 0) + c * total
-    acc = layers[l]
-    for layer in reversed(layers[:l]):
-        acc = _delta(acc)
-        for key, total in layer.items():
-            acc[key] = acc.get(key, 0) + total
-    return F._joined(G, 2 * l, F._den * G._den * den_c, acc)
+            for r, digits in enumerate(zip(*columns), lo):
+                disc, total = 4 * n * m - r * r, 0
+                for layer in layers:
+                    total = total * disc + sum(c * digits[k] for k, c in layer)
+                if total:
+                    coeffs[(n, r, m)] = total
+    return F._joined(G, 2 * l, F._den * G._den * den_c, coeffs)
 
 
 def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSeries:
@@ -261,6 +255,7 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
     Agrees exactly with :func:`bracket_siegel_direct`.
     """
     _check_operands("bracket_siegel_via_jacobi", SiegelSeries, F, G)
+    _check_order(l)
     if l < 0:
         raise ValueError(f"bracket order must be non-negative, got {l}")
     # indices 0: at x = 0 the kernel's index lists are all 1 whatever the slices' indices

@@ -30,11 +30,14 @@ from row_shapes import sparse_rows, window
 Q = Fraction
 
 
+def weight_shifts(k1, k2, v):
+    """(alpha, beta, gamma) = (k1 - 3/2, k2 - 3/2, k1 + k2 - 3/2 + (v mod 2)) from the weights."""
+    return Q(k1) - Q(3, 2), Q(k2) - Q(3, 2), Q(k1) + Q(k2) - Q(3, 2) + (v % 2)
+
+
 def direct_C(r, s, p, k1, k2, v):
     """Independent evaluation of the displayed coefficient product."""
-    alpha = Q(k1) - Q(3, 2)
-    beta = Q(k2) - Q(3, 2)
-    gamma = Q(k1) + Q(k2) - Q(3, 2) + (v % 2)
+    alpha, beta, gamma = weight_shifts(k1, k2, v)
     t = r + s + p
     ff = lambda x, n: prod((x - i for i in range(n)), start=Q(1))
     return (
@@ -117,11 +120,12 @@ VANISHING_WEIGHTS = [(Q(1, 2), 6), (4, Q(-1, 2)), (Q(-5, 4), Q(-5, 4))]
 def fraction_weight_lists(params):
     """(A, B, G) as Fraction lists: A[e] = (alpha + t)_{t-e} / e! and likewise B, G."""
     t = params.half_order
+    alpha, beta, gamma = weight_shifts(params.k1, params.k2, params.v)
 
     def side(a):
         return [falling_factorial(a, t - e) / factorial(e) for e in range(t + 1)]
 
-    return side(params.alpha + t), side(params.beta + t), side(-(params.gamma + t))
+    return side(alpha + t), side(beta + t), side(-(gamma + t))
 
 
 def fraction_index_lists(params):
@@ -448,7 +452,7 @@ class TestRecursions:
         """check_recursions on ints against the relations evaluated in Fractions,
         on the true C family and with +1 at each (r, s, p) in turn."""
         params = BracketParams(k1, k2, 0, 0, 2 * l)
-        alpha, beta, gamma = params.alpha, params.beta, params.gamma
+        alpha, beta, gamma = weight_shifts(k1, k2, 0)
         triples = [(r, s, l - r - s) for r in range(l + 1) for s in range(l + 1 - r)]
         exact = {key: coeff_C(*key, params) for key in triples}
 
@@ -710,6 +714,36 @@ WRONG_KIND = [
     ids=["via_jacobi_jj", "via_jacobi_sj", "direct_sj", "jacobi_ss", "poly_js", "rank_ss", "crosscheck_sj"],
 )
 def test_operands_of_the_wrong_kind_are_rejected(theta4, siegel2, call, message):
+    with pytest.raises(TypeError) as info:
+        call(theta4, siegel2)
+    assert str(info.value) == message
+
+
+WRONG_ORDER = [
+    # (call on a Jacobi theta f and a degree-2 theta F, its TypeError message)
+    (lambda f, F: BracketParams(4, 6, 0, 0, 2.5), "bracket order must be an int, got float"),
+    (lambda f, F: BracketParams(4.0, 6, 0, 0, 2), "bracket weights must be int or Fraction, got float and int"),
+    (lambda f, F: bracket_jacobi(f, f, 0, True), "bracket order must be an int, got bool"),
+    (lambda f, F: bracket_jacobi(f, f, 0, Q(2)), "bracket order must be an int, got Fraction"),
+    (lambda f, F: bracket_jacobi_poly(f, f, True), "bracket order must be an int, got bool"),
+    (lambda f, F: bracket_rank_over_x(f, f, True), "bracket order must be an int, got bool"),
+    (lambda f, F: crosscheck_bracket(f, f, 0, True), "bracket order must be an int, got bool"),
+    (lambda f, F: bracket_siegel_direct(F, F, True), "bracket order must be an int, got bool"),
+    (lambda f, F: bracket_siegel_direct(F, F, Q(1)), "bracket order must be an int, got Fraction"),
+    (lambda f, F: bracket_siegel_via_jacobi(F, F, True), "bracket order must be an int, got bool"),
+    (lambda f, F: check_recursions(4, 6, True), "recursion order l must be an int, got bool"),
+    (lambda f, F: check_recursions(4, 6, Q(2)), "recursion order l must be an int, got Fraction"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    WRONG_ORDER,
+    ids=["params_float", "params_float_weight", "jacobi_bool", "jacobi_fraction", "poly_bool", "rank_bool",
+         "crosscheck_bool", "direct_bool", "direct_fraction", "via_jacobi_bool", "recursions_bool",
+         "recursions_fraction"],
+)
+def test_orders_of_the_wrong_type_are_rejected(theta4, siegel2, call, message):
     with pytest.raises(TypeError) as info:
         call(theta4, siegel2)
     assert str(info.value) == message

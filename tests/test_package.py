@@ -15,6 +15,7 @@ from pathlib import Path
 
 import rcforms
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcforms import (
     E8,
@@ -248,9 +249,13 @@ def test_independent_routes_do_not_use_the_bracket_kernel(monkeypatch):
     assert independent_routes() == expected
     # the jets rebuild C and D from falling_factorial themselves, not from
     # the kernel's factorisation
+    source = Path(jets.__file__).read_text()
     for helper in ("_weight_factors", "_index_factors"):
         assert not hasattr(jets, helper)
-        assert helper not in Path(jets.__file__).read_text()
+        assert helper not in source
+    # nor their weight shift: the jets write K - 3/2 + nu with their own 3/2
+    assert "THREE_HALVES = Fraction(3, 2)" in source and ".shifted(" not in source
+    assert not hasattr(brackets, "THREE_HALVES")
 
 
 def test_slice_route_does_not_use_the_direct_route(monkeypatch):
@@ -267,7 +272,6 @@ def test_slice_route_does_not_use_the_direct_route(monkeypatch):
         (brackets, "bracket_terms"),
         (brackets, "coeff_C"),
         (siegel, "bracket_terms"),
-        (siegel, "_delta"),
         (siegel, "delta_op"),
     ):
         monkeypatch.setattr(module, name, forbidden)
@@ -326,8 +330,6 @@ class TestRecords:
 
     @RECORDS
     def test_copy_and_pickle_round_trips(self, first, same, other):
-        if isinstance(first, brackets.BracketParams):
-            first.gamma  # a cached value travels with the instance
         for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
             assert type(twin) is type(first)
             assert twin == same
@@ -355,17 +357,21 @@ class TestRecords:
         with pytest.raises(ValueError, match="at least its component 0"):
             jets.FormalJet(4, 1, ())
 
-    def test_weight_shifts_computed_once_per_instance(self, monkeypatch):
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return Fraction(x)
-
-        monkeypatch.setattr(brackets, "as_rational", counted)
-        params = brackets.BracketParams(Fraction(9, 2), 7, 1, 1, 3)
-        values = [(params.alpha, params.beta, params.gamma) for _ in range(3)]
-        assert values == [(Fraction(3), Fraction(11, 2), Fraction(11))] * 3
-        assert len(calls) == 4  # alpha: k1; beta: k2; gamma: k1, k2
-        fresh = brackets.BracketParams(Fraction(9, 2), 7, 1, 1, 3)
-        assert fresh.alpha == Fraction(3) and len(calls) == 5
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=-20, max_value=40, max_denominator=9),
+        st.fractions(min_value=-20, max_value=40, max_denominator=9),
+    )
+    def test_shifted_weights(self, k1, k2):
+        """shifted(t) gives alpha + t, beta + t and -gamma - t as int pairs over a
+        positive int, and the record keeps no per-instance state."""
+        three_halves = Fraction(3, 2)
+        for v in (4, 5):
+            params = brackets.BracketParams(k1, k2, 1, 1, v)
+            alpha, beta = Fraction(k1) - three_halves, Fraction(k2) - three_halves
+            gamma = Fraction(k1) + Fraction(k2) - three_halves + v % 2
+            for t in range(7):
+                pairs = params.shifted(t)
+                assert all(type(y) is int and type(q) is int and q > 0 for y, q in pairs)
+                assert [Fraction(y, q) for y, q in pairs] == [alpha + t, beta + t, -gamma - t], (v, t)
+            assert not hasattr(params, "__dict__")

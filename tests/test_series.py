@@ -330,11 +330,6 @@ class TestFormChecks:
                         ]
                         assert _class_members((n, r), m, trunc) == brute, (n, r, m, trunc)
 
-    def test_zeta_window(self, theta4):
-        assert theta4.zeta_window(1) == (-2, 2)
-        assert theta4.zeta_window() == (-4, 4)
-        assert JacobiSeries.zero(4, 1, 2).zeta_window() is None
-
 
 class TestEllipticSeries:
     def test_embedding(self):
