@@ -90,7 +90,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import mul
 
-from .series import InvariantError, JacobiSeries, Key, _integer_form, _packed_products, as_rational
+from .series import InvariantError, JacobiSeries, Key, _integer_form, _packed_products, _text, as_rational
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
 
 
@@ -110,8 +110,8 @@ def falling_factorial(x: int | Fraction, n: int) -> Fraction:
     return Fraction(_falling_numerator(x.numerator, x.denominator, n), x.denominator**n)
 
 
-def _check_order(value, name: str = "bracket order") -> None:
-    """Raise ``TypeError`` unless the order ``value`` is an int; a ``bool`` is not one, as for series tags."""
+def _check_int(value, name: str) -> None:
+    """Raise ``TypeError`` unless ``value`` is an int; a ``bool`` is not one, as for series tags."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
@@ -119,21 +119,26 @@ def _check_order(value, name: str = "bracket order") -> None:
 class BracketParams(namedtuple("BracketParams", "k1 k2 m1 m2 v x")):
     """Weights, indices, bracket order and the rational x parameter.
 
-    Weights may be non-integer rationals so that the coefficient recursions
-    can be probed at generic values; the series-level bracket itself only
-    ever sees integer weights.  :meth:`shifted` is the one definition of
-    alpha, beta and gamma.
+    The one check of a bracket's scalars, each error naming its field: v,
+    m1 and m2 are non-negative ints, the weights and x ints or ``Fraction``s
+    (never ``bool``), and x is stored as a ``Fraction``.  Weights may be
+    non-integer rationals so that the coefficient recursions can be probed
+    at generic values.  :meth:`shifted` is the one definition of alpha, beta
+    and gamma.
     """
 
     __slots__ = ()
 
-    def __new__(cls, k1: int | Fraction, k2: int | Fraction, m1: int, m2: int, v: int, x: Fraction = Fraction(0)):
-        _check_order(v)
-        if v < 0:
-            raise ValueError(f"bracket order must be non-negative, got {v}")
-        if not (isinstance(k1, (int, Fraction)) and isinstance(k2, (int, Fraction))):
+    def __new__(cls, k1: int | Fraction, k2: int | Fraction, m1: int, m2: int, v: int, x: int | Fraction = Fraction(0)):
+        for name, value in (("bracket order", v), ("bracket index m1", m1), ("bracket index m2", m2)):
+            _check_int(value, name)
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {_text(value)}")
+        if not all(isinstance(k, (int, Fraction)) and not isinstance(k, bool) for k in (k1, k2)):
             raise TypeError(f"bracket weights must be int or Fraction, got {type(k1).__name__} and {type(k2).__name__}")
-        return super().__new__(cls, k1, k2, m1, m2, v, x)
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"bracket parameter x must be int or Fraction, got {type(x).__name__}")
+        return super().__new__(cls, k1, k2, m1, m2, v, as_rational(x))
 
     @property
     def half_order(self) -> int:
@@ -172,11 +177,11 @@ def coeff_C(r: int, s: int, p: int, params: BracketParams) -> Fraction:
 
 
 def coeff_D(r: int, s: int, i: int, j: int, params: BracketParams) -> Fraction:
-    """Index-dependent coefficient m1^j (-m2)^i (1 + m1 x)^s (1 - m2 x)^r."""
+    """Index-dependent coefficient m1^j (-m2)^i (1 + m1 x)^s (1 - m2 x)^r, a ``Fraction`` as x is."""
     if i + j > 1:
         raise ValueError(f"at most one elliptic derivative per argument, got i+j={i + j}")
     m1, m2, x = params.m1, params.m2, params.x
-    return as_rational(m1**j * (-m2) ** i * (1 + m1 * x) ** s * (1 - m2 * x) ** r)
+    return m1**j * (-m2) ** i * (1 + m1 * x) ** s * (1 - m2 * x) ** r
 
 
 def bracket_terms(params: BracketParams) -> list[BracketTerm]:
@@ -331,11 +336,11 @@ def bracket_jacobi(
     """Order-v bracket of f and g at parameter x.
 
     Output weight is f.weight + g.weight + v, index f.index + g.index,
-    truncation the minimum of the inputs.  v = 0 reduces to the plain
-    product and v = 1 does not depend on x.
+    truncation the minimum of the inputs (v and x checked by :class:`BracketParams`).
+    v = 0 reduces to the plain product and v = 1 does not depend on x.
     """
     _check_operands("bracket_jacobi", JacobiSeries, f, g)
-    params = BracketParams(f.weight, g.weight, f.index, g.index, v, as_rational(x))
+    params = BracketParams(f.weight, g.weight, f.index, g.index, v, x)
     return f._joined(g, v, *_bracket_sum(f, g, params))
 
 
@@ -422,13 +427,12 @@ def bracket_rank_over_x(f: JacobiSeries, g: JacobiSeries, v: int) -> int:
     of the same dimension.
     """
     _check_operands("bracket_rank_over_x", JacobiSeries, f, g)
-    _check_order(v)
-    vf = v // 2
-    brackets = [bracket_jacobi(f, g, x, v) for x in range(vf + 2)]
+    t = BracketParams(f.weight, g.weight, f.index, g.index, v).half_order
+    brackets = [bracket_jacobi(f, g, x, v) for x in range(t + 2)]
     keys = sorted(set().union(*(b._num for b in brackets)))
     rank = _exact_rank([[b._num.get(key, 0) for key in keys] for b in brackets])
-    if rank > vf + 1:
-        raise InvariantError(f"rank {rank} exceeds the degree bound {vf + 1}")
+    if rank > t + 1:
+        raise InvariantError(f"rank {rank} exceeds the degree bound {t + 1}")
     return rank
 
 
@@ -452,7 +456,7 @@ def check_recursions(k1, k2, l: int, c_fn=None) -> bool:
     b/q_b and -gamma = c/q_c (``params.shifted(0)``) the first relation is
     multiplied through by q_a*q_c and the second by q_b*q_c.
     """
-    _check_order(l, "recursion order l")
+    _check_int(l, "recursion order l")
     if l < 1:
         raise ValueError(f"recursion check needs l >= 1, got {l}")
     params = BracketParams(k1, k2, 0, 0, 2 * l)

@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import factorial, lcm
 
-from .brackets import _check_operands, _check_order, bracket_jacobi, falling_factorial
+from .brackets import BracketParams, _check_operands, bracket_jacobi, falling_factorial
 from .series import JacobiSeries, _key_text, _packed_products, _text, _value_text, as_rational, d_z, heat, heat_power
 
 # the jets' own weight shift K - 3/2 + nu, independent of the bracket kernel's
@@ -159,7 +159,8 @@ def crosscheck_bracket(
 ) -> Fraction | None:
     """Rebuild the order-v bracket through the jet pipeline and compare.
 
-    Both inputs are cut to the smaller truncation, as in bracket_jacobi.
+    Both inputs are cut to the smaller truncation, as in bracket_jacobi; v and
+    x are checked by :class:`rcforms.brackets.BracketParams`, which holds x as a ``Fraction``.
     Returns the nonzero rational scalar lam with zeta = lam * bracket when
     both constructions are nonzero, None when both vanish identically
     (indeterminate), and raises :class:`CrosscheckError` when the two series
@@ -170,11 +171,8 @@ def crosscheck_bracket(
     projection reproduces the bracket at the same parameter x.
     """
     _check_operands("crosscheck_bracket", JacobiSeries, f, g)
-    _check_order(v)
-    if v < 0:
-        raise ValueError(f"bracket order must be non-negative, got {v}")
-    x = as_rational(x)
-    nu = v // 2
+    params = BracketParams(f.weight, g.weight, f.index, g.index, v, x)
+    x, nu = params.x, params.half_order
     trunc = min(f.trunc, g.trunc)
     f, g = f.truncated(trunc), g.truncated(trunc)
     a = jet_scale_w(jet_of_form(f, nu), 1 - g.index * x)

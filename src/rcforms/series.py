@@ -251,8 +251,8 @@ class _SparseSeries:
     A series is a finite map key -> nonzero int numerator ``_num`` over one
     positive int denominator ``_den``, in canonical form (gcd(_den, *_num)
     = 1, so ``_den`` is the least common denominator of the values and the
-    zero series has ``_den`` = 1), an int truncation, and the int tags named
-    by ``_TAGS`` (constructor order, weight first, before ``trunc``).  The
+    zero series has ``_den`` = 1), an int truncation >= 0, and the int tags
+    named by ``_TAGS`` (constructor order, weight first, the rest >= 0).  The
     public constructor takes exact values; every derived series is built
     from integers through ``_store``, which validates and reduces once, and
     a ``Fraction`` is built only where a value leaves the store
@@ -262,12 +262,12 @@ class _SparseSeries:
     and ``first_difference`` compares two series.  Each kind supplies its key
     rule, ``_fits``, which tells whether a key lies inside a truncation, and
     ``_restricted`` is the one place that cuts an operand to a truncation; a
-    kind multiplied by ``_product`` also supplies ``_convolve``, which takes
-    two integer maps whose keys already fit the truncation, groups them into
-    rows (by n, or by (n, m)) and multiplies them through
+    kind multiplied by the store's ``*`` also supplies ``_convolve``, which
+    takes two integer maps whose keys already fit the truncation, groups
+    them into rows (by n, or by (n, m)) and multiplies them through
     ``_packed_products`` (one product per pair of packed runs) under the
     kind's ``_row_pairs`` rule.  The store owns the ring operations:
-    ``-``, ``+`` (same kind and tags), ``*`` (same kind by ``_product``,
+    ``-``, ``+`` (same kind and tags), ``*`` (same kind by ``_convolve``,
     an int or ``Fraction`` by ``_scaled``, anything else
     ``NotImplemented``) and ``truncated``.
     Instances are immutable after construction and safe to share; all
@@ -295,16 +295,17 @@ class _SparseSeries:
     def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[object, int]) -> None:
         """Set tags and truncation, then validate num / den and keep it in canonical form.
 
-        Every key must fit the truncation, zero values included; the values
-        must be ints (``gcd`` rejects anything else) and ``den`` positive.
-        Zeros are dropped and the common factor of den and the numerators
-        divided out.
+        Tags and truncation must be ints, and the truncation and every tag
+        after the weight non-negative.  Every key must fit the truncation,
+        zero values included; the values must be ints (``gcd`` rejects
+        anything else) and ``den`` positive.  Zeros are dropped and the
+        common factor of den and the numerators divided out.
         """
         for name, value in zip((*self._TAGS, "trunc"), (*tags, trunc)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if trunc < 0:
-            raise ValueError(f"truncation must be non-negative, got {_text(trunc)}")
+            if value < 0 and name != "weight":
+                raise ValueError(f"{'truncation' if name == 'trunc' else name} must be non-negative, got {_text(value)}")
         if not isinstance(den, int) or den < 1:
             raise InvariantError(f"denominator must be a positive int, got {den!r}")
         for name, value in zip(self._TAGS, tags):
@@ -393,7 +394,7 @@ class _SparseSeries:
         fields += [f"trunc={_text(self.trunc)}", f"terms={len(self._num)}"]
         return f"{type(self).__name__}({', '.join(fields)})"
 
-    # -- restrict, merge and scale -------------------------------------------
+    # -- restrict and scale --------------------------------------------------
 
     def _restricted(self, trunc: int) -> Mapping[object, int]:
         """The numerators whose keys fit ``trunc`` (over ``_den``); read only, as it may be ``_num`` itself."""
@@ -401,23 +402,6 @@ class _SparseSeries:
             return self._num
         fits = self._fits
         return {k: v for k, v in self._num.items() if fits(k, trunc)}
-
-    def _sum(self, other):
-        """self + other on the smaller truncation over the lcm of the denominators; tags must match."""
-        if type(other) is not type(self):
-            return NotImplemented
-        if self._tags() != other._tags():
-            tags = "/".join(self._TAGS)
-            raise ValueError(f"cannot add series of {tags} {_key_text(self._tags())} and {_key_text(other._tags())}")
-        trunc = min(self.trunc, other.trunc)
-        return self._like(trunc, *_merged((s._den, s._restricted(trunc)) for s in (self, other)))
-
-    def _product(self, other):
-        """self * other at the smaller truncation with tags added: the kind's ``_convolve``
-        runs on the numerators cut to it, over the product of the denominators."""
-        trunc = min(self.trunc, other.trunc)
-        products = self._convolve(self._restricted(trunc), other._restricted(trunc), trunc)
-        return self._joined(other, 0, self._den * other._den, products)
 
     def _scaled(self, c: int | Fraction):
         c = as_rational(c)
@@ -431,11 +415,21 @@ class _SparseSeries:
         return self._scaled(-1)
 
     def __add__(self, other):
-        return self._sum(other)
+        """self + other on the smaller truncation over the lcm of the denominators; tags must match."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._tags() != other._tags():
+            tags = "/".join(self._TAGS)
+            raise ValueError(f"cannot add series of {tags} {_key_text(self._tags())} and {_key_text(other._tags())}")
+        trunc = min(self.trunc, other.trunc)
+        return self._like(trunc, *_merged((s._den, s._restricted(trunc)) for s in (self, other)))
 
     def __mul__(self, other):
+        """Same kind: ``_convolve`` of the numerators cut to the smaller truncation, tags added."""
         if isinstance(other, type(self)):
-            return self._product(other)
+            trunc = min(self.trunc, other.trunc)
+            products = self._convolve(self._restricted(trunc), other._restricted(trunc), trunc)
+            return self._joined(other, 0, self._den * other._den, products)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -472,9 +466,6 @@ class JacobiSeries(_SparseSeries):
         coeffs: Mapping[Key, int | Fraction] | Iterable[tuple[Key, int | Fraction]] = (),
     ):
         self._store((weight, index), trunc, *_integer_form(coeffs))
-        # after the store's checks, which make the index an int
-        if index < 0:
-            raise ValueError(f"index must be non-negative, got {_text(index)}")
 
     @staticmethod
     def _fits(key: Key, trunc: int) -> bool:

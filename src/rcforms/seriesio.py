@@ -25,11 +25,11 @@ comments or empty lines re-exports byte-identically.
 
 from __future__ import annotations
 
+import os
 import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 from .series import JacobiSeries, _key_text, _text
 from .siegel import SiegelSeries
@@ -199,10 +199,12 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
     return cls(*header, coeffs)
 
 
-def write_series(path: str | Path, obj: JacobiSeries | SiegelSeries) -> None:
-    Path(path).write_bytes(export_series(obj).encode("utf-8"))
+def write_series(path: str | os.PathLike, obj: JacobiSeries | SiegelSeries) -> None:
+    with open(path, "wb") as out:
+        out.write(export_series(obj).encode("utf-8"))
 
 
-def read_series(path: str | Path) -> JacobiSeries | SiegelSeries:
-    # read_text would translate CRLF to LF; the format accepts LF only
-    return import_series(Path(path).read_bytes().decode("utf-8"))
+def read_series(path: str | os.PathLike) -> JacobiSeries | SiegelSeries:
+    # a text-mode read would translate CRLF to LF; the format accepts LF only
+    with open(path, "rb") as source:
+        return import_series(source.read().decode("utf-8"))

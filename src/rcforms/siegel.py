@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from .brackets import BracketParams, _bracket_sum, _check_operands, _check_order, bracket_terms
+from .brackets import BracketParams, _bracket_sum, _check_operands, bracket_terms
 # not called here any more; perfbench's tracer rebinds bracket_jacobi in this module by name
 from .brackets import bracket_jacobi  # noqa: F401
 from .series import (
@@ -184,11 +184,23 @@ def delta_op(F: SiegelSeries) -> SiegelSeries:
     return F._like(F.trunc, F._den, num, 2)
 
 
+def _even_order_params(name: str, F: SiegelSeries, G: SiegelSeries, l: int) -> BracketParams:
+    """The order-2l record of the degree-2 bracket ``name`` of F and G, the set-up of both routes.
+
+    The record checks l as any order, so an error names l, not 2l.  Indices
+    0: the direct route reads only C(r, s, p), and at x = 0 the slice
+    route's index lists are all 1 whatever the slices' indices.
+    """
+    _check_operands(name, SiegelSeries, F, G)
+    return BracketParams(F.weight, G.weight, 0, 0, l)._replace(v=2 * l)
+
+
 def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSeries:
     """Order-l bracket sum C(r, s, p) delta^p(delta^r(F) * delta^s(G)).
 
     Uses the even-order coefficient family of :mod:`rcforms.brackets` with
-    v = 2*l; output weight is F.weight + G.weight + 2*l.  For l > 0 every
+    v = 2*l, set up as for the slice route (``_even_order_params`` checks F,
+    G and l); output weight is F.weight + G.weight + 2*l.  For l > 0 every
     slice of the output is supported in the open cone r**2 < 4*n*m, so the
     m = 0 and n = 0 slices vanish identically.
 
@@ -202,12 +214,8 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     store over the product of the three denominators, which reduces them
     once; no ``Fraction`` is built.
     """
-    _check_operands("bracket_siegel_direct", SiegelSeries, F, G)
-    _check_order(l)
-    if l < 0:
-        raise ValueError(f"bracket order must be non-negative, got {l}")
+    params = _even_order_params("bracket_siegel_direct", F, G, l)
     trunc = min(F.trunc, G.trunc)
-    params = BracketParams(F.weight, G.weight, 0, 0, 2 * l)
     den_c, c_int = _integer_form({(t.r, t.s, t.p): t.c_value for t in bracket_terms(params) if t.c_value})
 
     def powers(coeffs):
@@ -252,14 +260,9 @@ def bracket_siegel_via_jacobi(F: SiegelSeries, G: SiegelSeries, l: int) -> Siege
     Horner rule in D (:func:`rcforms.brackets._bracket_sum`).  Its cost
     follows the stored coefficients, not the truncation, and it never
     touches the C(r, s, p) family or the delta rule of the direct route.
-    Agrees exactly with :func:`bracket_siegel_direct`.
+    Agrees exactly with :func:`bracket_siegel_direct`, whose set-up it shares.
     """
-    _check_operands("bracket_siegel_via_jacobi", SiegelSeries, F, G)
-    _check_order(l)
-    if l < 0:
-        raise ValueError(f"bracket order must be non-negative, got {l}")
-    # indices 0: at x = 0 the kernel's index lists are all 1 whatever the slices' indices
-    params = BracketParams(F.weight, G.weight, 0, 0, 2 * l)
+    params = _even_order_params("bracket_siegel_via_jacobi", F, G, l)
     return F._joined(G, 2 * l, *_bracket_sum(F, G, params))
 
 

@@ -723,6 +723,7 @@ WRONG_ORDER = [
     # (call on a Jacobi theta f and a degree-2 theta F, its TypeError message)
     (lambda f, F: BracketParams(4, 6, 0, 0, 2.5), "bracket order must be an int, got float"),
     (lambda f, F: BracketParams(4.0, 6, 0, 0, 2), "bracket weights must be int or Fraction, got float and int"),
+    (lambda f, F: BracketParams(4, True, 0, 0, 2), "bracket weights must be int or Fraction, got int and bool"),
     (lambda f, F: bracket_jacobi(f, f, 0, True), "bracket order must be an int, got bool"),
     (lambda f, F: bracket_jacobi(f, f, 0, Q(2)), "bracket order must be an int, got Fraction"),
     (lambda f, F: bracket_jacobi_poly(f, f, True), "bracket order must be an int, got bool"),
@@ -739,11 +740,51 @@ WRONG_ORDER = [
 @pytest.mark.parametrize(
     "call, message",
     WRONG_ORDER,
-    ids=["params_float", "params_float_weight", "jacobi_bool", "jacobi_fraction", "poly_bool", "rank_bool",
+    ids=["params_float", "params_float_weight", "params_bool_weight", "jacobi_bool", "jacobi_fraction", "poly_bool", "rank_bool",
          "crosscheck_bool", "direct_bool", "direct_fraction", "via_jacobi_bool", "recursions_bool",
          "recursions_fraction"],
 )
 def test_orders_of_the_wrong_type_are_rejected(theta4, siegel2, call, message):
     with pytest.raises(TypeError) as info:
         call(theta4, siegel2)
+    assert str(info.value) == message
+
+
+WRONG_SCALAR = [
+    # (call on a Jacobi theta f, its exception type and message): BracketParams
+    # checks the indices and x once, for every bracket entry
+    (lambda f: BracketParams(4, 6, True, 2, 2), TypeError, "bracket index m1 must be an int, got bool"),
+    (lambda f: BracketParams(4, 6, 1, 2.0, 2), TypeError, "bracket index m2 must be an int, got float"),
+    (lambda f: BracketParams(4, 6, -1, 2, 2), ValueError, "bracket index m1 must be non-negative, got -1"),
+    (lambda f: BracketParams(4, 6, True, 2.0, 2), TypeError, "bracket index m1 must be an int, got bool"),
+    (lambda f: BracketParams(4, 6, 1, 2, 2, 0.5), TypeError, "bracket parameter x must be int or Fraction, got float"),
+    (lambda f: coeff_D(0, 1, 0, 0, BracketParams(4, 6, 1, True, 2)), TypeError,
+     "bracket index m2 must be an int, got bool"),
+    (lambda f: bracket_terms(BracketParams(4, 6, 2.0, 1, 2)), TypeError, "bracket index m1 must be an int, got float"),
+    (lambda f: bracket_terms(BracketParams(4, 6, 1, -1, 2)), ValueError,
+     "bracket index m2 must be non-negative, got -1"),
+    (lambda f: bracket_terms(BracketParams(4, 6, 1, 2, 2, True)), TypeError,
+     "bracket parameter x must be int or Fraction, got bool"),
+    (lambda f: coeff_D(1, 0, 0, 0, BracketParams(4, 6, 1, 2, 2, "1/2")), TypeError,
+     "bracket parameter x must be int or Fraction, got str"),
+    (lambda f: bracket_jacobi(f, f, 0.5, 2), TypeError, "bracket parameter x must be int or Fraction, got float"),
+    (lambda f: bracket_jacobi(f, f, True, 2), TypeError, "bracket parameter x must be int or Fraction, got bool"),
+    (lambda f: bracket_jacobi(f, f, "1/2", 2), TypeError, "bracket parameter x must be int or Fraction, got str"),
+    (lambda f: crosscheck_bracket(f, f, 0.5, 2), TypeError, "bracket parameter x must be int or Fraction, got float"),
+    (lambda f: crosscheck_bracket(f, f, True, 2), TypeError, "bracket parameter x must be int or Fraction, got bool"),
+    (lambda f: crosscheck_bracket(f, f, "1/2", 3), TypeError, "bracket parameter x must be int or Fraction, got str"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    WRONG_SCALAR,
+    ids=["params_m1_bool", "params_m2_float", "params_m1_negative", "params_m1_bool_m2_float", "params_x_float",
+         "coeff_D_m2_bool", "terms_m1_float", "terms_m2_negative", "terms_x_bool", "coeff_D_x_str",
+         "jacobi_x_float", "jacobi_x_bool", "jacobi_x_str", "crosscheck_x_float", "crosscheck_x_bool",
+         "crosscheck_x_str"],
+)
+def test_indices_and_x_of_the_wrong_type_are_rejected(theta4, call, error, message):
+    with pytest.raises(error) as info:
+        call(theta4)
     assert str(info.value) == message

@@ -50,10 +50,12 @@ def test_import_does_not_load_numpy():
 
 
 def test_cli_import_loads_only_the_stdlib_it_runs():
-    """The records are namedtuples and annotations name collections.abc, so the
-    dataclasses -> inspect chain and typing stay unloaded; -S keeps the host's
-    site hooks from loading them first and hiding a regression."""
-    result = run_python("-S", "-c", "import rcforms.cli, sys; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    """The records are namedtuples, annotations name collections.abc and files
+    are opened with open(), so the dataclasses -> inspect chain, typing and
+    pathlib stay unloaded; -S keeps the host's site hooks from loading them
+    first and hiding a regression."""
+    modules = "{'dataclasses', 'inspect', 'pathlib', 'typing'}"
+    result = run_python("-S", "-c", f"import rcforms.cli, sys; print(sorted({modules} & set(sys.modules)))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
 

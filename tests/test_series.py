@@ -93,6 +93,8 @@ class TestConstruction:
             f._like(2, f._den, {(1, 0): 0.5})
         with pytest.raises(TypeError, match="weight must be an int"):
             JacobiSeries._from_integers((4.0, 1), 2, 1, {})
+        with pytest.raises(ValueError, match="^index must be non-negative, got -1$"):
+            JacobiSeries._from_integers((4, -1), 2, 1, {})
         with pytest.raises(InvariantError, match="denominator"):
             f._like(2, 0, {(1, 0): 1})
 
