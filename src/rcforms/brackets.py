@@ -90,7 +90,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import mul
 
-from .series import InvariantError, JacobiSeries, Key, _integer_form, _packed_products, _text, as_rational
+from .series import InvariantError, JacobiSeries, Key, _check_int, _integer_form, _packed_products, as_rational
 from .series import d_z, heat_power  # noqa: F401  (re-exported)
 
 
@@ -104,24 +104,18 @@ def _falling_numerator(p: int, q: int, n: int) -> int:
 
 def falling_factorial(x: int | Fraction, n: int) -> Fraction:
     """Falling Pochhammer (x)_n = prod_{0 <= i < n} (x - i); 1 for n = 0."""
-    if n < 0:
-        raise ValueError(f"falling factorial needs n >= 0, got {n}")
-    x = as_rational(x)
+    _check_int(n, "falling factorial length n")
+    x = as_rational(x, "falling factorial argument x")
     return Fraction(_falling_numerator(x.numerator, x.denominator, n), x.denominator**n)
-
-
-def _check_int(value, name: str) -> None:
-    """Raise ``TypeError`` unless ``value`` is an int; a ``bool`` is not one, as for series tags."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 class BracketParams(namedtuple("BracketParams", "k1 k2 m1 m2 v x")):
     """Weights, indices, bracket order and the rational x parameter.
 
     The one check of a bracket's scalars, each error naming its field: v,
-    m1 and m2 are non-negative ints, the weights and x ints or ``Fraction``s
-    (never ``bool``), and x is stored as a ``Fraction``.  Weights may be
+    m1 and m2 by :func:`rcforms.series._check_int` (non-negative ints), the
+    weights and x by :func:`rcforms.series.as_rational` (ints or
+    ``Fraction``s), and x is stored as a ``Fraction``.  Weights may be
     non-integer rationals so that the coefficient recursions can be probed
     at generic values.  :meth:`shifted` is the one definition of alpha, beta
     and gamma.
@@ -130,15 +124,12 @@ class BracketParams(namedtuple("BracketParams", "k1 k2 m1 m2 v x")):
     __slots__ = ()
 
     def __new__(cls, k1: int | Fraction, k2: int | Fraction, m1: int, m2: int, v: int, x: int | Fraction = Fraction(0)):
-        for name, value in (("bracket order", v), ("bracket index m1", m1), ("bracket index m2", m2)):
-            _check_int(value, name)
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {_text(value)}")
-        if not all(isinstance(k, (int, Fraction)) and not isinstance(k, bool) for k in (k1, k2)):
-            raise TypeError(f"bracket weights must be int or Fraction, got {type(k1).__name__} and {type(k2).__name__}")
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise TypeError(f"bracket parameter x must be int or Fraction, got {type(x).__name__}")
-        return super().__new__(cls, k1, k2, m1, m2, v, as_rational(x))
+        _check_int(v, "bracket order")
+        _check_int(m1, "bracket index m1")
+        _check_int(m2, "bracket index m2")
+        as_rational(k1, "bracket weight k1")
+        as_rational(k2, "bracket weight k2")
+        return super().__new__(cls, k1, k2, m1, m2, v, as_rational(x, "bracket parameter x"))
 
     @property
     def half_order(self) -> int:
@@ -456,9 +447,7 @@ def check_recursions(k1, k2, l: int, c_fn=None) -> bool:
     b/q_b and -gamma = c/q_c (``params.shifted(0)``) the first relation is
     multiplied through by q_a*q_c and the second by q_b*q_c.
     """
-    _check_int(l, "recursion order l")
-    if l < 1:
-        raise ValueError(f"recursion check needs l >= 1, got {l}")
+    _check_int(l, "recursion order l", 1)
     params = BracketParams(k1, k2, 0, 0, 2 * l)
     if c_fn is None:
         c_fn = lambda r, s, p: coeff_C(r, s, p, params)

@@ -31,7 +31,7 @@ def _read_pair(args, kind: str) -> tuple:
     """The --left and --right series, each required to be of ``kind``."""
     pair = read_series(args.left), read_series(args.right)
     for path, obj in zip((args.left, args.right), pair):
-        if not isinstance(obj, KINDS[kind][0]):
+        if not isinstance(obj, KINDS[kind]):
             raise ValueError(f"{path} does not contain a {kind} series")
     return pair
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .brackets import BracketParams, _check_operands, bracket_jacobi, falling_factorial
-from .series import JacobiSeries, _key_text, _packed_products, _text, _value_text, as_rational, d_z, heat, heat_power
+from .series import JacobiSeries, _check_int, _key_text, _packed_products, _text, _value_text, as_rational
+from .series import d_z, heat, heat_power
 
 # the jets' own weight shift K - 3/2 + nu, independent of the bracket kernel's
 THREE_HALVES = Fraction(3, 2)
@@ -68,8 +69,7 @@ def jet_of_form(f: JacobiSeries, nu_max: int) -> FormalJet:
     constants are irrelevant because the oracle only asserts
     proportionality.
     """
-    if nu_max < 0:
-        raise ValueError(f"jet order must be non-negative, got {nu_max}")
+    _check_int(nu_max, "jet order")
     chis = []
     current = f
     denominator = Fraction(1)
@@ -83,7 +83,7 @@ def jet_of_form(f: JacobiSeries, nu_max: int) -> FormalJet:
 
 def jet_scale_w(jet: FormalJet, scale: int | Fraction) -> FormalJet:
     """Substitute w -> scale * w: component nu picks up scale**nu."""
-    scale = as_rational(scale)
+    scale = as_rational(scale, "jet scale")
     chis = tuple(chi * scale**nu for nu, chi in enumerate(jet.chis))
     return FormalJet(jet.base_weight, jet.index, chis)
 
@@ -143,9 +143,10 @@ def jet_odd_combine(a: FormalJet, b: FormalJet) -> FormalJet:
 
 def zeta_nu(jet: FormalJet, nu: int) -> JacobiSeries:
     """Weight K + 2*nu projection sum_j (-(K-3/2+nu))_{nu-j} / j! * heat^j(chi_{nu-j})."""
-    if not 0 <= nu <= jet.nu_max:
+    _check_int(nu, "projection order nu")
+    if nu > jet.nu_max:
         raise ValueError(f"jet carries components 0..{jet.nu_max}, asked for {nu}")
-    base = as_rational(jet.base_weight) - THREE_HALVES + nu
+    base = as_rational(jet.base_weight, "jet base weight") - THREE_HALVES + nu
     out = None
     for j in range(nu + 1):
         coefficient = falling_factorial(-base, nu - j) / factorial(j)

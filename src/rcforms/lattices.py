@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, prod
 
-from .series import EllipticSeries, InvariantError, JacobiSeries, _key_text, _text, as_rational
+from .series import EllipticSeries, InvariantError, JacobiSeries, _check_int, _key_text, _text, as_rational
 from .siegel import SiegelSeries
 
 DoubledVector = tuple[int, ...]
@@ -47,7 +47,7 @@ E8_INDEX1_VECTOR: tuple[int, ...] = (1, -1, 0, 0, 0, 0, 0, 0)
 
 def _double(vector: Sequence[int | Fraction]) -> DoubledVector | None:
     """Twice the exact coordinates, or None off the half-integers; floats raise TypeError."""
-    doubled = [2 * as_rational(x) for x in vector]
+    doubled = [2 * as_rational(x, "vector coordinate") for x in vector]
     return None if any(y.denominator != 1 for y in doubled) else tuple(map(int, doubled))
 
 
@@ -158,13 +158,10 @@ class _E8(Lattice):
         return len(parities) == 1
 
     def doubled_vectors(self, max_half_norm: int) -> list[DoubledVector]:
-        if max_half_norm < 0:
-            raise ValueError("half-norm bound must be non-negative")
+        _check_int(max_half_norm, "half-norm bound")
         budget = 8 * max_half_norm
         out: list[DoubledVector] = []
-        for parity in (0, 1):
-            if parity == 1 and budget < 8:
-                continue
+        for parity in (0, 1):  # an odd vector has doubled norm >= 8
             _extend_e8(out, [], 0, budget, parity)
         out.sort()
         return out
@@ -290,29 +287,27 @@ def jacobi_theta(
 
     Weight rank/2, index v.v/2.  The fixed vector must lie in the lattice.
     """
-    if trunc < 0:
-        raise ValueError(f"truncation must be non-negative, got {_text(trunc)}")
+    _check_int(trunc, "truncation")
     doubled_v = _double(vector)
     if doubled_v is None or not lattice.contains_doubled(doubled_v):
         raise ValueError(f"vector {_key_text(vector)} is not in lattice {lattice.name}")
     index8 = sum(a * a for a in doubled_v)
     if index8 % 8:
         raise InvariantError(f"lattice vector {_key_text(vector)} has odd norm")
-    return JacobiSeries(lattice.rank // 2, index8 // 8, trunc, lattice.theta_counts(doubled_v, trunc))
+    counts = lattice.theta_counts(doubled_v, trunc)
+    return JacobiSeries._from_integers((lattice.rank // 2, index8 // 8), trunc, 1, counts)
 
 
 def siegel_theta(lattice: Lattice, trunc: int) -> SiegelSeries:
     """Degree-2 theta a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}."""
-    if trunc < 0:
-        raise ValueError(f"truncation must be non-negative, got {_text(trunc)}")
-    return SiegelSeries(lattice.rank // 2, trunc, lattice.siegel_counts(trunc))
+    _check_int(trunc, "truncation")
+    return SiegelSeries._from_integers((lattice.rank // 2,), trunc, 1, lattice.siegel_counts(trunc))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # untyped, True and 1.0 would hit the entry of 1 unchecked
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n from the defining recurrence."""
-    if n < 0:
-        raise ValueError("Bernoulli numbers need n >= 0")
+    _check_int(n, "Bernoulli index n")
     if n == 0:
         return Fraction(1)
     return Fraction(-sum(comb(n + 1, j) * bernoulli(j) for j in range(n)), n + 1)
@@ -324,8 +319,10 @@ def divisor_power_sum(n: int, k: int) -> int:
 
 def eisenstein_q(weight: int, trunc: int) -> EllipticSeries:
     """Normalised Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
-    if weight < 4 or weight % 2:
-        raise ValueError(f"Eisenstein weight must be even and >= 4, got {weight}")
+    _check_int(weight, "Eisenstein weight", 4)
+    _check_int(trunc, "truncation")
+    if weight % 2:
+        raise ValueError(f"Eisenstein weight must be even, got {_text(weight)}")
     factor = Fraction(-2 * weight) / bernoulli(weight)
     coeffs: dict[int, Fraction] = {0: Fraction(1)}
     for n in range(1, trunc + 1):
@@ -353,8 +350,7 @@ def standard_index_vector(lattice: Lattice, index: int) -> tuple[Fraction, ...]:
     For E8 at index 1 this is the pinned vector (1, -1, 0, ..., 0); in every
     other case the lexicographically smallest vector of the right norm.
     """
-    if index < 1:
-        raise ValueError("index must be >= 1")
+    _check_int(index, "index", 1)
     if lattice is E8 and index == 1:
         return tuple(Fraction(c) for c in E8_INDEX1_VECTOR)
     return tuple(Fraction(a, 2) for a in lattice.least_vector(index))

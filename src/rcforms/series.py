@@ -8,8 +8,11 @@ common denominator of the values, and the zero series has d = 1), so two
 series are equal exactly when their maps and denominators are.  Every
 operation runs on the integers; a ``Fraction`` is built only where a value
 leaves the store (indexing and ``items``).  A series of truncation N
-promises that every q^n coefficient with 0 <= n <= N is complete.  All
-scalars are exact rationals; floats are rejected everywhere.
+promises that every q^n coefficient with 0 <= n <= N is complete.  Two
+argument rules, written once here, guard the package, and each error names
+its argument: tags, truncations, orders and indices are ints, never
+``bool``, at or above a bound (``_check_int``), and values, weights and
+scalars are ints or ``Fraction``s, never ``bool`` or float (``as_rational``).
 
 The differential operators are normalised so that coefficients stay
 rational: ``theta_q`` is d/dtau divided by 2*pi*i (multiplier n), ``d_z``
@@ -27,9 +30,11 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 Key = tuple[int, int]
+Coefficients = Mapping[object, int | Fraction] | Iterable[tuple[object, int | Fraction]]
 
 DiscClassWitness = tuple[Key, Fraction, Key, Fraction]
 
@@ -41,13 +46,22 @@ class InvariantError(ArithmeticError):
     """
 
 
-def as_rational(x: int | Fraction) -> Fraction:
-    """Coerce an exact scalar; anything float-like is rejected."""
+def _check_int(value, name: str, low: int | None = 0) -> None:
+    """The one integer rule: an int but not a ``bool`` (``TypeError``), >= ``low`` unless None (``ValueError``)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if low is not None and value < low:
+        bound = "non-negative" if low == 0 else f">= {_text(low)}"
+        raise ValueError(f"{name} must be {bound}, got {_text(value)}")
+
+
+def as_rational(x: int | Fraction, name: str) -> Fraction:
+    """The one exact-scalar rule: an int (never a ``bool``) or a ``Fraction``, returned as a ``Fraction``."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise TypeError(f"exact scalar expected (int or Fraction), got {type(x).__name__}")
+    raise TypeError(f"{name} must be int or Fraction, got {type(x).__name__}")
 
 
 _ZERO = Fraction(0)
@@ -80,14 +94,21 @@ def _integer_form(coeffs) -> tuple[int, dict]:
     The one denominator-clearing rule, for the constructors' input, the
     C(r, s, p) families (the recursion check, the direct degree-2 bracket)
     and the rank rows.  Unless every value is an int or a ``Fraction``, all
-    go through :func:`as_rational` (floats raise ``TypeError``); zero
-    values stay, so that ``_store`` checks their keys too.
+    go through :func:`as_rational`, named by their keys; zero values stay,
+    so that ``_store`` checks their keys too.
     """
     values = dict(coeffs)
     if not {type(value) for value in values.values()} <= {int, Fraction}:
-        values = {key: as_rational(value) for key, value in values.items()}
+        values = {key: as_rational(value, f"coefficient {_key_text(key)}") for key, value in values.items()}
     den = lcm(*{v.denominator for v in values.values()})
     return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+
+def _bad_keys(keys: Iterable, width: int) -> bool:
+    """False iff every key is a tuple of ``width`` ints, or an int at width 0 (never a ``bool``): C-level scans."""
+    if width and not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {width}):
+        return True
+    return not set(map(type, chain.from_iterable(keys) if width else keys)) <= {int}
 
 
 def _merged(parts: Iterable[tuple[int, Mapping[object, int]]]) -> tuple[int, dict]:
@@ -249,41 +270,45 @@ class _SparseSeries:
     """Exact coefficient store shared by every series kind.
 
     A series is a finite map key -> nonzero int numerator ``_num`` over one
-    positive int denominator ``_den``, in canonical form (gcd(_den, *_num)
-    = 1, so ``_den`` is the least common denominator of the values and the
-    zero series has ``_den`` = 1), an int truncation >= 0, and the int tags
-    named by ``_TAGS`` (constructor order, weight first, the rest >= 0).  The
-    public constructor takes exact values; every derived series is built
-    from integers through ``_store``, which validates and reduces once, and
-    a ``Fraction`` is built only where a value leaves the store
-    (``__getitem__``, ``items``).  The store builds every derived series:
+    positive int denominator ``_den``, in canonical form (gcd(_den, *_num) = 1,
+    so ``_den`` is the least common denominator of the values and the zero
+    series has ``_den`` = 1), an int truncation >= 0, and the int tags named by
+    ``_TAGS`` (constructor order, weight first, the rest >= 0).  The public
+    constructors take exact values and keys of ints (``_store_values``); every
+    derived series is built from integers through ``_store``, which validates
+    and reduces once, and a ``Fraction`` is built only where a value leaves the
+    store (``__getitem__``, ``items``).  The store builds every derived series:
     ``_like`` steps the weight (the operators), ``_joined`` adds two series'
     tags plus a bilinear order on the smaller truncation (products, brackets)
     and ``first_difference`` compares two series.  Each kind supplies its key
     rule, ``_fits``, which tells whether a key lies inside a truncation, and
     ``_restricted`` is the one place that cuts an operand to a truncation; a
     kind multiplied by the store's ``*`` also supplies ``_convolve``, which
-    takes two integer maps whose keys already fit the truncation, groups
-    them into rows (by n, or by (n, m)) and multiplies them through
-    ``_packed_products`` (one product per pair of packed runs) under the
-    kind's ``_row_pairs`` rule.  The store owns the ring operations:
-    ``-``, ``+`` (same kind and tags), ``*`` (same kind by ``_convolve``,
-    an int or ``Fraction`` by ``_scaled``, anything else
-    ``NotImplemented``) and ``truncated``.
+    takes two integer maps whose keys already fit the truncation, groups them
+    into rows (by n, or by (n, m)) and multiplies them through
+    ``_packed_products`` (one product per pair of packed runs) under the kind's
+    ``_row_pairs`` rule.  The store owns the ring operations: ``-``, ``+``
+    (same kind and tags), ``*`` (same kind by ``_convolve``, an int or
+    ``Fraction`` by ``_scaled``, anything else ``NotImplemented``) and
+    ``truncated``.
     Instances are immutable after construction and safe to share; all
     operations return new series.
     """
 
     __slots__ = ("weight", "trunc", "_den", "_num")
     _TAGS: tuple[str, ...] = ("weight",)
+    _KEY_WIDTH = 0  # a key is a bare int
 
-    def __init__(
-        self,
-        weight: int,
-        trunc: int,
-        coeffs: Mapping[object, int | Fraction] | Iterable[tuple[object, int | Fraction]] = (),
-    ):
-        self._store((weight,), trunc, *_integer_form(coeffs))
+    def __init__(self, weight: int, trunc: int, coeffs: Coefficients = ()):
+        self._store_values((weight,), trunc, coeffs)
+
+    def _store_values(self, tags: tuple, trunc: int, coeffs: Coefficients) -> None:
+        """The public constructors' ``_store``, which alone checks the keys: derived keys are ints by construction."""
+        values, width = dict(coeffs), self._KEY_WIDTH
+        if _bad_keys(values, width):
+            key = next(key for key in values if _bad_keys((key,), width))
+            raise TypeError(f"coefficient key {key!r} must be {f'a tuple of {width} ints' if width else 'an int'}")
+        self._store(tags, trunc, *_integer_form(values))
 
     @classmethod
     def _from_integers(cls, tags: tuple, trunc: int, den: int, num: Mapping[object, int]):
@@ -296,16 +321,13 @@ class _SparseSeries:
         """Set tags and truncation, then validate num / den and keep it in canonical form.
 
         Tags and truncation must be ints, and the truncation and every tag
-        after the weight non-negative.  Every key must fit the truncation,
-        zero values included; the values must be ints (``gcd`` rejects
-        anything else) and ``den`` positive.  Zeros are dropped and the
-        common factor of den and the numerators divided out.
+        after the weight non-negative (:func:`_check_int`).  Every key must
+        fit the truncation, zero values included; the values must be ints
+        (``gcd`` rejects anything else) and ``den`` positive.  Zeros are
+        dropped and the common factor of den and the numerators divided out.
         """
-        for name, value in zip((*self._TAGS, "trunc"), (*tags, trunc)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-            if value < 0 and name != "weight":
-                raise ValueError(f"{'truncation' if name == 'trunc' else name} must be non-negative, got {_text(value)}")
+        for name, value in zip((*self._TAGS, "truncation"), (*tags, trunc)):
+            _check_int(value, name, None if name == "weight" else 0)
         if not isinstance(den, int) or den < 1:
             raise InvariantError(f"denominator must be a positive int, got {den!r}")
         for name, value in zip(self._TAGS, tags):
@@ -404,7 +426,7 @@ class _SparseSeries:
         return {k: v for k, v in self._num.items() if fits(k, trunc)}
 
     def _scaled(self, c: int | Fraction):
-        c = as_rational(c)
+        c = as_rational(c, "scalar factor")
         p = c.numerator
         return self._like(self.trunc, self._den * c.denominator, {k: p * v for k, v in self._num.items()})
 
@@ -457,15 +479,10 @@ class JacobiSeries(_SparseSeries):
 
     __slots__ = ("index",)
     _TAGS = ("weight", "index")
+    _KEY_WIDTH = 2
 
-    def __init__(
-        self,
-        weight: int,
-        index: int,
-        trunc: int,
-        coeffs: Mapping[Key, int | Fraction] | Iterable[tuple[Key, int | Fraction]] = (),
-    ):
-        self._store((weight, index), trunc, *_integer_form(coeffs))
+    def __init__(self, weight: int, index: int, trunc: int, coeffs: Coefficients = ()):
+        self._store_values((weight, index), trunc, coeffs)
 
     @staticmethod
     def _fits(key: Key, trunc: int) -> bool:
@@ -562,9 +579,7 @@ class EllipticSeries(_SparseSeries):
             return self._joined(other, 0, product._den, {n: v for (n, _), v in product._num.items()})
         if isinstance(other, JacobiSeries):
             return self.as_jacobi() * other
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
-        return NotImplemented
+        return _SparseSeries.__mul__(self, other)  # a scalar, or NotImplemented
 
 
 # -- scaled differential operators -------------------------------------------
@@ -592,8 +607,7 @@ def heat(f: JacobiSeries) -> JacobiSeries:
 
 
 def heat_power(f: JacobiSeries, p: int) -> JacobiSeries:
-    if p < 0:
-        raise ValueError(f"heat power must be non-negative, got {p}")
+    _check_int(p, "heat power")
     for _ in range(p):
         f = heat(f)
     return f
@@ -653,8 +667,7 @@ def check_disc_class_invariance(f: JacobiSeries) -> tuple[bool, DiscClassWitness
     or (False, witness) with witness = ((n1, r1), c1, (n2, r2), c2).
     """
     m = f.index
-    if m < 1:
-        raise ValueError("disc-class invariance needs index >= 1")
+    _check_int(m, "disc-class invariance index", 1)
     num = f._num
     seen: set[Key] = set()
     for key in sorted(num):

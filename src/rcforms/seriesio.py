@@ -89,15 +89,12 @@ def parse_fraction_arg(text: str) -> Fraction:
     return Fraction(_int(num), den)
 
 
-# kind -> (class, key width); the header tags are the class's _TAGS, then trunc
-KINDS = {
-    "jacobi": (JacobiSeries, 2),
-    "siegel": (SiegelSeries, 3),
-}
+# kind -> class; the header tags are the class's _TAGS, then trunc, and a key has _KEY_WIDTH ints
+KINDS = {"jacobi": JacobiSeries, "siegel": SiegelSeries}
 
 
 def export_series(obj: JacobiSeries | SiegelSeries) -> str:
-    kind = next((name for name, (cls, _) in KINDS.items() if isinstance(obj, cls)), None)
+    kind = next((name for name, cls in KINDS.items() if isinstance(obj, cls)), None)
     if kind is None:
         raise TypeError(f"cannot export {type(obj).__name__}")
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"kind {kind}"]
@@ -162,7 +159,7 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
     line, tokens = reader.take("kind", 2)
     if tokens[1] not in KINDS:
         raise ParseError(line, f"unknown kind {tokens[1]!r}")
-    cls, key_width = KINDS[tokens[1]]
+    cls = KINDS[tokens[1]]
     header = []
     for tag in (*cls._TAGS, "trunc"):
         line, tokens = reader.take(tag, 2)
@@ -180,15 +177,15 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
             raise ParseError(line, "missing END terminator")
         if tokens[0] != "coeff":
             break
-        if len(tokens) != key_width + 2:
-            raise ParseError(line, f"coeff record needs {key_width} key integers and a value")
-        key = tuple(_int_token(t, line, "coefficient key") for t in tokens[1 : 1 + key_width])
+        if len(tokens) != cls._KEY_WIDTH + 2:
+            raise ParseError(line, f"coeff record needs {cls._KEY_WIDTH} key integers and a value")
+        key = tuple(_int_token(t, line, "coefficient key") for t in tokens[1 : 1 + cls._KEY_WIDTH])
         if not cls._fits(key, trunc):
             raise ParseError(line, f"key {_key_text(key)} outside truncation {_text(trunc)}")
         if last_key is not None and key <= last_key:
             raise ParseError(line, f"records out of order: {_key_text(key)} after {_key_text(last_key)}")
         last_key = key
-        coeffs[key] = parse_rational_token(tokens[1 + key_width], line)
+        coeffs[key] = parse_rational_token(tokens[1 + cls._KEY_WIDTH], line)
         reader.cursor += 1
 
     reader.take("END", 1)

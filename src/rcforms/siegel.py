@@ -34,6 +34,7 @@ from .series import (
     CheckResult,
     JacobiSeries,
     Key,
+    _check_int,
     _integer_form,
     _merged,
     _packed_products,
@@ -67,6 +68,7 @@ class SiegelSeries(_SparseSeries):
     """
 
     __slots__ = ()
+    _KEY_WIDTH = 3
 
     def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[TripleKey, int]) -> None:
         super()._store(tags, trunc, den, num)
@@ -137,7 +139,8 @@ class SiegelSeries(_SparseSeries):
 
     def slice_component(self, m: int) -> JacobiSeries:
         """The index-m Jacobi slice f_m(n, r) = a(n, r, m)."""
-        if not 0 <= m <= self.trunc:
+        _check_int(m, "slice index")
+        if m > self.trunc:
             raise ValueError(f"slice index {_text(m)} outside [0, {_text(self.trunc)}]")
         return self._slices(range(m, m + 1))[0]
 

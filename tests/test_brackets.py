@@ -20,8 +20,10 @@ from rcforms.brackets import (
     coeff_D,
     falling_factorial,
 )
-from rcforms.jets import crosscheck_bracket
-from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, standard_index_vector
+from rcforms.jets import crosscheck_bracket, jet_of_form, jet_scale_w, zeta_nu
+from rcforms.lattices import (
+    E8, E8_E8, E8_INDEX1_VECTOR, bernoulli, eisenstein_q, jacobi_theta, siegel_theta, standard_index_vector
+)
 from rcforms.series import EllipticSeries, JacobiSeries, _integer_form, d_z, heat_power
 from rcforms.siegel import SiegelSeries, bracket_siegel_direct, bracket_siegel_via_jacobi
 from rcforms.verify import FormSet
@@ -722,8 +724,8 @@ def test_operands_of_the_wrong_kind_are_rejected(theta4, siegel2, call, message)
 WRONG_ORDER = [
     # (call on a Jacobi theta f and a degree-2 theta F, its TypeError message)
     (lambda f, F: BracketParams(4, 6, 0, 0, 2.5), "bracket order must be an int, got float"),
-    (lambda f, F: BracketParams(4.0, 6, 0, 0, 2), "bracket weights must be int or Fraction, got float and int"),
-    (lambda f, F: BracketParams(4, True, 0, 0, 2), "bracket weights must be int or Fraction, got int and bool"),
+    (lambda f, F: BracketParams(4.0, 6, 0, 0, 2), "bracket weight k1 must be int or Fraction, got float"),
+    (lambda f, F: BracketParams(4, True, 0, 0, 2), "bracket weight k2 must be int or Fraction, got bool"),
     (lambda f, F: bracket_jacobi(f, f, 0, True), "bracket order must be an int, got bool"),
     (lambda f, F: bracket_jacobi(f, f, 0, Q(2)), "bracket order must be an int, got Fraction"),
     (lambda f, F: bracket_jacobi_poly(f, f, True), "bracket order must be an int, got bool"),
@@ -734,6 +736,39 @@ WRONG_ORDER = [
     (lambda f, F: bracket_siegel_via_jacobi(F, F, True), "bracket order must be an int, got bool"),
     (lambda f, F: check_recursions(4, 6, True), "recursion order l must be an int, got bool"),
     (lambda f, F: check_recursions(4, 6, Q(2)), "recursion order l must be an int, got Fraction"),
+    # every other entry that takes an order, an index or a truncation: True and 2.0 (series._check_int)
+    (lambda f, F: bracket_jacobi(f, f, 0, 2.0), "bracket order must be an int, got float"),
+    (lambda f, F: check_recursions(4, 6, 2.0), "recursion order l must be an int, got float"),
+    (lambda f, F: heat_power(f, True), "heat power must be an int, got bool"),
+    (lambda f, F: heat_power(f, 2.0), "heat power must be an int, got float"),
+    (lambda f, F: falling_factorial(Q(1, 2), True), "falling factorial length n must be an int, got bool"),
+    (lambda f, F: falling_factorial(Q(1, 2), 2.0), "falling factorial length n must be an int, got float"),
+    (lambda f, F: jet_of_form(f, True), "jet order must be an int, got bool"),
+    (lambda f, F: jet_of_form(f, 2.0), "jet order must be an int, got float"),
+    (lambda f, F: zeta_nu(jet_of_form(f, 1), True), "projection order nu must be an int, got bool"),
+    (lambda f, F: zeta_nu(jet_of_form(f, 1), 1.0), "projection order nu must be an int, got float"),
+    (lambda f, F: F.slice_component(True), "slice index must be an int, got bool"),
+    (lambda f, F: F.slice_component(2.0), "slice index must be an int, got float"),
+    (lambda f, F: jacobi_theta(E8, E8_INDEX1_VECTOR, True), "truncation must be an int, got bool"),
+    (lambda f, F: jacobi_theta(E8, E8_INDEX1_VECTOR, 2.0), "truncation must be an int, got float"),
+    (lambda f, F: siegel_theta(E8, True), "truncation must be an int, got bool"),
+    (lambda f, F: siegel_theta(E8, 2.0), "truncation must be an int, got float"),
+    (lambda f, F: E8.doubled_vectors(True), "half-norm bound must be an int, got bool"),
+    (lambda f, F: E8_E8.doubled_vectors(2.0), "half-norm bound must be an int, got float"),
+    (lambda f, F: (bernoulli(1), bernoulli(True)), "Bernoulli index n must be an int, got bool"),
+    (lambda f, F: (bernoulli(2), bernoulli(2.0)), "Bernoulli index n must be an int, got float"),
+    (lambda f, F: eisenstein_q(True, 4), "Eisenstein weight must be an int, got bool"),
+    (lambda f, F: eisenstein_q(4.0, 4), "Eisenstein weight must be an int, got float"),
+    (lambda f, F: eisenstein_q(4, True), "truncation must be an int, got bool"),
+    (lambda f, F: eisenstein_q(4, 2.0), "truncation must be an int, got float"),
+    (lambda f, F: standard_index_vector(E8, True), "index must be an int, got bool"),
+    (lambda f, F: standard_index_vector(E8, 2.0), "index must be an int, got float"),
+    # and every entry that takes an exact scalar (series.as_rational)
+    (lambda f, F: falling_factorial(0.5, 2), "falling factorial argument x must be int or Fraction, got float"),
+    (lambda f, F: jet_scale_w(jet_of_form(f, 1), True), "jet scale must be int or Fraction, got bool"),
+    (lambda f, F: f * True, "scalar factor must be int or Fraction, got bool"),
+    (lambda f, F: jacobi_theta(E8, (True, -1, 0, 0, 0, 0, 0, 0), 2), "vector coordinate must be int or Fraction, got bool"),
+    (lambda f, F: JacobiSeries(4, 1, 2, {(1, 0): True}), "coefficient (1, 0) must be int or Fraction, got bool"),
 ]
 
 
@@ -742,7 +777,13 @@ WRONG_ORDER = [
     WRONG_ORDER,
     ids=["params_float", "params_float_weight", "params_bool_weight", "jacobi_bool", "jacobi_fraction", "poly_bool", "rank_bool",
          "crosscheck_bool", "direct_bool", "direct_fraction", "via_jacobi_bool", "recursions_bool",
-         "recursions_fraction"],
+         "recursions_fraction", "jacobi_float", "recursions_float", "heat_power_bool", "heat_power_float",
+         "falling_bool", "falling_float", "jet_bool", "jet_float", "zeta_nu_bool", "zeta_nu_float", "slice_bool",
+         "slice_float", "jacobi_theta_bool", "jacobi_theta_float", "siegel_theta_bool", "siegel_theta_float",
+         "e8_vectors_bool", "e8e8_vectors_float", "bernoulli_bool_after_1", "bernoulli_float_after_2",
+         "eisenstein_weight_bool", "eisenstein_weight_float", "eisenstein_trunc_bool", "eisenstein_trunc_float",
+         "index_vector_bool", "index_vector_float", "falling_x_float", "jet_scale_bool", "scalar_bool",
+         "coordinate_bool", "coefficient_bool"],
 )
 def test_orders_of_the_wrong_type_are_rejected(theta4, siegel2, call, message):
     with pytest.raises(TypeError) as info:

@@ -161,7 +161,7 @@ class TestZeta:
             zeta_nu(jet_of_form(theta4, 1), 2)
 
     def test_negative_projection_rejected(self, theta4):
-        with pytest.raises(ValueError, match="components"):
+        with pytest.raises(ValueError, match="non-negative"):
             zeta_nu(jet_of_form(theta4, 1), -1)
 
 

@@ -32,10 +32,15 @@ from rcforms import (
     siegel_theta,
     verify,
 )
-from rcforms.lattices import bernoulli
+from rcforms.lattices import E8_E8, bernoulli, eisenstein_q, standard_index_vector
+from rcforms.series import heat_power
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+
+
+def theta():
+    return jacobi_theta(E8, E8_INDEX1_VECTOR, 1)
 
 
 def run_python(*args):
@@ -107,9 +112,30 @@ def test_invariant_checks_survive_optimize_flag():
     (lambda: JacobiSeries(4, 1, -1), ValueError, "truncation must be non-negative"),
     (lambda: SiegelSeries(4, -1), ValueError, "truncation must be non-negative"),
     (lambda: E8.doubled_vectors(-1), ValueError, "half-norm bound must be non-negative"),
-    (lambda: bernoulli(-1), ValueError, "n >= 0"),
+    (lambda: bernoulli(-1), ValueError, "^Bernoulli index n must be non-negative, got -1$"),
     (lambda: EllipticSeries(4, 2, {0: 1}) * "x", TypeError, None),
-], ids=["jacobi-trunc", "siegel-trunc", "e8-half-norm", "bernoulli", "elliptic-times-str"])
+    # one out-of-range value per entry that series._check_int guards (True and 2.0:
+    # tests/test_brackets.py::test_orders_of_the_wrong_type_are_rejected)
+    (lambda: heat_power(theta(), -1), ValueError, "^heat power must be non-negative, got -1$"),
+    (lambda: brackets.falling_factorial(1, -1), ValueError, "^falling factorial length n must be non-negative, got -1$"),
+    (lambda: brackets.check_recursions(4, 6, 0), ValueError, "^recursion order l must be >= 1, got 0$"),
+    (lambda: jets.jet_of_form(theta(), -1), ValueError, "^jet order must be non-negative, got -1$"),
+    (lambda: jets.zeta_nu(jets.jet_of_form(theta(), 1), -1), ValueError,
+     "^projection order nu must be non-negative, got -1$"),
+    (lambda: jets.zeta_nu(jets.jet_of_form(theta(), 1), 2), ValueError, r"^jet carries components 0\.\.1, asked for 2$"),
+    (lambda: siegel_theta(E8, 1).slice_component(-1), ValueError, "^slice index must be non-negative, got -1$"),
+    (lambda: siegel_theta(E8, 1).slice_component(2), ValueError, r"^slice index 2 outside \[0, 1\]$"),
+    (lambda: jacobi_theta(E8, E8_INDEX1_VECTOR, -2), ValueError, "^truncation must be non-negative, got -2$"),
+    (lambda: siegel_theta(E8, -2), ValueError, "^truncation must be non-negative, got -2$"),
+    (lambda: E8_E8.doubled_vectors(-1), ValueError, "^half-norm bound must be non-negative, got -1$"),
+    (lambda: eisenstein_q(2, 4), ValueError, "^Eisenstein weight must be >= 4, got 2$"),
+    (lambda: eisenstein_q(5, 4), ValueError, "^Eisenstein weight must be even, got 5$"),
+    (lambda: eisenstein_q(4, -1), ValueError, "^truncation must be non-negative, got -1$"),
+    (lambda: standard_index_vector(E8, 0), ValueError, "^index must be >= 1, got 0$"),
+], ids=["jacobi-trunc", "siegel-trunc", "e8-half-norm", "bernoulli", "elliptic-times-str", "heat-power",
+        "falling-factorial", "recursion-order", "jet-order", "zeta-nu-negative", "zeta-nu-above", "slice-negative",
+        "slice-above", "jacobi-theta-trunc", "siegel-theta-trunc", "e8e8-half-norm", "eisenstein-weight-low",
+        "eisenstein-weight-odd", "eisenstein-trunc", "index-vector"])
 def test_input_validation(call, error, match):
     with pytest.raises(error, match=match):
         call()

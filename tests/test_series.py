@@ -42,20 +42,39 @@ class TestConstruction:
             series(4, -1, 2, {})
 
     def test_float_coefficients_rejected(self):
-        with pytest.raises(TypeError, match="exact scalar"):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
             series(4, 1, 2, {(1, 0): 0.5})
+
+    @pytest.mark.parametrize("kind, tags, key, shape", [
+        (JacobiSeries, (4, 1, 2), (1.5, 0), "a tuple of 2 ints"),
+        (JacobiSeries, (4, 1, 2), (1.0, 0), "a tuple of 2 ints"),
+        (JacobiSeries, (4, 1, 2), (Q(1, 2), 0), "a tuple of 2 ints"),
+        (JacobiSeries, (4, 1, 2), (1, 0, 0), "a tuple of 2 ints"),
+        (JacobiSeries, (4, 1, 2), (1,), "a tuple of 2 ints"),
+        (JacobiSeries, (4, 1, 2), (True, 0), "a tuple of 2 ints"),
+        (JacobiSeries, (4, 1, 2), 1, "a tuple of 2 ints"),
+        (SiegelSeries, (4, 2), (1, 0), "a tuple of 3 ints"),
+        (SiegelSeries, (4, 2), (1, 0, 1.0), "a tuple of 3 ints"),
+        (EllipticSeries, (4, 2), (1, 0), "an int"),
+        (EllipticSeries, (4, 2), 1.0, "an int"),
+    ])
+    def test_keys_that_are_not_int_tuples_rejected(self, kind, tags, key, shape):
+        # the key is named, after the good keys before it
+        with pytest.raises(TypeError) as info:
+            kind(*tags, {(0,) * kind._KEY_WIDTH or 0: 1, key: 1})
+        assert str(info.value) == f"coefficient key {key!r} must be {shape}"
 
     @pytest.mark.parametrize("kind, tags, name", [
         (JacobiSeries, (4, 1.0, 2.0), "index"),
-        (JacobiSeries, (4, 1, 2.0), "trunc"),
+        (JacobiSeries, (4, 1, 2.0), "truncation"),
         (JacobiSeries, (Q(9, 2), 1, 2), "weight"),
         (EllipticSeries, (4.0, 2), "weight"),
-        (EllipticSeries, (4, Q(2)), "trunc"),
+        (EllipticSeries, (4, Q(2)), "truncation"),
         (SiegelSeries, (4.0, 1), "weight"),
-        (SiegelSeries, (4, 1.0), "trunc"),
+        (SiegelSeries, (4, 1.0), "truncation"),
         (JacobiSeries, (True, 1, 2), "weight"),
         (JacobiSeries, (4, True, 2), "index"),
-        (JacobiSeries, (4, 1, True), "trunc"),
+        (JacobiSeries, (4, 1, True), "truncation"),
     ])
     def test_non_integer_tags_rejected(self, kind, tags, name):
         with pytest.raises(TypeError, match=f"{name} must be an int"):

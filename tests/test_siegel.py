@@ -134,10 +134,19 @@ class TestBrackets:
 
     def test_mixed_weight_pair(self, siegel2):
         square = siegel2 * siegel2  # weight 8
-        direct = bracket_siegel_direct(siegel2, square, 1)
-        sliced = bracket_siegel_via_jacobi(siegel2, square, 1)
-        assert direct == sliced
-        assert direct.weight == 4 + 8 + 2
+        f, g = siegel2.components(), square.components()
+        for l in (1, 2, 3):
+            direct = bracket_siegel_direct(siegel2, square, l)
+            sliced = bracket_siegel_via_jacobi(siegel2, square, l)
+            assert direct == sliced
+            assert direct.weight == 4 + 8 + 2 * l
+            # both routes share their set-up (_even_order_params); the Jacobi brackets
+            # of the slices, weight 4 on the left, pin the order of the weights in it
+            slices = []
+            for mu in range(3):
+                pairs = (bracket_jacobi(f[m], g[mu - m], 0, 2 * l) for m in range(mu + 1))
+                slices.append(sum(pairs, JacobiSeries(direct.weight, mu, 2)))
+            assert sliced == siegel_from_components(slices)
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
     def test_dual_path_with_denominators(self, siegel2, l):
