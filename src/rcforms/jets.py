@@ -35,13 +35,15 @@ class CrosscheckError(ArithmeticError):
 class FormalJet(namedtuple("FormalJet", "base_weight index chis")):
     """Formal expansion sum chi_nu * w^nu with series coefficients.
 
-    All components share the index and truncation; component nu carries
-    weight tag base_weight + 2*nu.
+    All components share the index (a non-negative int) and truncation;
+    component nu carries weight tag base_weight + 2*nu (base_weight exact).
     """
 
     __slots__ = ()
 
     def __new__(cls, base_weight: int, index: int, chis: tuple[JacobiSeries, ...]):
+        as_rational(base_weight, "jet base weight")
+        _check_int(index, "jet index")
         if not chis:
             raise ValueError("a jet needs at least its component 0")
         for nu, chi in enumerate(chis):
@@ -146,7 +148,7 @@ def zeta_nu(jet: FormalJet, nu: int) -> JacobiSeries:
     _check_int(nu, "projection order nu")
     if nu > jet.nu_max:
         raise ValueError(f"jet carries components 0..{jet.nu_max}, asked for {nu}")
-    base = as_rational(jet.base_weight, "jet base weight") - THREE_HALVES + nu
+    base = jet.base_weight - THREE_HALVES + nu
     out = None
     for j in range(nu + 1):
         coefficient = falling_factorial(-base, nu - j) / factorial(j)

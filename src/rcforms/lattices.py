@@ -167,6 +167,7 @@ class _E8(Lattice):
         return out
 
     def theta_counts(self, w: DoubledVector, trunc: int) -> Counts:
+        _check_int(trunc, "truncation")
         budget = 8 * trunc
         total: Counts = {}
         for parity in (0, 1):
@@ -200,6 +201,7 @@ class _E8(Lattice):
         zero, by the parity of its negative coordinates; otherwise an even
         sign change can absorb any sign.
         """
+        _check_int(half_norm, "half-norm")
         out = []
         for parity in (0, 1):
             for absolutes in _descending_squares(8 * half_norm, parity, 8, isqrt(8 * half_norm)):
@@ -213,9 +215,11 @@ class _E8(Lattice):
         return out
 
     def least_vector(self, half_norm: int) -> DoubledVector:
+        _check_int(half_norm, "half-norm")
         return min(_orbit_minimum(rep) for rep, _ in self.d8_orbits(half_norm))
 
     def siegel_counts(self, trunc: int) -> TripleCounts:
+        _check_int(trunc, "truncation")
         counts: TripleCounts = {}
         for m in range(trunc + 1):
             for rep, size in self.d8_orbits(m):
@@ -258,6 +262,7 @@ class _ProductLattice(Lattice):
         return JacobiSeries._convolve(left, right, trunc)
 
     def least_vector(self, half_norm: int) -> DoubledVector:
+        _check_int(half_norm, "half-norm")
         # the left part decides the order; every half-norm occurs in each factor
         h = min(range(half_norm + 1), key=self._left.least_vector)
         return self._left.least_vector(h) + self._right.least_vector(half_norm - h)

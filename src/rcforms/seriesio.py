@@ -20,7 +20,8 @@ coefficients are zero, and every value is a reduced fraction printed as
 num/den with den >= 1.  Integers (header values, keys, numerators) match
 ``0|-?[1-9][0-9]*`` and denominators ``[1-9][0-9]*``, ASCII digits only,
 of any length.  Import enforces all of that, so every accepted file without
-comments or empty lines re-exports byte-identically.
+comments or empty lines re-exports byte-identically.  It reads a file in one
+pass and builds the series once, through the store's integer path.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .series import JacobiSeries, _key_text, _text
+from .series import JacobiSeries, _integer_form, _key_text, _text
 from .siegel import SiegelSeries
 
 FORMAT_TAG = "rcforms"
@@ -104,40 +105,25 @@ def export_series(obj: JacobiSeries | SiegelSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Reader:
-    def __init__(self, text: str):
-        if "\r" in text:
-            line = text.count("\n", 0, text.index("\r")) + 1
-            raise ParseError(line, "line endings must be LF, found CR")
-        lines = text.split("\n")
-        if lines[-1]:
-            raise ParseError(len(lines), "last line does not end in LF")
-        self.rows = []
-        for number, raw in enumerate(lines[:-1], start=1):
-            content, comment, _ = raw.partition("#")
-            if comment:
-                content = content.rstrip(" ")
-            if not content:
-                continue
-            tokens = content.split(" ")
-            if "" in tokens:
-                raise ParseError(number, "tokens must be separated by single spaces, none at either end")
-            self.rows.append((number, tokens))
-        self.cursor = 0
-        self.last_line = len(lines) - 1
-
-    def peek(self):
-        """The next (line, tokens); past the last record, (the file's last line, None)."""
-        return self.rows[self.cursor] if self.cursor < len(self.rows) else (self.last_line, None)
-
-    def take(self, expected_key: str, count: int) -> tuple[int, list[str]]:
-        line, tokens = self.peek()
-        if tokens is None:
-            raise ParseError(line, f"unexpected end of file, expected {expected_key!r}")
-        if tokens[0] != expected_key or len(tokens) != count:
-            raise ParseError(line, f"expected {expected_key!r} with {count - 1} value(s), got {' '.join(tokens)!r}")
-        self.cursor += 1
-        return line, tokens
+def _records(text: str) -> list[tuple[int, list[str] | None]]:
+    """The (line, tokens) records of ``text``, then a (the file's last line, None) sentinel."""
+    if "\r" in text:
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ParseError(line, "line endings must be LF, found CR")
+    lines = text.split("\n")
+    if lines[-1]:
+        raise ParseError(len(lines), "last line does not end in LF")
+    records = []
+    for number, raw in enumerate(lines[:-1], start=1):
+        content, comment, _ = raw.partition("#")
+        content = content.rstrip(" ") if comment else content
+        if not content:
+            continue
+        tokens = content.split(" ")
+        if "" in tokens:
+            raise ParseError(number, "tokens must be separated by single spaces, none at either end")
+        records.append((number, tokens))
+    return records + [(len(lines) - 1, None)]
 
 
 def _int_token(token: str, line: int, what: str) -> int:
@@ -147,32 +133,39 @@ def _int_token(token: str, line: int, what: str) -> int:
 
 
 def import_series(text: str) -> JacobiSeries | SiegelSeries:
-    """Parse a coefficient file; rejects anything outside the canonical shape."""
-    reader = _Reader(text)
-    line, tokens = reader.peek()
+    """Parse a coefficient file in one pass; rejects anything outside the canonical shape."""
+    records = iter(_records(text))
+
+    def take(expected_key: str, count: int, record=None) -> tuple[int, list[str]]:
+        line, tokens = record or next(records)  # the next record unless one is given
+        if tokens is None:
+            raise ParseError(line, f"unexpected end of file, expected {expected_key!r}")
+        if tokens[0] != expected_key or len(tokens) != count:
+            raise ParseError(line, f"expected {expected_key!r} with {count - 1} value(s), got {' '.join(tokens)!r}")
+        return line, tokens
+
+    line, tokens = next(records)
     if tokens is None:
         raise ParseError(1, "empty file")
     if tokens != [FORMAT_TAG, str(FORMAT_VERSION)]:
         raise ParseError(line, f"expected header {FORMAT_TAG!r} {FORMAT_VERSION}, got {' '.join(tokens)!r}")
-    reader.cursor += 1
 
-    line, tokens = reader.take("kind", 2)
+    line, tokens = take("kind", 2)
     if tokens[1] not in KINDS:
         raise ParseError(line, f"unknown kind {tokens[1]!r}")
     cls = KINDS[tokens[1]]
     header = []
     for tag in (*cls._TAGS, "trunc"):
-        line, tokens = reader.take(tag, 2)
+        line, tokens = take(tag, 2)
         value = _int_token(tokens[1], line, tag)
         if value < 0 and tag != "weight":
             raise ParseError(line, f"{tag} must be non-negative, got {tokens[1]}")
         header.append(value)
-    trunc = header[-1]
+    *tags, trunc = header
 
     coeffs = {}
     last_key = None
-    while True:
-        line, tokens = reader.peek()
+    for line, tokens in records:
         if tokens is None:
             raise ParseError(line, "missing END terminator")
         if tokens[0] != "coeff":
@@ -186,14 +179,13 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
             raise ParseError(line, f"records out of order: {_key_text(key)} after {_key_text(last_key)}")
         last_key = key
         coeffs[key] = parse_rational_token(tokens[1 + cls._KEY_WIDTH], line)
-        reader.cursor += 1
 
-    reader.take("END", 1)
-    line, tokens = reader.peek()
+    take("END", 1, (line, tokens))
+    line, tokens = next(records)
     if tokens is not None:
         raise ParseError(line, f"content after END: {' '.join(tokens)!r}")
 
-    return cls(*header, coeffs)
+    return cls._from_integers(tuple(tags), trunc, *_integer_form(coeffs))
 
 
 def write_series(path: str | os.PathLike, obj: JacobiSeries | SiegelSeries) -> None:

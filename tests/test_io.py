@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from rcforms import brackets
 from rcforms.cli import main
 from rcforms.lattices import E8, E8_INDEX1_VECTOR, eisenstein_q, jacobi_theta, siegel_theta
-from rcforms.series import JacobiSeries, _value_text, form_witness
+from rcforms.series import JacobiSeries, _SparseSeries, _value_text, form_witness
 from rcforms.seriesio import (
     ParseError,
     export_series,
@@ -436,6 +436,19 @@ class TestCommittedFixtures:
         for path in sorted(FIXTURES.glob("*.coef")):
             obj = read_series(path)
             assert export_series(obj) == path.read_text()
+
+    def test_import_builds_once_through_the_integer_store(self, monkeypatch):
+        """The reader clears the values itself: the public constructors' key
+        scan and denominator pass (``_store_values``) never run on import."""
+
+        def refuse(*args):
+            raise AssertionError("import went through _store_values")
+
+        monkeypatch.setattr(_SparseSeries, "_store_values", refuse)
+        paths = sorted(FIXTURES.glob("*.coef"))
+        assert len(paths) == 4
+        for path in paths:
+            assert export_series(read_series(path)) == path.read_text()
 
 
 class TestCli:

@@ -3,6 +3,7 @@ the shared form checks behind verify, and the verify report text."""
 
 import ast
 import copy
+import functools
 import hashlib
 import json
 import importlib.util
@@ -108,6 +109,21 @@ def test_invariant_checks_survive_optimize_flag():
     assert result.stdout.split() == ["lattices", "brackets"]
 
 
+# the int argument of each Lattice method, named as its error names it
+LATTICE_METHODS = [
+    ("e8-theta-counts", functools.partial(E8.theta_counts, (2, -2, 0, 0, 0, 0, 0, 0)), "truncation"),
+    ("e8-siegel-counts", E8.siegel_counts, "truncation"),
+    ("e8-d8-orbits", E8.d8_orbits, "half-norm"),
+    ("e8-least-vector", E8.least_vector, "half-norm"),
+    ("e8e8-least-vector", E8_E8.least_vector, "half-norm"),
+]
+BAD_INTS = [
+    ("bool", True, TypeError, "an int, got bool"),
+    ("float", 2.0, TypeError, "an int, got float"),
+    ("negative", -1, ValueError, "non-negative, got -1"),
+]
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: JacobiSeries(4, 1, -1), ValueError, "truncation must be non-negative"),
     (lambda: SiegelSeries(4, -1), ValueError, "truncation must be non-negative"),
@@ -132,10 +148,13 @@ def test_invariant_checks_survive_optimize_flag():
     (lambda: eisenstein_q(5, 4), ValueError, "^Eisenstein weight must be even, got 5$"),
     (lambda: eisenstein_q(4, -1), ValueError, "^truncation must be non-negative, got -1$"),
     (lambda: standard_index_vector(E8, 0), ValueError, "^index must be >= 1, got 0$"),
+    *[(functools.partial(method, value), error, f"^{name} must be {rule}$")
+      for _, method, name in LATTICE_METHODS for _, value, error, rule in BAD_INTS],
 ], ids=["jacobi-trunc", "siegel-trunc", "e8-half-norm", "bernoulli", "elliptic-times-str", "heat-power",
         "falling-factorial", "recursion-order", "jet-order", "zeta-nu-negative", "zeta-nu-above", "slice-negative",
         "slice-above", "jacobi-theta-trunc", "siegel-theta-trunc", "e8e8-half-norm", "eisenstein-weight-low",
-        "eisenstein-weight-odd", "eisenstein-trunc", "index-vector"])
+        "eisenstein-weight-odd", "eisenstein-trunc", "index-vector",
+        *[f"{label}-{kind}" for label, _, _ in LATTICE_METHODS for kind, *_ in BAD_INTS]])
 def test_input_validation(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -384,6 +403,11 @@ class TestRecords:
             jets.FormalJet(4, 1, (chis[0], chis[1].truncated(1)))
         with pytest.raises(ValueError, match="at least its component 0"):
             jets.FormalJet(4, 1, ())
+        for weight, got in ((4.0, "float"), (True, "bool")):
+            with pytest.raises(TypeError, match=f"^jet base weight must be int or Fraction, got {got}$"):
+                jets.FormalJet(weight, 1, chis)
+        with pytest.raises(TypeError, match="^jet index must be an int, got float$"):
+            jets.FormalJet(4, 1.0, chis)
 
     @settings(max_examples=60, deadline=None)
     @given(
