@@ -33,24 +33,19 @@ of a(n1, r1) * b(n2, r2) * K, where
 Every summand has r + s + p = t = floor(v/2), so C(r, s, p) splits as
 A_r * B_s * G_p with A_r = (alpha + t)_{t-r} / r!, B_s = (beta + t)_{t-s} / s!
 and G_p = (-gamma - t)_{t-p} / p!, and the index coefficient splits as
-(-m2)^i (1 - m2 x)^r times m1^j (1 + m1 x)^s.  For odd v the summands
-(i, j) = (1, 0) and (0, 1) share r, s and p, so together they carry the
-pair factor m1*r2 - m2*r1.  With lam_r = A_r (1 - m2 x)^r D1^r and
-mu_s = B_s (1 + m1 x)^s D2^s,
+(-m2)^i L_r times m1^j R_s, L_r = (1 - m2 x)^r and R_s = (1 + m1 x)^s.
+For odd v the summands (i, j) = (1, 0) and (0, 1) share r, s and p, so
+together they carry the pair factor m1*r2 - m2*r1.  With
+lam_r = A_r L_r D1^r and mu_s = B_s R_s D2^s,
 
     K = (1 or m1*r2 - m2*r1) * sum_p G_p * D^p * [X^(t-p)] (sum_r lam_r X^r) (sum_s mu_s X^s).
 
 ``bracket_jacobi`` evaluates this on whole q^n rows (Kronecker substitution
 in the zeta-exponent).  It runs on integer numerators: the store's
-numerators a(n1, r1) of f over its one denominator, and the weight lists
-built as ints (no ``Fraction`` per entry).  With a side's shifted weight
-y/q (alpha + t, beta + t or -gamma - t, from ``BracketParams.shifted(t)``),
-its list over q^t * t! is F(y, q, t - e) * q^e * t!/e!
-(F the falling numerator), and with x = a/b, L and R over b^t are
-(b - m2*a)^r b^(t-r) and (b + m1*a)^s b^(t-s).  A*L and B*R are divided
-once by the gcd of their denominator and entries, which leaves them over
-their least common denominators, so the packed digits are as narrow as the
-values allow.  Each entry a(n1, r1) of f carries one column per
+numerators a(n1, r1) of f over its one denominator, and the lists A*L,
+B*R and G built as ints by ``_side_lists`` (no ``Fraction`` per entry),
+each over its least common denominator, so the packed digits are as
+narrow as the values allow.  Each entry a(n1, r1) of f carries one column per
 e = 0..t, a(n1, r1) * lam_e with lam_e taken at the key's D1, and g
 likewise with mu_e.  Slot k of their packed product
 (:func:`rcforms.series._packed_products`, which packs, multiplies, reads
@@ -61,8 +56,9 @@ odd v the pair factor m1*r2 - m2*r1 splits into left columns weighted by
 -m2*r1 times plain right columns, plus plain left columns times right
 columns weighted by m1*r2.  The integer totals go to the store over the
 product of the denominators, which reduces them once per output series.
-``bracket_jacobi_poly`` keeps every (r, s) in its own slot through the same
-pass and applies its x-degree weights, ints over G's denominator, per key.
+``bracket_jacobi_poly`` takes the lists at x = 0, where L = R = 1, keeps
+every (r, s) in its own slot through the same pass and applies its
+x-degree weights, ints over G's denominator, per key.
 
 The pass (``_bracket_pass``, set up and finished by ``_bracket_sum``) sees
 its operands through two views of their kind.  The input view lists each
@@ -79,8 +75,8 @@ The operator form heat^p(heat^r(d_z^i f) * heat^s(d_z^j g)) survives in
 the independent routes that check this one: the jet oracle of
 :mod:`rcforms.jets`, the direct degree-2 bracket of :mod:`rcforms.siegel`
 (delta in place of heat, on integer numerators, each output key summed once
-over C(r, s, p) * D^p, C taken from :func:`bracket_terms`), and the series
-product behind the order-0 check.
+over C(r, s, p) * D^p, C cleared to ints by ``_c_family`` as in
+:func:`check_recursions`), and the series product behind the order-0 check.
 """
 
 from __future__ import annotations
@@ -161,6 +157,9 @@ def coeff_C(r: int, s: int, p: int, params: BracketParams) -> Fraction:
     built as one ``Fraction`` from the int Pochhammer numerators and denominators
     of the shifted weights (:meth:`BracketParams.shifted`).
     """
+    _check_int(r, "summand index r")
+    _check_int(s, "summand index s")
+    _check_int(p, "summand index p")
     (a, qa), (b, qb), (c, qc) = params.shifted(r + s + p)
     numerator = _falling_numerator(a, qa, s + p) * _falling_numerator(b, qb, r + p) * _falling_numerator(c, qc, r + s)
     denominator = qa ** (s + p) * qb ** (r + p) * qc ** (r + s) * factorial(r) * factorial(s) * factorial(p)
@@ -169,6 +168,10 @@ def coeff_C(r: int, s: int, p: int, params: BracketParams) -> Fraction:
 
 def coeff_D(r: int, s: int, i: int, j: int, params: BracketParams) -> Fraction:
     """Index-dependent coefficient m1^j (-m2)^i (1 + m1 x)^s (1 - m2 x)^r, a ``Fraction`` as x is."""
+    _check_int(r, "summand index r")
+    _check_int(s, "summand index s")
+    _check_int(i, "summand index i")
+    _check_int(j, "summand index j")
     if i + j > 1:
         raise ValueError(f"at most one elliptic derivative per argument, got i+j={i + j}")
     m1, m2, x = params.m1, params.m2, params.x
@@ -189,59 +192,53 @@ def bracket_terms(params: BracketParams) -> list[BracketTerm]:
     return terms
 
 
+def _c_family(params: BracketParams, c_fn=None) -> tuple[int, dict[tuple[int, int, int], int]]:
+    """(den, {(r, s, p): den * C(r, s, p)}) for r + s + p = floor(v/2), in (r, s) order, den the
+    least common denominator: the one clearing (``_integer_form``) of the C family, from
+    :func:`coeff_C` or from ``c_fn(r, s, p)`` if given."""
+    t = params.half_order
+    if c_fn is None:
+        c_fn = lambda r, s, p: coeff_C(r, s, p, params)
+    return _integer_form(((r, s, t - r - s), c_fn(r, s, t - r - s)) for r in range(t + 1) for s in range(t + 1 - r))
+
+
 def _check_operands(name: str, kind: type, f, g) -> None:
     """Raise ``TypeError`` unless both operands of the bracket function ``name`` are of ``kind``."""
     if not (isinstance(f, kind) and isinstance(g, kind)):
         raise TypeError(f"{name} needs two {kind.__name__} operands, got {type(f).__name__} and {type(g).__name__}")
 
 
-def _weight_factors(params: BracketParams) -> tuple[tuple[int, list[int]], ...]:
-    """((den_A, A), (den_B, B), (den_G, G)) over ints, with
-    C(r, s, p) = A[r] * B[s] * G[p] / (den_A * den_B * den_G) whenever r + s + p = t = floor(v/2).
+def _side_lists(params: BracketParams) -> tuple[tuple[int, list[int]], ...]:
+    """((den, A*L), (den, B*R), (den_G, G)) over ints, entries e = 0..t = floor(v/2), with
+    C(r, s, p) = A_r B_s G_p for r + s + p = t and coeff_D(r, s, i, j) = (-m2)^i L_r * m1^j R_s.
 
-    With t fixed, each falling factorial of :func:`coeff_C` depends on one
-    index only: A[r] is (alpha + t)_{t-r} / r!, B[s] is (beta + t)_{t-s} / s!
-    and G[p] is (-gamma - t)_{t-p} / p!, each times its den.  The shifted
-    weights alpha + t, beta + t and -gamma - t are the int pairs of
-    ``params.shifted(t)``.  A side whose shifted weight is y/q has den
-    q**t * t! and entry e equal to F(y, q, t - e) * q**e * t!/e!, F the
-    falling numerator (:func:`_falling_numerator`); a den need not be least.
+    A side whose shifted weight (``params.shifted(t)``) is y/q has, with
+    x = a/b and c = -m2, m1 or 0 (G has no index factor), entry e equal to
+    F(y, q, t - e) * q**e * t!/e! * (b + c*a)**e * b**(t - e) over
+    (q*b)**t * t! (F the falling numerator), divided once by the gcd of its
+    den and entries: the values over their least common denominator.  At
+    x = 0, L = R = 1.
     """
     t = params.half_order
-    scale = factorial(t)
-    return tuple(
-        (q**t * scale, [_falling_numerator(y, q, t - e) * q**e * (scale // factorial(e)) for e in range(t + 1)])
-        for y, q in params.shifted(t)
-    )
-
-
-def _index_factors(params: BracketParams) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
-    """((b**t, L), (b**t, R)) over ints with L[r] / b**t = (1 - m2 x)^r and R[s] / b**t = (1 + m1 x)^s.
-
-    With x = a/b and t = floor(v/2), L[r] = (b - m2 a)^r b^(t-r) and
-    R[s] = (b + m1 a)^s b^(t-s) for r, s <= t.
-
-    coeff_D(r, s, i, j) = (-m2)^i L[r] * m1^j R[s] / b**(2t); the derivative
-    factors (-m2)^i and m1^j enter the bracket pass as its ``cross`` pair.
-    """
-    m1, m2, t = params.m1, params.m2, params.half_order
-    a, b = params.x.numerator, params.x.denominator
-    return tuple((b**t, [(b + c * a) ** e * b ** (t - e) for e in range(t + 1)]) for c in (-m2, m1))
-
-
-def _reduced(den: int, ints: list[int]) -> tuple[int, list[int]]:
-    """(den, ints) divided by gcd(den, *ints): the values ints[e] / den over their least
-    common denominator, the ints ``_integer_form`` gives for them."""
-    common = gcd(den, *ints)
-    return den // common, [value // common for value in ints]
+    scale, a, b = factorial(t), params.x.numerator, params.x.denominator
+    sides = []
+    for (y, q), c in zip(params.shifted(t), (-params.m2, params.m1, 0)):
+        values = [
+            _falling_numerator(y, q, t - e) * q**e * (scale // factorial(e)) * (b + c * a) ** e * b ** (t - e)
+            for e in range(t + 1)
+        ]
+        den = (q * b) ** t * scale
+        common = gcd(den, *values)
+        sides.append((den // common, [value // common for value in values]))
+    return tuple(sides)
 
 
 def _bracket_pass(
     f,
     g,
+    params: BracketParams,
     left: tuple[int, list[int]],
     right: tuple[int, list[int]],
-    cross: tuple[int, int] | None,
     slots: list[list[tuple[int, int]]],
 ) -> tuple[int, list[tuple[tuple, int, tuple[int, ...]]]]:
     """Packed sums over the coefficient pairs of f and g, by output key and slot.
@@ -258,15 +255,17 @@ def _bracket_pass(
     digits[k] / den is the sum over the pairs of coefficients whose keys
     add up to the output key and over the (e1, e2) in slots[k] of
 
-        a * left[e1] * D1^e1 * b * right[e2] * D2^e2        (times c1*r1 + c2*r2 if cross = (c1, c2)),
+        a * left[e1] * D1^e1 * b * right[e2] * D2^e2        (times -m2*r1 + m1*r2 for odd v),
 
-    with e1, e2 <= t = len(left) - 1; keys whose sums are all zero are
-    listed too.  Each coefficient of f carries one column per e, and with
-    cross set the same columns times c1*r1 after them, and g likewise;
+    with e1, e2 <= t = floor(v/2) and v, m1 and m2 read from ``params``;
+    keys whose sums are all zero are listed too.  Each coefficient of f
+    carries one column per e, and for odd v the same columns times -m2*r1
+    after them, and g likewise with m1*r2;
     :func:`rcforms.series._packed_products` multiplies them.
     """
     trunc = min(f.trunc, g.trunc)
-    t = len(left[1]) - 1
+    t = params.half_order
+    c1, c2 = (-params.m2, params.m1) if params.parity else (None, None)
 
     def rows(series, weights, c):
         """(den, {row: [(r, values)]}): values[e] = w_e * a * disc^e for e = 0..t over
@@ -283,13 +282,12 @@ def _bracket_pass(
             out.setdefault(row, []).append((r, values))
         return series._den * den_w, out
 
-    c1, c2 = cross if cross is not None else (None, None)
     den_f, rows_f = rows(f, left, c1)
     den_g, rows_g = rows(g, right, c2)
     # slot k sums a[i*(t+1) + e1] * b[j*(t+1) + e2] over its (e1, e2) and
     # over the sides (i, j): plain times plain, or weighted left times plain
     # right plus plain left times weighted right
-    sides = [(0, 0)] if cross is None else [(1, 0), (0, 1)]
+    sides = [(1, 0), (0, 1)] if params.parity else [(0, 0)]
     terms = [[(i * (t + 1) + e1, j * (t + 1) + e2) for i, j in sides for e1, e2 in slot] for slot in slots]
     sums = _packed_products(rows_f, rows_g, f._row_pairs, trunc, terms)
     return den_f * den_g, f._kernel_keys(g, sums)
@@ -303,13 +301,10 @@ def _bracket_sum(f, g, params: BracketParams) -> tuple[int, dict]:
     indices.  Slot k of the pass is the sum with r + s = k, which meets
     G[t - k], and G_p * D^p is applied by Horner's rule per key.
     """
-    (den_A, A), (den_B, B), (den_G, G) = _weight_factors(params)
-    (den_L, L), (den_R, R) = _index_factors(params)
-    cross = (-params.m2, params.m1) if params.parity else None
+    left, right, (den_G, G) = _side_lists(params)
     t = params.half_order
     slots = [[(e, k - e) for e in range(k + 1)] for k in range(t + 1)]  # r + s = k
-    left, right = _reduced(den_A * den_L, list(map(mul, A, L))), _reduced(den_B * den_R, list(map(mul, B, R)))
-    den, entries = _bracket_pass(f, g, left, right, cross, slots)
+    den, entries = _bracket_pass(f, g, params, left, right, slots)
     g_int = G[::-1]  # G[t - k] meets the sum with r + s = k
     coeffs = {}
     for key, disc, digits in entries:
@@ -344,11 +339,10 @@ def bracket_jacobi_poly(f: JacobiSeries, g: JacobiSeries, v: int) -> list[Jacobi
     """
     _check_operands("bracket_jacobi_poly", JacobiSeries, f, g)
     params = BracketParams(f.weight, g.weight, f.index, g.index, v)
-    A, B, (den_G, G) = _weight_factors(params)
+    left, right, (den_G, G) = _side_lists(params)  # at x = 0, L = R = 1
     m1, m2, t = params.m1, params.m2, params.half_order
-    cross = (-m2, m1) if params.parity else None
     pairs = [(r, s) for r in range(t + 1) for s in range(t + 1 - r)]
-    den, entries = _bracket_pass(f, g, _reduced(*A), _reduced(*B), cross, [[pair] for pair in pairs])
+    den, entries = _bracket_pass(f, g, params, left, right, [[pair] for pair in pairs])
     # per x-degree d: G[p] times the x^d coefficient of (1 + m1 x)^s (1 - m2 x)^r, over den_G
     weights = [
         [
@@ -443,16 +437,14 @@ def check_recursions(k1, k2, l: int, c_fn=None) -> bool:
     coefficient source (used by tests to inject perturbations).
 
     The relations are tested on ints: the C family is cleared of its
-    denominators once (``_integer_form``), and with alpha = a/q_a, beta =
+    denominators once (:func:`_c_family`), and with alpha = a/q_a, beta =
     b/q_b and -gamma = c/q_c (``params.shifted(0)``) the first relation is
     multiplied through by q_a*q_c and the second by q_b*q_c.
     """
     _check_int(l, "recursion order l", 1)
     params = BracketParams(k1, k2, 0, 0, 2 * l)
-    if c_fn is None:
-        c_fn = lambda r, s, p: coeff_C(r, s, p, params)
     (a, qa), (b, qb), (c, qc) = params.shifted(0)  # alpha, beta and -gamma
-    _, C = _integer_form(((r, s, l - r - s), c_fn(r, s, l - r - s)) for r in range(l + 1) for s in range(l + 1 - r))
+    _, C = _c_family(params, c_fn)
     for r in range(l):
         for s in range(l - r):
             p = l - 1 - r - s

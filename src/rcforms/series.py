@@ -91,9 +91,9 @@ def _key_text(key) -> str:
 def _integer_form(coeffs) -> tuple[int, dict]:
     """(d, {key: d * value}) for a map or pairs key -> exact scalar, d the least common denominator.
 
-    The one denominator-clearing rule, for the constructors' input, the
-    C(r, s, p) families (the recursion check, the direct degree-2 bracket)
-    and the rank rows.  Unless every value is an int or a ``Fraction``, all
+    The one denominator-clearing rule for exact values: the constructors'
+    input, the C(r, s, p) family (``rcforms.brackets._c_family``) and the
+    rank rows.  Unless every value is an int or a ``Fraction``, all
     go through :func:`as_rational`, named by their keys; zero values stay,
     so that ``_store`` checks their keys too.
     """

@@ -30,9 +30,9 @@ import os
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .series import JacobiSeries, _integer_form, _key_text, _text
+from .series import JacobiSeries, _key_text, _text
 from .siegel import SiegelSeries
 
 FORMAT_TAG = "rcforms"
@@ -61,8 +61,8 @@ def format_rational(x: Fraction) -> str:
     return f"{_text(x.numerator)}/{_text(x.denominator)}"
 
 
-def parse_rational_token(token: str, line: int) -> Fraction:
-    """Strict num/den record value: reduced, positive denominator, nonzero."""
+def parse_rational_token(token: str, line: int) -> tuple[int, int]:
+    """Strict num/den record value (reduced, positive denominator, nonzero) as the ints (num, den)."""
     parts = token.split("/")
     if len(parts) != 2 or not _INTEGER.fullmatch(parts[0]):
         raise ParseError(line, f"coefficient value must be num/den, got {token!r}")
@@ -73,7 +73,7 @@ def parse_rational_token(token: str, line: int) -> Fraction:
         raise ParseError(line, f"fraction {token} is not reduced")
     if num == 0:
         raise ParseError(line, "zero coefficients must be omitted")
-    return Fraction(num, den)
+    return num, den
 
 
 def parse_fraction_arg(text: str) -> Fraction:
@@ -185,7 +185,8 @@ def import_series(text: str) -> JacobiSeries | SiegelSeries:
     if tokens is not None:
         raise ParseError(line, f"content after END: {' '.join(tokens)!r}")
 
-    return cls._from_integers(tuple(tags), trunc, *_integer_form(coeffs))
+    den = lcm(*(d for _, d in coeffs.values()))
+    return cls._from_integers(tuple(tags), trunc, den, {key: n * (den // d) for key, (n, d) in coeffs.items()})
 
 
 def write_series(path: str | os.PathLike, obj: JacobiSeries | SiegelSeries) -> None:

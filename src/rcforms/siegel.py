@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 
-from .brackets import BracketParams, _bracket_sum, _check_operands, bracket_terms
+from .brackets import BracketParams, _bracket_sum, _c_family, _check_operands
 # not called here any more; perfbench's tracer rebinds bracket_jacobi in this module by name
 from .brackets import bracket_jacobi  # noqa: F401
 from .series import (
@@ -35,7 +35,6 @@ from .series import (
     JacobiSeries,
     Key,
     _check_int,
-    _integer_form,
     _merged,
     _packed_products,
     _SparseSeries,
@@ -208,10 +207,11 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     m = 0 and n = 0 slices vanish identically.
 
     The sum runs on integers: the stored numerators of F and G, and the
-    C(r, s, p) of :func:`rcforms.brackets.bracket_terms` over their common
-    denominator.  Each coefficient carries delta^0..delta^l of itself as
-    columns, so each (n, m) row of an input packs once; the product of
-    delta^r(F) and delta^s(G) is one slot of the packed series product.
+    C(r, s, p) family cleared once over its least common denominator by
+    ``rcforms.brackets._c_family``, as for the recursion check.  Each
+    coefficient carries delta^0..delta^l of itself as columns, so each
+    (n, m) row of an input packs once; the product of delta^r(F) and
+    delta^s(G) is one slot of the packed series product.
     Each output key is summed once, as sum C(r, s, p) * D^p times its slot
     (r, s) with D = 4*n*m - r**2, by Horner's rule in D.  The sums go to the
     store over the product of the three denominators, which reduces them
@@ -219,7 +219,7 @@ def bracket_siegel_direct(F: SiegelSeries, G: SiegelSeries, l: int) -> SiegelSer
     """
     params = _even_order_params("bracket_siegel_direct", F, G, l)
     trunc = min(F.trunc, G.trunc)
-    den_c, c_int = _integer_form({(t.r, t.s, t.p): t.c_value for t in bracket_terms(params) if t.c_value})
+    den_c, c_int = _c_family(params)
 
     def powers(coeffs):
         """{(n, m): [(r, [delta^e a for e = 0..l])]} over the integer numerators a."""

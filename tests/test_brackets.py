@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rcforms import brackets as brackets_module
 from rcforms.brackets import (
     _exact_rank,
-    _index_factors,
-    _reduced,
-    _weight_factors,
+    _side_lists,
     BracketParams,
     bracket_jacobi,
     bracket_jacobi_poly,
@@ -142,49 +140,71 @@ def cleared(values):
     return den, list(ints.values())
 
 
+# index pairs with zeros, and x at 0, at generic values and at the zeros
+# -1/m1 and 1/m2 of the index factors
+INDEX_PAIRS = [(1, 1), (1, 2), (3, 0), (0, 2), (2, 3), (0, 0)]
+
+
+def index_xs(m1, m2):
+    return [Q(0), Q(1, 3), Q(-3, 2), Q(2)] + ([Q(-1, m1)] if m1 else []) + ([Q(1, m2)] if m2 else [])
+
+
 class TestFactorisedCoefficients:
-    """The bracket pass applies C and D as per-side integer factors over
-    their denominators; these tie the factors back to coeff_C and coeff_D
-    and to the Fraction lists they replace."""
+    """The bracket pass applies C and D as per-side integer lists over their
+    denominators (_side_lists); these tie the lists back to coeff_C and
+    coeff_D and to the Fraction lists they replace."""
 
     @pytest.mark.parametrize("k1,k2", FACTOR_WEIGHTS + VANISHING_WEIGHTS)
     def test_weight_factors_multiply_to_C(self, k1, k2):
+        """(-m2)^i left[r] * m1^j right[s] * G[p] over the product of the dens is C * D."""
         vanished = 0
-        for v in range(13):
-            params = BracketParams(k1, k2, 1, 2, v)
-            (den_A, A), (den_B, B), (den_G, G) = _weight_factors(params)
-            den = den_A * den_B * den_G
-            t = v // 2
-            for r in range(t + 1):
-                for s in range(t + 1 - r):
-                    p = t - r - s
-                    assert Q(A[r] * B[s] * G[p], den) == coeff_C(r, s, p, params), (v, r, s, p)
-                    vanished += coeff_C(r, s, p, params) == 0
+        for m1, m2 in INDEX_PAIRS:
+            for x in index_xs(m1, m2):
+                for v in range(13):
+                    params = BracketParams(k1, k2, m1, m2, v, x)
+                    (den_l, left), (den_r, right), (den_G, G) = _side_lists(params)
+                    den = den_l * den_r * den_G
+                    t = v // 2
+                    for r in range(t + 1):
+                        for s in range(t + 1 - r):
+                            p = t - r - s
+                            c = coeff_C(r, s, p, params)
+                            vanished += c == 0
+                            for i, j in ((0, 0), (0, 1), (1, 0)):
+                                value = Q((-m2) ** i * left[r] * m1**j * right[s] * G[p], den)
+                                assert value == c * coeff_D(r, s, i, j, params), (m1, m2, x, v, r, s, i, j)
         assert bool(vanished) == ((k1, k2) in VANISHING_WEIGHTS)
 
     @pytest.mark.parametrize("k1,k2", FACTOR_WEIGHTS + VANISHING_WEIGHTS)
     def test_weight_factors_reduce_to_the_integer_form(self, k1, k2):
-        for v in range(13):
-            params = BracketParams(k1, k2, 1, 2, v)
-            for side, fractions in zip(_weight_factors(params), fraction_weight_lists(params)):
-                assert _reduced(*side) == cleared(fractions), v
+        """Each side is over its least common denominator (gcd 1), the ints
+        _integer_form gives for the Fraction lists A*L, B*R and G."""
+        for m1, m2 in INDEX_PAIRS:
+            for x in index_xs(m1, m2):
+                for v in range(13):
+                    params = BracketParams(k1, k2, m1, m2, v, x)
+                    sides = _side_lists(params)
+                    assert all(gcd(den, *values) == 1 for den, values in sides), (m1, m2, x, v)
+                    A, B, G = fraction_weight_lists(params)
+                    L, R = fraction_index_lists(params)
+                    products = [a * b for a, b in zip(A, L)], [a * b for a, b in zip(B, R)], G
+                    assert sides == tuple(map(cleared, products)), (m1, m2, x, v)
 
-    @pytest.mark.parametrize("m1,m2", [(1, 1), (1, 2), (3, 0), (0, 2), (2, 3)])
+    @pytest.mark.parametrize("m1,m2", INDEX_PAIRS[:-1])
     def test_index_factors_multiply_to_D(self, m1, m2):
-        xs = [Q(0), Q(1, 3), Q(-3, 2), Q(2)] + ([Q(-1, m1)] if m1 else []) + ([Q(1, m2)] if m2 else [])
-        for x in xs:
-            for v in range(9):
+        """Each side's values at x over those at x = 0 are (1 - m2 x)^r and
+        (1 + m1 x)^s, and G's do not move with x."""
+
+        def values(params):
+            return [[Q(value, den) for value in values] for den, values in _side_lists(params)]
+
+        for v in range(9):
+            base = values(BracketParams(4, 6, m1, m2, v))
+            for x in index_xs(m1, m2):
                 params = BracketParams(4, 6, m1, m2, v, x)
-                (den_L, L), (den_R, R) = _index_factors(params)
-                fractions = fraction_index_lists(params)
-                assert [Q(value, den_L) for value in L] == fractions[0]
-                assert [Q(value, den_R) for value in R] == fractions[1]
-                t = v // 2
-                for r in range(t + 1):
-                    for s in range(t + 1 - r):
-                        for i, j in ((0, 0), (0, 1), (1, 0)):
-                            value = Q((-m2) ** i * L[r] * m1**j * R[s], den_L * den_R)
-                            assert value == coeff_D(r, s, i, j, params)
+                left, right, G = ([a / b for a, b in zip(side, at_0)] for side, at_0 in zip(values(params), base))
+                assert (left, right) == fraction_index_lists(params), (x, v)
+                assert G == [1] * (v // 2 + 1)
 
     @pytest.mark.parametrize("k1,k2", [(4, 6), (10, 4), (-3, 1)])
     @pytest.mark.parametrize("m1,m2,x", [(1, 2, Q(0)), (1, 1, Q(-1, 2)), (2, 3, Q(1, 3)), (3, 0, Q(-1, 3))])
@@ -195,9 +215,9 @@ class TestFactorisedCoefficients:
         seen = []
         kernel = brackets_module._bracket_pass
 
-        def spy(f, g, left, right, cross, slots):
+        def spy(f, g, params, left, right, slots):
             seen.append((left, right))
-            return kernel(f, g, left, right, cross, slots)
+            return kernel(f, g, params, left, right, slots)
 
         monkeypatch.setattr(brackets_module, "_bracket_pass", spy)
         f, g = JacobiSeries(k1, m1, 2, {(1, 0): 1}), JacobiSeries(k2, m2, 2, {(1, 1): 1, (2, 0): 3})
@@ -814,6 +834,19 @@ WRONG_SCALAR = [
     (lambda f: crosscheck_bracket(f, f, 0.5, 2), TypeError, "bracket parameter x must be int or Fraction, got float"),
     (lambda f: crosscheck_bracket(f, f, True, 2), TypeError, "bracket parameter x must be int or Fraction, got bool"),
     (lambda f: crosscheck_bracket(f, f, "1/2", 3), TypeError, "bracket parameter x must be int or Fraction, got str"),
+    # coeff_C and coeff_D check their summand indices
+    (lambda f: coeff_D(0, 0, -1, 0, BracketParams(4, 6, 1, 2, 1)), ValueError,
+     "summand index i must be non-negative, got -1"),
+    (lambda f: coeff_D(0.0, 0, 0, 0, BracketParams(4, 6, 1, 2, 1)), TypeError,
+     "summand index r must be an int, got float"),
+    (lambda f: coeff_D(0, 0, 0, True, BracketParams(4, 6, 1, 2, 1)), TypeError,
+     "summand index j must be an int, got bool"),
+    (lambda f: coeff_C(0, 0, -1, BracketParams(4, 6, 1, 2, 2)), ValueError,
+     "summand index p must be non-negative, got -1"),
+    (lambda f: coeff_C(True, 0, 1, BracketParams(4, 6, 1, 2, 2)), TypeError,
+     "summand index r must be an int, got bool"),
+    (lambda f: coeff_C(0, 1.0, 0, BracketParams(4, 6, 1, 2, 2)), TypeError,
+     "summand index s must be an int, got float"),
 ]
 
 
@@ -823,7 +856,8 @@ WRONG_SCALAR = [
     ids=["params_m1_bool", "params_m2_float", "params_m1_negative", "params_m1_bool_m2_float", "params_x_float",
          "coeff_D_m2_bool", "terms_m1_float", "terms_m2_negative", "terms_x_bool", "coeff_D_x_str",
          "jacobi_x_float", "jacobi_x_bool", "jacobi_x_str", "crosscheck_x_float", "crosscheck_x_bool",
-         "crosscheck_x_str"],
+         "crosscheck_x_str", "coeff_D_i_negative", "coeff_D_r_float", "coeff_D_j_bool", "coeff_C_p_negative",
+         "coeff_C_r_bool", "coeff_C_s_float"],
 )
 def test_indices_and_x_of_the_wrong_type_are_rejected(theta4, call, error, message):
     with pytest.raises(error) as info:

@@ -287,19 +287,17 @@ def test_independent_routes_do_not_use_the_bracket_kernel(monkeypatch):
     for route in fast_routes:
         with pytest.raises(RuntimeError, match="bracket kernel"):
             route()
-    # nor may they reach the kernel's factorisation of C and D or the Jacobi
-    # bracket itself: the direct Siegel route takes C from bracket_terms
-    for helper in ("_weight_factors", "_index_factors"):
-        monkeypatch.setattr(brackets, helper, forbidden)
+    # nor may they reach the kernel's side lists of C and D or the Jacobi
+    # bracket itself: the direct Siegel route takes C from _c_family
+    monkeypatch.setattr(brackets, "_side_lists", forbidden)
     for module in (brackets, jets, siegel):
         monkeypatch.setattr(module, "bracket_jacobi", forbidden)
     assert independent_routes() == expected
     # the jets rebuild C and D from falling_factorial themselves, not from
-    # the kernel's factorisation
+    # the kernel's side lists
     source = Path(jets.__file__).read_text()
-    for helper in ("_weight_factors", "_index_factors"):
-        assert not hasattr(jets, helper)
-        assert helper not in source
+    assert not hasattr(jets, "_side_lists") and not hasattr(siegel, "_side_lists")
+    assert "_side_lists" not in source
     # nor their weight shift: the jets write K - 3/2 + nu with their own 3/2
     assert "THREE_HALVES = Fraction(3, 2)" in source and ".shifted(" not in source
     assert not hasattr(brackets, "THREE_HALVES")
@@ -316,15 +314,32 @@ def test_slice_route_does_not_use_the_direct_route(monkeypatch):
         raise RuntimeError("direct-route helper called")
 
     for module, name in (
+        (brackets, "_c_family"),
         (brackets, "bracket_terms"),
         (brackets, "coeff_C"),
-        (siegel, "bracket_terms"),
+        (siegel, "_c_family"),
         (siegel, "delta_op"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(RuntimeError, match="direct-route helper"):
         siegel.bracket_siegel_direct(F, F, 1)
     assert [siegel.bracket_siegel_via_jacobi(a, b, l) for a, b in pairs for l in range(4)] == direct
+
+
+def test_direct_route_takes_C_from_the_cleared_family(monkeypatch):
+    """The direct degree-2 route reads C(r, s, p) only through _c_family: it
+    builds no BracketTerm and no coeff_D value."""
+    F = siegel_theta(E8, 2)
+    pairs = [(F, F), (F, F * F)]
+    expected = [siegel.bracket_siegel_direct(a, b, l) for a, b in pairs for l in range(4)]
+
+    def forbidden(*args):
+        raise RuntimeError("summand record built")
+
+    for name in ("bracket_terms", "coeff_D"):
+        monkeypatch.setattr(brackets, name, forbidden)
+    assert not hasattr(siegel, "bracket_terms") and not hasattr(siegel, "coeff_D")
+    assert [siegel.bracket_siegel_direct(a, b, l) for a, b in pairs for l in range(4)] == expected
 
 
 def records():
