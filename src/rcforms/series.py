@@ -126,6 +126,14 @@ def _merged(parts: Iterable[tuple[int, Mapping[object, int]]]) -> tuple[int, dic
     return den, out
 
 
+def _least_difference(a: Mapping[object, int], da: int, b: Mapping[object, int], db: int):
+    """The least key where a / da and b / db differ (absent keys read 0), or None, at once for equal maps.
+    The one such scan: ``first_difference``, and each form rule's reflection signed by (-1)**weight."""
+    if da == db and a == b:
+        return None
+    return min((key for key in a.keys() | b.keys() if a.get(key, 0) * db != b.get(key, 0) * da), default=None)
+
+
 # -- packed rows (Kronecker substitution) -------------------------------------
 #
 # The integer product loops multiply whole rows.  A row of (r, values)
@@ -390,14 +398,8 @@ class _SparseSeries:
         return not self._num
 
     def first_difference(self, other):
-        """The least key at which the coefficients of self and other differ, or None.
-
-        a / d_a and b / d_b differ exactly when a * d_b != b * d_a.
-        """
-        a, b = self._num, other._num
-        da, db = self._den, other._den
-        keys = a.keys() | b.keys()
-        return min((key for key in keys if a.get(key, 0) * db != b.get(key, 0) * da), default=None)
+        """The least key at which the coefficients of self and other differ, or None."""
+        return _least_difference(self._num, self._den, other._num, other._den)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -634,10 +636,9 @@ class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",)
 
 
 def _parity_failure(f: JacobiSeries) -> Key | None:
-    """The least stored key (n, r) with c(n, -r) != (-1)**weight * c(n, r), or None."""
-    num = f._num
-    mirror = {key: -v for key, v in num.items()} if f.weight % 2 else num
-    return min(((n, r) for (n, r), v in num.items() if mirror.get((n, -r), 0) != v), default=None)
+    """The least key (n, r) with c(n, -r) != (-1)**weight * c(n, r), or None."""
+    num, sign = f._num, (-1) ** (f.weight % 2)
+    return _least_difference(num, 1, {(n, -r): sign * v for (n, r), v in num.items()}, 1)
 
 
 def check_parity(f: JacobiSeries) -> bool:

@@ -21,7 +21,8 @@ num/den with den >= 1.  Integers (header values, keys, numerators) match
 ``0|-?[1-9][0-9]*`` and denominators ``[1-9][0-9]*``, ASCII digits only,
 of any length.  Import enforces all of that, so every accepted file without
 comments or empty lines re-exports byte-identically.  It reads a file in one
-pass and builds the series once, through the store's integer path.
+pass and builds the series once, through the store's integer path, which also
+checks a siegel file of weight k for a(m, r, n) = (-1)**k * a(n, r, m).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Degree-2 expansions, the determinant-type heat operator, and its brackets.
 
-A degree-2 expansion is a finite map (n, r, m) -> rational on the block
-0 <= n, m <= trunc with the transpose symmetry a(n, r, m) = a(m, r, n),
+A degree-2 expansion of weight k is a finite map (n, r, m) -> rational on the
+block 0 <= n, m <= trunc with a(m, r, n) = (-1)**k * a(n, r, m), as for a form,
 kept as integer numerators over one denominator like every series; its
 slice at fixed m is a Jacobi-type expansion of index m.  The operator
 ``delta_op`` multiplies a(n, r, m) by 4*n*m - r**2, which is the
@@ -35,6 +35,7 @@ from .series import (
     JacobiSeries,
     Key,
     _check_int,
+    _least_difference,
     _merged,
     _packed_products,
     _SparseSeries,
@@ -47,23 +48,22 @@ TripleKey = tuple[int, int, int]
 
 
 class SymmetryError(ValueError):
-    """A degree-2 coefficient map violates a(n, r, m) = a(m, r, n)."""
+    """A degree-2 coefficient map of weight k violates a(m, r, n) = (-1)**k * a(n, r, m)."""
 
-    def __init__(self, key: TripleKey, value, mirrored):
+    def __init__(self, key: TripleKey, value, mirrored, weight: int):
         n, r, m = map(_text, key)
-        super().__init__(
-            f"symmetry violation: a({n},{r},{m}) = {_value_text(value)} but a({m},{r},{n}) = {_value_text(mirrored)}"
-        )
+        rule = f" (weight {_text(weight)} is odd: a({m},{r},{n}) = -a({n},{r},{m}))" if weight % 2 else ""
+        super().__init__(f"symmetry violation: a({n},{r},{m}) = {_value_text(value)} "
+                         f"but a({m},{r},{n}) = {_value_text(mirrored)}{rule}")
         self.key = key
 
 
 class SiegelSeries(_SparseSeries):
-    """Truncated expansion a(n, r, m) q^n zeta^r qq^m, symmetric in (n, m).
+    """Truncated expansion a(n, r, m) q^n zeta^r qq^m with a(m, r, n) = (-1)**weight * a(n, r, m).
 
-    Construction validates the transpose symmetry, on the public
-    constructor and on every series built from integers alike, so every
-    series built by the package operations satisfies it by induction.
-    Immutable.
+    Construction validates this transpose rule, on the public constructor and
+    on every series built from integers alike, so every series built by the
+    package operations satisfies it by induction.  Immutable.
     """
 
     __slots__ = ()
@@ -71,10 +71,10 @@ class SiegelSeries(_SparseSeries):
 
     def _store(self, tags: tuple, trunc: int, den: int, num: Mapping[TripleKey, int]) -> None:
         super()._store(tags, trunc, den, num)
-        num = self._num
-        for (n, r, m), value in num.items():
-            if num.get((m, r, n), 0) != value:
-                raise SymmetryError((n, r, m), self[(n, r, m)], self[(m, r, n)])
+        num, sign = self._num, (-1) ** (self.weight % 2)
+        if key := _least_difference(num, 1, {(m, r, n): sign * v for (n, r, m), v in num.items()}, 1):
+            n, r, m = key
+            raise SymmetryError(key, self[key], self[(m, r, n)], self.weight)
 
     @staticmethod
     def _fits(key: TripleKey, trunc: int) -> bool:
@@ -157,8 +157,8 @@ def siegel_from_components(components: list[JacobiSeries]) -> SiegelSeries:
 
     Slice m must have index m, all slices the common weight, and truncation
     at least T = len(components) - 1; each slice is cut to T by the store,
-    which drops keys with n > T.  The transpose symmetry of the result is
-    validated, not assumed.
+    which drops keys with n > T.  The result's transpose rule
+    a(m, r, n) = (-1)**weight * a(n, r, m) is validated, not assumed.
     """
     if not components:
         raise ValueError("need at least the m = 0 component")
@@ -287,7 +287,8 @@ def check_siegel_consistency(F: SiegelSeries) -> ConsistencyReport:
 
     One result per slice with index m >= 1:
     :func:`rcforms.series.form_witness` (holomorphic support, disc-class
-    invariance, parity).  The transpose symmetry is not rechecked here:
+    invariance, and the r-parity, which is a slice check, not a store rule).
+    The transpose rule a(m, r, n) = (-1)**weight * a(n, r, m) is not rechecked:
     :class:`SiegelSeries` raises :class:`SymmetryError` at construction.
     """
     return ConsistencyReport(tuple(

@@ -375,8 +375,14 @@ def near_canonical_texts(draw):
         obj = JacobiSeries(draw(st.integers(-2, 8)), draw(st.integers(0, 2)), 2, coeffs)
     else:
         upper = draw(st.dictionaries(st.tuples(KEYS, st.integers(-3, 3), KEYS), VALUES, max_size=4))
-        coeffs = {key: v for (n, r, m), v in upper.items() if n <= m for key in ((n, r, m), (m, r, n))}
-        obj = SiegelSeries(draw(st.integers(-2, 8)), 2, coeffs)
+        weight = draw(st.integers(-2, 8))
+        # a(m, r, n) = (-1)**weight * a(n, r, m), so at odd weight the diagonal n = m is zero
+        sign = (-1) ** (weight % 2)
+        coeffs = {}
+        for (n, r, m), v in upper.items():
+            if n < m or n == m and sign == 1:
+                coeffs[(n, r, m)], coeffs[(m, r, n)] = v, sign * v
+        obj = SiegelSeries(weight, 2, coeffs)
     text = export_series(obj)
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(text) - 1))

@@ -10,6 +10,7 @@ from rcforms.series import (
     InvariantError,
     JacobiSeries,
     _class_members,
+    _parity_failure,
     check_disc_class_invariance,
     check_parity,
     d_z,
@@ -298,6 +299,13 @@ class TestFormChecks:
 
     def test_asymmetric_series_fails_parity(self):
         assert not check_parity(series(4, 1, 1, {(1, 1): 1}))
+
+    def test_parity_failure_names_the_least_key_stored_or_not(self):
+        # c(1, 1) alone fails the rule at (1, 1) and at the unstored (1, -1), the lesser key
+        assert _parity_failure(series(4, 1, 1, {(1, 1): 1})) == (1, -1)
+        assert _parity_failure(series(5, 1, 1, {(1, 1): 1, (1, -1): -1})) is None
+        # at odd weight the rule forces c(n, 0) = 0
+        assert _parity_failure(series(5, 1, 1, {(0, 0): 1, (1, 1): 1, (1, -1): -1})) == (0, 0)
 
     def test_support_predicates(self, theta4):
         assert theta4.has_holomorphic_support()

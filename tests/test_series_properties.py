@@ -201,11 +201,15 @@ def siegel_keys(trunc, rs):
     return st.tuples(st.integers(0, trunc), rs, st.integers(0, trunc))
 
 
-def symmetric_siegel(weight, trunc, coeffs):
-    symmetric = {}
+def signed_siegel(weight, trunc, coeffs):
+    """The degree-2 series holding ``coeffs`` and their transposes a(m, r, n) = (-1)**weight * a(n, r, m);
+    at odd weight the rule forces the diagonal n = m to zero, so its keys are left out."""
+    sign = (-1) ** (weight % 2)
+    signed = {}
     for (n, r, m), value in coeffs.items():
-        symmetric[(n, r, m)] = symmetric[(m, r, n)] = value
-    return SiegelSeries(weight, trunc, symmetric)
+        if n != m or sign == 1:
+            signed[(n, r, m)], signed[(m, r, n)] = value, sign * value
+    return SiegelSeries(weight, trunc, signed)
 
 
 @given(st.integers(0, 4), st.data())
@@ -213,7 +217,7 @@ def test_siegel_components_round_trip(trunc, data):
     coeffs = data.draw(st.dictionaries(siegel_keys(trunc, st.integers(-4, 4)), rationals, max_size=6))
     empty = data.draw(st.integers(0, trunc))
     # no key on the slices n = empty or m = empty, so slice `empty` stays empty
-    F = symmetric_siegel(4, trunc, {k: v for k, v in coeffs.items() if empty not in (k[0], k[2])})
+    F = signed_siegel(4, trunc, {k: v for k, v in coeffs.items() if empty not in (k[0], k[2])})
     parts = F.components()
     assert parts[empty].is_zero()
     assert siegel_from_components(parts) == F
@@ -221,7 +225,7 @@ def test_siegel_components_round_trip(trunc, data):
 
 @st.composite
 def siegel_bracket_operands(draw):
-    """Two sparse symmetric degree-2 series with their own weights and
+    """Two sparse degree-2 series (``signed_siegel``) with their own weights and
     truncations (0..4), values with denominators, and one slice of each
     left empty (no key with n or m equal to it), index 0 included."""
     out = []
@@ -230,7 +234,7 @@ def siegel_bracket_operands(draw):
         coeffs = draw(st.dictionaries(siegel_keys(trunc, st.integers(-4, 4)), rationals, max_size=8))
         empty = draw(st.integers(0, trunc))
         kept = {key: value for key, value in coeffs.items() if empty not in (key[0], key[2])}
-        out.append(symmetric_siegel(draw(st.integers(0, 10)), trunc, kept))
+        out.append(signed_siegel(draw(st.integers(0, 10)), trunc, kept))
     return out
 
 
@@ -280,7 +284,7 @@ def test_elliptic_product_matches_naive_loop(operands):
 
 
 @settings(max_examples=150)
-@given(product_operands(siegel_keys, symmetric_siegel))
+@given(product_operands(siegel_keys, signed_siegel))
 def test_siegel_product_matches_naive_loop(operands):
     f, g = operands
     combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -307,7 +311,7 @@ def siegel_long_rows(draw):
         blocks = draw(st.lists(st.tuples(st.integers(0, trunc), st.integers(0, trunc)), min_size=1, max_size=3))
         keys = st.tuples(st.sampled_from(blocks), draw(st.one_of(window(12), sparse_rows)))
         coeffs = draw(st.dictionaries(keys.map(lambda k: (k[0][0], k[1], k[0][1])), mixed_values, max_size=25))
-        out.append(symmetric_siegel(draw(st.integers(0, 6)), trunc, coeffs))
+        out.append(signed_siegel(draw(st.integers(0, 6)), trunc, coeffs))
     return out
 
 
@@ -363,8 +367,8 @@ def test_products_of_entries_far_apart_in_r():
     g = JacobiSeries(6, 1, 3, {(0, 0): 2, (0, 2 * far): -1, (1, -far): 4, (1, 1 - far): Fraction(1, 2)})
     trunc, out = naive_product(f, g, lambda a, b: (a[0] + b[0], a[1] + b[1]), lambda k, t: k[0] <= t)
     assert f * g == JacobiSeries(10, 2, trunc, out)
-    F = symmetric_siegel(4, 2, {(0, -far, 0): 1, (0, far, 0): 2, (0, 1, 1): 3, (1, far, 1): -1})
-    G = symmetric_siegel(6, 2, {(0, 0, 0): 5, (1, -far, 0): 2, (1, 1 - far, 1): Fraction(1, 3)})
+    F = signed_siegel(4, 2, {(0, -far, 0): 1, (0, far, 0): 2, (0, 1, 1): 3, (1, far, 1): -1})
+    G = signed_siegel(6, 2, {(0, 0, 0): 5, (1, -far, 0): 2, (1, 1 - far, 1): Fraction(1, 3)})
     combine = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
     trunc, out = naive_product(F, G, combine, lambda k, t: k[0] <= t and k[2] <= t)
     assert F * G == SiegelSeries(10, trunc, out)
@@ -420,7 +424,7 @@ def test_jacobi_store_is_canonical(coeffs, c, cut):
 
 @given(st.dictionaries(siegel_keys(2, st.integers(-2, 2)), unlike_rationals, max_size=6))
 def test_siegel_store_is_canonical(upper):
-    F = symmetric_siegel(4, 2, upper)
+    F = signed_siegel(4, 2, upper)
     assert_canonical(F)
     assert_same_store(SiegelSeries(4, 2, dict(F.items())), F)
     assert_same_store(-(-F), F)

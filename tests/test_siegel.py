@@ -1,13 +1,15 @@
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 from operator import mul
 
 import pytest
 
-from rcforms import brackets, series, siegel, verify
+from rcforms import E8, brackets, series, siegel, siegel_theta, verify
 from rcforms.brackets import BracketParams, bracket_jacobi, bracket_jacobi_poly, bracket_terms
 from rcforms.series import JacobiSeries, heat
+from rcforms.seriesio import export_series, import_series
 from rcforms.siegel import (
     SiegelSeries,
     SymmetryError,
@@ -91,6 +93,117 @@ class TestConstruction:
         ]
         with pytest.raises(SymmetryError):
             siegel_from_components(parts)
+
+
+class TestOddWeight:
+    """A degree-2 form of weight k has a(m, r, n) = (-1)**k * a(n, r, m), so at
+    odd weight the store takes maps antisymmetric under n <-> m, whose diagonal
+    n = m vanishes, and rejects symmetric ones."""
+
+    ODD = {(0, 0, 1): 1, (1, 0, 0): -1, (1, 1, 3): Q(2, 3), (3, 1, 1): Q(-2, 3)}
+    ODD_TEXT = (
+        "rcforms 1\nkind siegel\nweight 35\ntrunc 3\n"
+        "coeff 0 0 1 1/1\ncoeff 1 0 0 -1/1\ncoeff 1 1 3 2/3\ncoeff 3 1 1 -2/3\nEND\n"
+    )
+
+    def test_antisymmetric_map_builds_through_every_entry(self):
+        F = SiegelSeries(35, 3, self.ODD)
+        assert F[(1, 1, 3)] == -F[(3, 1, 1)] == Q(2, 3)
+        assert SiegelSeries._from_integers((35,), 3, 3, {(0, 0, 1): 3, (1, 0, 0): -3, (1, 1, 3): 2, (3, 1, 1): -2}) == F
+        assert import_series(self.ODD_TEXT) == F
+        assert export_series(F) == self.ODD_TEXT
+        slices = [
+            JacobiSeries(35, 0, 3, {(1, 0): -1}),
+            JacobiSeries(35, 1, 3, {(0, 0): 1, (3, 1): Q(-2, 3)}),
+            JacobiSeries.zero(35, 2, 3),
+            JacobiSeries(35, 3, 3, {(1, 1): Q(2, 3)}),
+        ]
+        assert siegel_from_components(slices) == F
+
+    @pytest.mark.parametrize("weight", [35, 5, -1])
+    def test_symmetric_map_raises_at_odd_weight(self, weight):
+        with pytest.raises(SymmetryError) as info:
+            SiegelSeries(weight, 2, {(1, 0, 2): 1, (2, 0, 1): 1})
+        assert info.value.key == (1, 0, 2)
+        assert str(info.value) == (
+            f"symmetry violation: a(1,0,2) = 1 but a(2,0,1) = 1 (weight {weight} is odd: a(2,0,1) = -a(1,0,2))"
+        )
+
+    def test_nonzero_diagonal_raises_at_odd_weight(self):
+        with pytest.raises(SymmetryError) as info:
+            SiegelSeries(35, 2, {(1, 3, 1): Q(1, 2)})
+        assert info.value.key == (1, 3, 1)
+        assert str(info.value) == "symmetry violation: a(1,3,1) = 1/2 but a(1,3,1) = 1/2 (weight 35 is odd: a(1,3,1) = -a(1,3,1))"
+        with pytest.raises(SymmetryError):
+            import_series(self.ODD_TEXT.replace("coeff 0 0 1 1/1\n", "coeff 0 0 0 1/1\ncoeff 0 0 1 1/1\n"))
+        with pytest.raises(SymmetryError):
+            siegel_from_components([JacobiSeries(35, 0, 1), JacobiSeries(35, 1, 1, {(1, 0): 1})])
+
+    @pytest.mark.parametrize("weight", [4, 0, -2, 10])
+    def test_even_weight_text_is_unchanged(self, weight):
+        with pytest.raises(SymmetryError) as info:
+            SiegelSeries(weight, 2, {(1, 0, 2): 3, (2, 0, 1): 5})
+        assert str(info.value) == "symmetry violation: a(1,0,2) = 3 but a(2,0,1) = 5"
+
+    @pytest.mark.parametrize("weight", [4, 35])
+    def test_named_key_is_the_least_failing_key_in_any_insertion_order(self, weight):
+        items = [((2, 0, 1), 5), ((1, 0, 2), 3)]
+        messages = set()
+        for order in (items, items[::-1]):
+            with pytest.raises(SymmetryError) as info:
+                SiegelSeries(weight, 2, dict(order))
+            assert info.value.key == (1, 0, 2)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_named_key_may_be_unstored(self):
+        # a(2,0,1) alone fails the rule at (2,0,1) and at the unstored (1,0,2), the lesser key
+        with pytest.raises(SymmetryError) as info:
+            SiegelSeries(4, 2, {(2, 0, 1): 5})
+        assert info.value.key == (1, 0, 2)
+        assert str(info.value) == "symmetry violation: a(1,0,2) = 0 but a(2,0,1) = 5"
+
+
+@pytest.fixture(scope="module")
+def signed_operands():
+    """The E8 theta at trunc 3 (weight 4) and two odd-weight antisymmetric
+    series made from it: (n - m) * a(n, r, m) at weight 5 and
+    (n - m)**3 * (1 + r**2) * a(n, r, m) of its square at weight 11."""
+    theta = siegel_theta(E8, 3)
+    square = theta * theta
+    odd5 = SiegelSeries(5, 3, {(n, r, m): (n - m) * v for (n, r, m), v in theta.items()})
+    odd11 = SiegelSeries(11, 3, {(n, r, m): (n - m) ** 3 * (1 + r * r) * v for (n, r, m), v in square.items()})
+    return theta, odd5, odd11
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+@pytest.mark.parametrize("pair", ["odd, even", "even, odd", "odd, odd"])
+def test_both_routes_agree_at_odd_weight(signed_operands, pair, l):
+    theta, odd5, odd11 = signed_operands
+    F, G = {"odd, even": (odd5, theta), "even, odd": (theta, odd11), "odd, odd": (odd5, odd11)}[pair]
+    direct = bracket_siegel_direct(F, G, l)
+    assert direct == bracket_siegel_via_jacobi(F, G, l)
+    assert not direct.is_zero()
+    assert direct.weight == F.weight + G.weight + 2 * l
+    sign = (-1) ** direct.weight
+    assert all(direct[(m, r, n)] == sign * v for (n, r, m), v in direct.items())
+
+
+@pytest.mark.parametrize("v", range(10))
+def test_covariant_symbols_of_odd_order_do_not_exist(v):
+    """A covariant bilinear operator of order v acts through an SL2-invariant of
+    degree v of two binary quadratic forms n x**2 + r x y + m y**2.  The torus
+    gives n, r and m the weights 2, 0 and -2, and the invariants of degree v
+    number the weight-0 minus the weight-2 monomials in (n1, r1, m1, n2, r2, m2):
+    none at odd v, and (l + 1)(l + 2)/2 at v = 2l, the monomials D1**a D2**b J**c
+    with a + b + c = l."""
+    weights = [2, 0, -2] * 2
+    counts = {0: 0, 2: 0}
+    for monomial in combinations_with_replacement(weights, v):
+        if (total := sum(monomial)) in counts:
+            counts[total] += 1
+    invariants = counts[0] - counts[2]
+    assert invariants == (0 if v % 2 else (v // 2 + 1) * (v // 2 + 2) // 2)
 
 
 class TestDeltaOperator:
