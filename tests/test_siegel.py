@@ -139,22 +139,17 @@ class TestOddWeight:
         with pytest.raises(SymmetryError):
             siegel_from_components([JacobiSeries(35, 0, 1), JacobiSeries(35, 1, 1, {(1, 0): 1})])
 
-    @pytest.mark.parametrize("weight", [4, 0, -2, 10])
-    def test_even_weight_text_is_unchanged(self, weight):
-        with pytest.raises(SymmetryError) as info:
-            SiegelSeries(weight, 2, {(1, 0, 2): 3, (2, 0, 1): 5})
-        assert str(info.value) == "symmetry violation: a(1,0,2) = 3 but a(2,0,1) = 5"
-
-    @pytest.mark.parametrize("weight", [4, 35])
+    @pytest.mark.parametrize("weight", [4, 0, -2, 10, 35])
     def test_named_key_is_the_least_failing_key_in_any_insertion_order(self, weight):
+        text = "symmetry violation: a(1,0,2) = 3 but a(2,0,1) = 5"
+        if weight % 2:
+            text += f" (weight {weight} is odd: a(2,0,1) = -a(1,0,2))"
         items = [((2, 0, 1), 5), ((1, 0, 2), 3)]
-        messages = set()
         for order in (items, items[::-1]):
             with pytest.raises(SymmetryError) as info:
                 SiegelSeries(weight, 2, dict(order))
             assert info.value.key == (1, 0, 2)
-            messages.add(str(info.value))
-        assert len(messages) == 1
+            assert str(info.value) == text
 
     def test_named_key_may_be_unstored(self):
         # a(2,0,1) alone fails the rule at (2,0,1) and at the unstored (1,0,2), the lesser key
