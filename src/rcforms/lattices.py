@@ -15,10 +15,16 @@ No theta expansion is built by listing vectors:
   (-1)**(y_i // 2); over a vector of one parity the product of these signs
   is +1 exactly when the coordinate sum is divisible by 4, so averaging the
   untwisted and twisted products keeps the E8 vectors only.
-- The degree-2 theta adds, over the W(D8)-orbits of vectors y of
-  half-norm m, the orbit size times the Jacobi theta at one orbit
-  representative.  W(D8) (coordinate permutations and even sign changes)
-  maps E8 onto itself and preserves inner products.
+- The degree-2 theta adds, over the W(E8)-orbits of vectors y of
+  half-norm m, the orbit size times the Jacobi theta at one member: the
+  Jacobi theta at y depends only on the orbit of y, as W(E8) acts on E8 by
+  isometries.  The orbits are found without listing vectors: W(D8)
+  (coordinate permutations and even sign changes) maps E8 onto itself, and
+  its orbits are grouped by their W(E8)-dominant vector, reached by
+  descent: sort the absolute values descending and fix the sign parity;
+  while t = y_1 - y_2 - ... - y_7 + y_8 < 0, reflect in the root
+  1/2 * (1, -1, ..., -1, 1) and sort again.  Each class takes its theta
+  at the member with the most zero coordinates, the cheapest product.
 - The thetas of E8+E8 are the products of the E8 ones, taken by the
   integer product loops of :class:`JacobiSeries` and :class:`SiegelSeries`.
 
@@ -131,7 +137,9 @@ class Lattice:
     - ``doubled_vectors(max_half_norm)``: every y with x.x/2 <= max_half_norm, sorted;
     - ``theta_counts(w, trunc)``: c(n, r) = #{x : x.x/2 = n <= trunc, x.v = r}
       for the doubled lattice vector w = 2v;
-    - ``siegel_counts(trunc)``: a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}, n, m <= trunc;
+    - ``siegel_counts(trunc)``: a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}, n, m <= trunc,
+      for E8 the sum over the W(E8)-orbits of y (the W(D8)-orbits grouped by
+      their W(E8)-dominant vector) of orbit size times one ``theta_counts``;
     - ``least_vector(half_norm)``: the lexicographically smallest doubled vector of half-norm ``half_norm``.
     """
 
@@ -218,11 +226,27 @@ class _E8(Lattice):
         _check_int(half_norm, "half-norm")
         return min(_orbit_minimum(rep) for rep, _ in self.d8_orbits(half_norm))
 
+    def e8_classes(self, half_norm: int) -> list[tuple[DoubledVector, int]]:
+        """The W(E8)-orbits of E8 vectors of half-norm ``half_norm``.
+
+        Returns (doubled representative, orbit size) pairs: the W(D8)-orbits
+        grouped by their W(E8)-dominant vector (:func:`_e8_dominant`), their
+        sizes added, each class represented by its first D8 representative
+        with the most zero coordinates (the cheapest coordinate product).
+        """
+        classes: dict[DoubledVector, list] = {}
+        for rep, size in self.d8_orbits(half_norm):
+            entry = classes.setdefault(_e8_dominant(rep), [rep, 0])
+            if rep.count(0) > entry[0].count(0):
+                entry[0] = rep
+            entry[1] += size
+        return [(rep, size) for rep, size in classes.values()]
+
     def siegel_counts(self, trunc: int) -> TripleCounts:
         _check_int(trunc, "truncation")
         counts: TripleCounts = {}
         for m in range(trunc + 1):
-            for rep, size in self.d8_orbits(m):
+            for rep, size in self.e8_classes(m):
                 for (n, r), count in self.theta_counts(rep, trunc).items():
                     counts[(n, r, m)] = counts.get((n, r, m), 0) + size * count
         return counts
@@ -335,18 +359,43 @@ def eisenstein_q(weight: int, trunc: int) -> EllipticSeries:
     return EllipticSeries(weight, trunc, coeffs)
 
 
-def _orbit_minimum(rep: DoubledVector) -> DoubledVector:
-    """The lexicographically smallest member of the W(D8)-orbit of ``rep``.
+def _d8_dominant(y: DoubledVector) -> DoubledVector:
+    """The lexicographically largest member of the W(D8)-orbit of ``y``.
 
-    All absolute values sorted descending and negated; when no coordinate is
-    zero the sign parity is fixed, so an odd number of negative signs in
-    ``rep`` leaves the last (smallest) coordinate positive.
+    All absolute values sorted descending; when no coordinate is zero the
+    sign parity is fixed, so an odd number of negative signs in ``y``
+    negates the last (smallest) coordinate.
     """
-    absolutes = sorted((abs(a) for a in rep), reverse=True)
-    out = [-a for a in absolutes]
-    if all(absolutes) and sum(1 for a in rep if a < 0) % 2:
-        out[-1] = absolutes[-1]
+    out = sorted((abs(a) for a in y), reverse=True)
+    if all(out) and sum(1 for a in y if a < 0) % 2:
+        out[-1] = -out[-1]
     return tuple(out)
+
+
+def _orbit_minimum(rep: DoubledVector) -> DoubledVector:
+    """The lexicographically smallest member of the W(D8)-orbit of ``rep``:
+    the negated largest, as -1 is an even sign change."""
+    return tuple(-a for a in _d8_dominant(rep))
+
+
+_E8_BETA: DoubledVector = (1, -1, -1, -1, -1, -1, -1, 1)
+
+
+def _e8_dominant(y: DoubledVector) -> DoubledVector:
+    """The W(E8)-dominant member of the orbit of the doubled E8 vector ``y``.
+
+    The closed E8 chamber is the D8 chamber (y_1 >= ... >= y_7 >= |y_8|)
+    cut by t = y.b >= 0, b = ``_E8_BETA``; below it, reflect in the root
+    b/2 (t is divisible by 4) and sort again.  Each step raises the pairing
+    with the Weyl vector, so the descent ends; each W(E8)-orbit meets the
+    closed chamber once, so the result keys the orbit.
+    """
+    while True:
+        y = _d8_dominant(y)
+        t = sum(a * b for a, b in zip(y, _E8_BETA))
+        if t >= 0:
+            return y
+        y = tuple(a - (t // 4) * b for a, b in zip(y, _E8_BETA))
 
 
 def standard_index_vector(lattice: Lattice, index: int) -> tuple[Fraction, ...]:

@@ -7,7 +7,9 @@ minimal witness (where, expected and actual): the first failing case in
 the check's iteration order, as :meth:`CheckResult.first` keeps it.  The
 Jacobi form checks of bracket outputs, the theta and the degree-2 slices
 all go through :func:`rcforms.series.form_witness`; every slice of a
-degree-2 bracket output of order l > 0 is checked as a cusp form.
+degree-2 bracket output of order l > 0 is checked as a cusp form.  A
+result that measures nothing fails, as an x-span rank of 0 or a zero
+degree-2 bracket output of order l > 0 (at degree-2 truncation 0) does.
 
 The results that carry a measurement (the E8 vector counts, the realised
 x-span ranks, the jet-oracle scalars) report it in the detail, pass or fail.
@@ -254,6 +256,13 @@ def check_bracket_rank(forms: FormSet) -> list[CheckResult]:
 # -- criterion 7: degree-2 dual-path bracket ----------------------------------
 
 
+def _nothing_measured(output: SiegelSeries) -> str:
+    """The witness of a zero degree-2 bracket output of order l > 0, or ""."""
+    if not output.is_zero():
+        return ""
+    return f"zero output (every degree-2 bracket vanishes at truncation {_text(output.trunc)}: nothing measured)"
+
+
 def _dual_path_witnesses(F: SiegelSeries, l: int, direct: SiegelSeries):
     via = bracket_siegel_via_jacobi(F, F, l)
     if direct != via:
@@ -262,6 +271,7 @@ def _dual_path_witnesses(F: SiegelSeries, l: int, direct: SiegelSeries):
     elif direct.weight != 2 * F.weight + 2 * l:
         yield f"weight {_text(direct.weight)}"
     elif l > 0:
+        yield _nothing_measured(direct)
         for m, part in enumerate(direct.components()):
             if witness := form_witness(part, cusp=True):
                 yield f"slice {m}: {witness}"
@@ -275,7 +285,8 @@ def check_siegel_dual_path(forms: FormSet) -> list[CheckResult]:
         for l, direct in enumerate(outputs)
     ]
     failures = check_siegel_consistency(outputs[1]).failures()
-    out.append(CheckResult.first("degree-2 bracket output consistency at l=1", map(CheckResult.describe, failures)))
+    witnesses = itertools.chain([_nothing_measured(outputs[1])], map(CheckResult.describe, failures))
+    out.append(CheckResult.first("degree-2 bracket output consistency at l=1", witnesses))
     return out
 
 

@@ -5,15 +5,25 @@ scan over candidate coordinates filtered by the membership predicate,
 sharing no code with the pruned recursive enumerator.  The theta
 expansions, built from coordinate series and W(D8) orbits, are checked
 against counts over the enumerated vectors and against Eisenstein series.
+
+The degree-2 theta takes one Jacobi theta per W(E8)-orbit of each
+half-norm: the W(D8)-orbits are grouped by their W(E8)-dominant vector,
+found by descent (sort the absolute values, fix the sign parity, and while
+the pairing t with b = (1, -1, ..., -1, 1) is negative reflect in the root
+b/2).  The tests check that grouping against a union-find over reflections
+in the 240 roots, each class's theta against counts over enumerated
+vectors, and the result against the per-D8-orbit sum kept here.
 """
 
 import gc
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rcforms import lattices
 from rcforms.lattices import (
     E8,
     E8_E8,
@@ -27,7 +37,7 @@ from rcforms.lattices import (
     standard_index_vector,
 )
 from rcforms.series import InvariantError, check_disc_class_invariance, check_parity
-from rcforms.siegel import check_siegel_consistency
+from rcforms.siegel import SiegelSeries, SymmetryError, check_siegel_consistency
 
 Q = Fraction
 
@@ -220,6 +230,13 @@ def vectors4():
     return E8.doubled_vectors(4)
 
 
+def enumerated_counts(w, vectors):
+    """Counter of (half-norm, x.v) over the doubled ``vectors``, v = w/2: no coordinate products."""
+    dots4 = [sum(a * b for a, b in zip(y, w)) for y in vectors]
+    assert all(d % 4 == 0 for d in dots4)
+    return Counter((sum(a * a for a in y) // 8, d // 4) for y, d in zip(vectors, dots4))
+
+
 class TestCoordinateRoute:
     """The enumeration-free thetas against independent counts."""
 
@@ -263,10 +280,7 @@ class TestCoordinateRoute:
         ],
     )
     def test_matches_count_over_enumerated_vectors(self, vector, vectors4):
-        w = tuple(int(2 * Q(c)) for c in vector)
-        dots4 = [sum(a * b for a, b in zip(y, w)) for y in vectors4]
-        assert all(d % 4 == 0 for d in dots4)
-        counts = Counter((sum(a * a for a in y) // 8, d // 4) for y, d in zip(vectors4, dots4))
+        counts = enumerated_counts(tuple(int(2 * Q(c)) for c in vector), vectors4)
         for trunc in (0, 2, 4):
             theta = jacobi_theta(E8, vector, trunc)
             assert dict(theta.items()) == {key: c for key, c in counts.items() if key[0] <= trunc}
@@ -282,6 +296,96 @@ class TestCoordinateRoute:
         by_orbit = Counter(orbit_key(y) for y in vectors4 if sum(a * a for a in y) >= 24)
         expected = {orbit_key(rep): size for m in (3, 4) for rep, size in E8.d8_orbits(m)}
         assert dict(by_orbit) == expected
+
+
+def reflection_classes(half_norm, roots):
+    """The W(D8)-orbits of one half-norm (as ``orbit_key``s) merged into
+    W(E8)-orbits: a union-find joins the orbits of a representative y and
+    of s_a(y) for every root a.  Reflecting representatives only is enough,
+    since s_a(g.y) = g.s_b(y) with b = g^-1.a another root."""
+    parent = {orbit_key(rep): orbit_key(rep) for rep, _ in E8.d8_orbits(half_norm)}
+
+    def find(key):
+        while parent[key] != key:
+            key = parent[key]
+        return key
+
+    for rep, _ in E8.d8_orbits(half_norm):
+        for a in roots:
+            # in doubled coordinates s_a(y) = y - (y.a / 4) * a
+            t = sum(p * q for p, q in zip(rep, a)) // 4
+            parent[find(orbit_key(tuple(p - t * q for p, q in zip(rep, a))))] = find(orbit_key(rep))
+    classes = {}
+    for key in parent:
+        classes.setdefault(find(key), set()).add(key)
+    return sorted(map(frozenset, classes.values()), key=sorted)
+
+
+def per_d8_orbit_counts(trunc):
+    """The degree-2 E8 theta as the sum, over every W(D8)-orbit, of orbit
+    size times the Jacobi theta at its representative: one coordinate
+    product per D8-orbit, without the W(E8) grouping."""
+    counts = {}
+    for m in range(trunc + 1):
+        for rep, size in E8.d8_orbits(m):
+            for (n, r), count in E8.theta_counts(rep, trunc).items():
+                counts[(n, r, m)] = counts.get((n, r, m), 0) + size * count
+    return SiegelSeries(4, trunc, counts)
+
+
+class TestE8Classes:
+    """One Jacobi theta per W(E8)-orbit: the grouping of the D8-orbits, its
+    thetas and its degree-2 sum, each against an oracle."""
+
+    def test_classes_are_the_weyl_orbits(self):
+        roots = [y for y in box_scan_e8(2) if sum(a * a for a in y) == 8]
+        assert len(roots) == 240
+        class_counts = []
+        for m in range(9):
+            expected = reflection_classes(m, roots)
+            by_key = {}
+            for rep, _ in E8.d8_orbits(m):
+                by_key.setdefault(lattices._e8_dominant(rep), set()).add(orbit_key(rep))
+            assert sorted(map(frozenset, by_key.values()), key=sorted) == expected
+            sizes = {orbit_key(rep): size for rep, size in E8.d8_orbits(m)}
+            classes = E8.e8_classes(m)
+            assert len(classes) == len(expected)
+            for rep, size in classes:
+                members = next(c for c in expected if orbit_key(rep) in c)
+                assert size == sum(sizes[key] for key in members)
+                assert rep.count(0) == max(key[0].count(0) for key in members)
+            class_counts.append(len(classes))
+        assert class_counts == [1, 1, 1, 1, 2, 1, 1, 2, 2]
+
+    def test_each_class_has_one_theta(self, vectors4):
+        for m in range(5):
+            picked = {lattices._e8_dominant(rep): rep for rep, _ in E8.e8_classes(m)}
+            expected = {key: enumerated_counts(rep, vectors4) for key, rep in picked.items()}
+            for rep, _ in E8.d8_orbits(m):
+                if rep not in picked.values():
+                    assert enumerated_counts(rep, vectors4) == expected[lattices._e8_dominant(rep)]
+
+    @pytest.mark.parametrize("trunc", range(6))
+    def test_e8_siegel_theta_is_the_per_d8_orbit_sum(self, trunc):
+        assert siegel_theta(E8, trunc) == per_d8_orbit_counts(trunc)
+
+    @pytest.mark.parametrize("trunc", range(3))
+    def test_e8e8_siegel_theta_is_the_square_of_the_per_d8_orbit_sum(self, trunc):
+        F = per_d8_orbit_counts(trunc)
+        assert siegel_theta(E8_E8, trunc) == F * F
+
+    def test_merged_classes_trip_the_transpose_rule(self, monkeypatch):
+        """A class key that merges every class of one half-norm gives all of
+        them the theta of one member.  The store's transpose rule
+        a(m, r, n) = a(n, r, m) is the guard such a wrong merge trips, and
+        only truncation 4 and above can see one: below half-norm 4 each
+        half-norm is a single W(E8)-orbit, so the merge changes nothing."""
+        honest = [siegel_theta(E8, trunc) for trunc in range(4)]
+        monkeypatch.setattr(lattices, "_e8_dominant", lambda y: sum(a * a for a in y))
+        assert [siegel_theta(E8, trunc) for trunc in range(4)] == honest
+        message = "symmetry violation: a(1,-4,4) = 17520 but a(4,-4,1) = 240"
+        with pytest.raises(SymmetryError, match=re.escape(message)):
+            siegel_theta(E8, 4)
 
 
 class TestProductLatticeCounts:

@@ -124,6 +124,15 @@ def test_rank_zero_fails_as_nothing_measured():
     ]
 
 
+def test_zero_degree2_outputs_fail_as_nothing_measured():
+    """At degree-2 trunc 0 both routes return the zero series at l >= 1:
+    equal outputs measure nothing and fail; at trunc 1 they are nonzero and pass."""
+    lines = verify.check_siegel_dual_path(verify.FormSet(2, 0))
+    detail = "zero output (every degree-2 bracket vanishes at truncation 0: nothing measured)"
+    assert [(line.passed, line.detail) for line in lines] == [(True, "")] + [(False, detail)] * 3
+    assert all(line.passed for line in verify.check_siegel_dual_path(verify.FormSet(2, 1)))
+
+
 def test_dual_path_names_the_least_differing_key(small, monkeypatch):
     def shifted(F, G, l):
         out = bracket_siegel_via_jacobi(F, G, l)
