@@ -20,13 +20,13 @@ No theta expansion is built by listing vectors:
   Jacobi theta at y depends only on the orbit of y, as W(E8) acts on E8 by
   isometries.  The orbits are found without listing vectors: W(D8)
   (coordinate permutations and even sign changes) maps E8 onto itself, and
-  its orbits are grouped by their W(E8)-dominant vector, reached by
-  descent: sort the absolute values descending and fix the sign parity;
-  while t = y_1 - y_2 - ... - y_7 + y_8 < 0, reflect in the root
-  1/2 * (1, -1, ..., -1, 1) and sort again.  Each class takes its theta
-  at the member with the most zero coordinates, the cheapest product.
-- The thetas of E8+E8 are the products of the E8 ones, taken by the
-  integer product loops of :class:`JacobiSeries` and :class:`SiegelSeries`.
+  its orbits, each listed by its largest member (absolute values
+  descending, sign parity fixed), are grouped by their W(E8)-dominant
+  vector, reached by descent: while t = y_1 - y_2 - ... - y_7 + y_8 < 0,
+  reflect in the root 1/2 * (1, -1, ..., -1, 1) and sort again.  Each
+  class takes its theta at the member with the most zero coordinates.
+- E8+E8 is built from E8 alone: its degree-2 theta is the square of the
+  E8 one, taken by the integer product loop of :class:`SiegelSeries`.
 
 Vector enumeration (``doubled_vectors``, ``enumerate_vectors``) stays as
 the independent oracle: the 240 / 2160 norm-count gates and the tests count
@@ -139,7 +139,8 @@ class Lattice:
       for the doubled lattice vector w = 2v;
     - ``siegel_counts(trunc)``: a(n, r, m) = #{(x, y) : x.x/2 = n, y.y/2 = m, x.y = r}, n, m <= trunc,
       for E8 the sum over the W(E8)-orbits of y (the W(D8)-orbits grouped by
-      their W(E8)-dominant vector) of orbit size times one ``theta_counts``;
+      their W(E8)-dominant vector) of orbit size times one ``theta_counts``,
+      for E8+E8 the square of the E8 counts;
     - ``least_vector(half_norm)``: the lexicographically smallest doubled vector of half-norm ``half_norm``.
     """
 
@@ -207,7 +208,8 @@ class _E8(Lattice):
         Returns (doubled representative, orbit size) pairs.  An orbit is
         fixed by its sorted absolute coordinates and, when no coordinate is
         zero, by the parity of its negative coordinates; otherwise an even
-        sign change can absorb any sign.
+        sign change can absorb any sign.  Each representative is its orbit's
+        lexicographically largest member, as :func:`_d8_dominant` gives it.
         """
         _check_int(half_norm, "half-norm")
         out = []
@@ -223,8 +225,8 @@ class _E8(Lattice):
         return out
 
     def least_vector(self, half_norm: int) -> DoubledVector:
-        _check_int(half_norm, "half-norm")
-        return min(_orbit_minimum(rep) for rep, _ in self.d8_orbits(half_norm))
+        # -1 is an even sign change, and negation reverses the lexicographic order
+        return tuple(-a for a in max(rep for rep, _ in self.d8_orbits(half_norm)))
 
     def e8_classes(self, half_norm: int) -> list[tuple[DoubledVector, int]]:
         """The W(E8)-orbits of E8 vectors of half-norm ``half_norm``.
@@ -252,53 +254,50 @@ class _E8(Lattice):
         return counts
 
 
-class _ProductLattice(Lattice):
-    def __init__(self, name: str, left: Lattice, right: Lattice):
+class _SquareLattice(Lattice):
+    """The lattice L + L, built from one base lattice L."""
+
+    def __init__(self, name: str, base: Lattice):
         self.name = name
-        self.rank = left.rank + right.rank
-        self._left = left
-        self._right = right
+        self.rank = 2 * base.rank
+        self._base = base
 
     def contains_doubled(self, y: DoubledVector) -> bool:
-        # each factor rejects a part of the wrong length
-        split = self._left.rank
-        return self._left.contains_doubled(y[:split]) and self._right.contains_doubled(y[split:])
+        # the base rejects a half of the wrong length
+        split = self._base.rank
+        return self._base.contains_doubled(y[:split]) and self._base.contains_doubled(y[split:])
 
     def doubled_vectors(self, max_half_norm: int) -> list[DoubledVector]:
-        left = self._left.doubled_vectors(max_half_norm)
-        right = self._right.doubled_vectors(max_half_norm)
-        right_by_norm: dict[int, list[DoubledVector]] = {}
-        for y in right:
-            right_by_norm.setdefault(sum(a * a for a in y) // 8, []).append(y)
+        vectors = self._base.doubled_vectors(max_half_norm)
+        by_norm: dict[int, list[DoubledVector]] = {}
+        for y in vectors:
+            by_norm.setdefault(sum(a * a for a in y) // 8, []).append(y)
         out = []
-        for a in left:
-            room = max_half_norm - sum(x * x for x in a) // 8
-            for h in range(room + 1):
-                for b in right_by_norm.get(h, ()):
-                    out.append(a + b)
+        for a in vectors:
+            for h in range(max_half_norm - sum(x * x for x in a) // 8 + 1):
+                out += [a + b for b in by_norm.get(h, ())]
         out.sort()
         return out
 
     def theta_counts(self, w: DoubledVector, trunc: int) -> Counts:
-        split = self._left.rank
-        left = self._left.theta_counts(w[:split], trunc)
-        right = self._right.theta_counts(w[split:], trunc)
+        split = self._base.rank
+        left = self._base.theta_counts(w[:split], trunc)
+        right = self._base.theta_counts(w[split:], trunc)
         return JacobiSeries._convolve(left, right, trunc)
 
     def least_vector(self, half_norm: int) -> DoubledVector:
         _check_int(half_norm, "half-norm")
-        # the left part decides the order; every half-norm occurs in each factor
-        h = min(range(half_norm + 1), key=self._left.least_vector)
-        return self._left.least_vector(h) + self._right.least_vector(half_norm - h)
+        # the left half decides the order; every half-norm occurs in the base
+        h = min(range(half_norm + 1), key=self._base.least_vector)
+        return self._base.least_vector(h) + self._base.least_vector(half_norm - h)
 
     def siegel_counts(self, trunc: int) -> TripleCounts:
-        left = self._left.siegel_counts(trunc)
-        right = self._right.siegel_counts(trunc)
-        return SiegelSeries._convolve(left, right, trunc)
+        counts = self._base.siegel_counts(trunc)
+        return SiegelSeries._convolve(counts, counts, trunc)
 
 
 E8 = _E8()
-E8_E8 = _ProductLattice("e8e8", E8, E8)
+E8_E8 = _SquareLattice("e8e8", E8)
 
 LATTICES: dict[str, Lattice] = {E8.name: E8, E8_E8.name: E8_E8}
 
@@ -372,17 +371,12 @@ def _d8_dominant(y: DoubledVector) -> DoubledVector:
     return tuple(out)
 
 
-def _orbit_minimum(rep: DoubledVector) -> DoubledVector:
-    """The lexicographically smallest member of the W(D8)-orbit of ``rep``:
-    the negated largest, as -1 is an even sign change."""
-    return tuple(-a for a in _d8_dominant(rep))
-
-
 _E8_BETA: DoubledVector = (1, -1, -1, -1, -1, -1, -1, 1)
 
 
 def _e8_dominant(y: DoubledVector) -> DoubledVector:
-    """The W(E8)-dominant member of the orbit of the doubled E8 vector ``y``.
+    """The W(E8)-dominant member of the orbit of the doubled E8 vector ``y``,
+    which must be D8-dominant, as every ``d8_orbits`` representative is.
 
     The closed E8 chamber is the D8 chamber (y_1 >= ... >= y_7 >= |y_8|)
     cut by t = y.b >= 0, b = ``_E8_BETA``; below it, reflect in the root
@@ -390,12 +384,9 @@ def _e8_dominant(y: DoubledVector) -> DoubledVector:
     with the Weyl vector, so the descent ends; each W(E8)-orbit meets the
     closed chamber once, so the result keys the orbit.
     """
-    while True:
-        y = _d8_dominant(y)
-        t = sum(a * b for a, b in zip(y, _E8_BETA))
-        if t >= 0:
-            return y
-        y = tuple(a - (t // 4) * b for a, b in zip(y, _E8_BETA))
+    while (t := sum(a * b for a, b in zip(y, _E8_BETA))) < 0:
+        y = _d8_dominant(tuple(a - (t // 4) * b for a, b in zip(y, _E8_BETA)))
+    return y
 
 
 def standard_index_vector(lattice: Lattice, index: int) -> tuple[Fraction, ...]:

@@ -7,9 +7,12 @@ minimal witness (where, expected and actual): the first failing case in
 the check's iteration order, as :meth:`CheckResult.first` keeps it.  The
 Jacobi form checks of bracket outputs, the theta and the degree-2 slices
 all go through :func:`rcforms.series.form_witness`; every slice of a
-degree-2 bracket output of order l > 0 is checked as a cusp form.  A
-result that measures nothing fails, as an x-span rank of 0 or a zero
-degree-2 bracket output of order l > 0 (at degree-2 truncation 0) does.
+degree-2 bracket output of order l > 0 is checked as a cusp form.  An
+x-span rank of 0 and a zero degree-2 bracket output of order l > 0 (at
+degree-2 truncation 0) measure nothing and fail.  The Jacobi bracket lines
+do not guard against this: every bracket input is an elliptic multiple of
+the one index-1 theta, so every order-1 output is zero, and at truncation
+0 every output of order v >= 1 is; their lines pass on zero outputs.
 
 The results that carry a measurement (the E8 vector counts, the realised
 x-span ranks, the jet-oracle scalars) report it in the detail, pass or fail.

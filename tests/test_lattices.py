@@ -388,6 +388,64 @@ class TestE8Classes:
             siegel_theta(E8, 4)
 
 
+def sorting_descent(y):
+    """The W(E8) descent that sorts before its first step too, and the
+    number of reflections it takes."""
+    steps = 0
+    while True:
+        y = lattices._d8_dominant(y)
+        t = sum(a * b for a, b in zip(y, lattices._E8_BETA))
+        if t >= 0:
+            return y, steps
+        y = tuple(a - (t // 4) * b for a, b in zip(y, lattices._E8_BETA))
+        steps += 1
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call appends its arguments to the returned list."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestOneBase:
+    """E8+E8 is built from E8 alone, and the W(D8) representatives are used
+    as ``d8_orbits`` returns them, each its orbit's largest member."""
+
+    @pytest.mark.parametrize("trunc", [0, 2, 3])
+    def test_e8e8_siegel_theta_takes_the_e8_counts_once(self, monkeypatch, trunc):
+        calls = count_calls(monkeypatch, E8, "siegel_counts")
+        siegel_theta(E8_E8, trunc)
+        assert calls == [(trunc,)]
+
+    @pytest.mark.parametrize("max_half_norm", [0, 1])
+    def test_e8e8_enumeration_lists_e8_once(self, monkeypatch, max_half_norm):
+        calls = count_calls(monkeypatch, E8, "doubled_vectors")
+        E8_E8.doubled_vectors(max_half_norm)
+        assert calls == [(max_half_norm,)]
+
+    def test_representatives_are_their_orbits_largest_members(self):
+        for m in range(25):
+            reps = [rep for rep, _ in E8.d8_orbits(m)]
+            assert all(lattices._d8_dominant(rep) == rep for rep in reps)
+            assert E8.least_vector(m) == tuple(-a for a in max(reps))
+
+    def test_descent_from_a_representative_sorts_after_each_reflection_only(self, monkeypatch):
+        expected = {rep: sorting_descent(rep) for m in range(17) for rep, _ in E8.d8_orbits(m)}
+        sorts = count_calls(monkeypatch, lattices, "_d8_dominant")
+        for rep, (dominant, steps) in expected.items():
+            sorts.clear()
+            assert lattices._e8_dominant(rep) == dominant
+            assert len(sorts) == steps
+        assert max(steps for _, steps in expected.values()) >= 2
+
+
 class TestProductLatticeCounts:
     """The E8+E8 thetas against counts over its enumerated vectors, which do
     not go through the integer product loops that build the thetas."""
@@ -488,7 +546,7 @@ class TestStandardVector:
 
     @pytest.mark.parametrize("index", [1, 2, 3])
     def test_e8e8_least_vector_matches_enumeration(self, index):
-        """The product rule (least left part, then least right part) finds the
+        """The square rule (least left half, then least right half) finds the
         lexicographically smallest enumerated vector without listing any."""
         smallest = next(y for y in E8_E8.doubled_vectors(index) if sum(a * a for a in y) == 8 * index)
         assert standard_index_vector(E8_E8, index) == tuple(Q(a, 2) for a in smallest)

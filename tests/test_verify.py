@@ -181,3 +181,49 @@ def test_jet_oracle_fails_on_a_non_proportional_bracket(small, monkeypatch):
     for line in lines:
         assert "v=1,x=1: constructions are not proportional at (0, -50): jet side 0, bracket side 1" in line.detail
         assert "v=1,x=0: lam=" in line.detail
+
+
+class WithIndex2(verify.FormSet):
+    """The verify forms with the index-2 theta among the bracket inputs."""
+
+    def bracket_forms(self):
+        return super().bracket_forms() + [("theta-index2", self.theta_index2)]
+
+
+def failing_bracket_lines(forms):
+    lines = verify.check_bracket_degenerations(forms) + verify.check_bracket_outputs(forms)
+    assert len(lines) == 9
+    return [line.name for line in lines if not line.passed]
+
+
+def order1_outputs(forms):
+    return [brackets.bracket_jacobi(f, g, x, 1) for _, f, g in forms.bracket_pairs() for x in verify.BRACKET_X_VALUES]
+
+
+def test_order1_lines_measure_only_with_a_second_index(monkeypatch):
+    """Every verify bracket input is an elliptic multiple of the index-1
+    theta, so m2 * (d_z f) * g - m1 * f * (d_z g) vanishes and all 27 order-1
+    outputs are zero: replacing m1 by m1**2 at odd order passes every line.
+    With the index-2 theta among the inputs 18 of the 48 order-1 outputs are
+    nonzero, and the same mutant fails the order-1 and odd-order lines."""
+    default, extended = verify.FormSet(), WithIndex2()
+    assert all(output.is_zero() for output in order1_outputs(default))
+    outputs = order1_outputs(extended)
+    assert (len(outputs), sum(not output.is_zero() for output in outputs)) == (48, 18)
+    assert failing_bracket_lines(default) == failing_bracket_lines(extended) == []
+
+    real = brackets._bracket_pass
+
+    def squared_m1(f, g, params, *rest):
+        if params.parity:
+            params = params._replace(m1=params.m1**2)
+        return real(f, g, params, *rest)
+
+    monkeypatch.setattr(brackets, "_bracket_pass", squared_m1)
+    assert failing_bracket_lines(verify.FormSet()) == []
+    assert failing_bracket_lines(WithIndex2()) == [
+        "order-1 self-bracket vanishes",
+        "order-1 bracket outputs are Jacobi-type",
+        "order-3 bracket outputs are Jacobi-type",
+        "order-5 bracket outputs are Jacobi-type",
+    ]
